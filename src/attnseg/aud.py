@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.fftpack import dct
 from scipy.special import logsumexp
-
-from .corpus import Segmentation
 
 
 class AudError(ValueError):
@@ -179,38 +177,25 @@ class AudModel:
 
     def emission_loglik(self, feats: np.ndarray) -> np.ndarray:
         """(F, U*S) log p(x_t | state) under diagonal GMMs."""
-        U, S, M, D = self.means.shape
-        x = feats[:, None, None, None, :]  # (F,1,1,1,D)
-        diff = x - self.means[None]
-        ll = -0.5 * (
-            np.sum(diff * diff / self.variances[None], axis=-1)
-            + np.sum(np.log(self.variances), axis=-1)[None]
-            + D * math.log(2 * math.pi)
-        )  # (F,U,S,M)
-        with np.errstate(divide="ignore"):
-            ll = ll + np.log(self.mix_weights)[None]
-        return logsumexp(ll, axis=-1).reshape(feats.shape[0], U * S)
+        return logsumexp(_weighted_component_loglik(self, feats), axis=-1).reshape(
+            feats.shape[0], -1)
 
-    def component_log_post(self, feats: np.ndarray) -> np.ndarray:
-        """(F, U, S, M) log responsibilities of mixture components within a state."""
-        U, S, M, D = self.means.shape
-        x = feats[:, None, None, None, :]
-        diff = x - self.means[None]
-        ll = -0.5 * (
-            np.sum(diff * diff / self.variances[None], axis=-1)
-            + np.sum(np.log(self.variances), axis=-1)[None]
-            + D * math.log(2 * math.pi)
-        )
-        with np.errstate(divide="ignore"):
-            ll = ll + np.log(self.mix_weights)[None]
-        return ll - logsumexp(ll, axis=-1, keepdims=True)
+    def component_log_post(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Log responsibilities (F, U, S, M) of the mixture components within a
+        state, and the state log densities (F, U, S) they normalise by."""
+        ll = _weighted_component_loglik(self, feats)
+        log_b = logsumexp(ll, axis=-1)
+        return ll - log_b[..., None], log_b
 
     def log_transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dense (N, N) log transition matrix, initial and final log vectors.
 
         State (u, s) has index u*S + s. The last state of a unit exits
         with probability 1 - stay and then re-enters the loop through
-        the unit weights; an utterance must end on such an exit.
+        the unit weights; an utterance must end on such an exit. With
+        one state per unit, a unit's self-loop and its exit-and-re-entry
+        into itself share one arc. This is the reference definition of
+        the model; the recursions below run on its structure instead.
         """
         U, S = self.stay.shape
         N = U * S
@@ -229,7 +214,8 @@ class AudModel:
                 else:
                     for u2 in range(U):
                         if np.isfinite(self.log_pi[u2]):
-                            A[i, u2 * S] = log_move[u, s] + self.log_pi[u2]
+                            A[i, u2 * S] = np.logaddexp(
+                                A[i, u2 * S], log_move[u, s] + self.log_pi[u2])
         init = np.full(N, -np.inf)
         final = np.full(N, -np.inf)
         for u in range(U):
@@ -276,14 +262,89 @@ def init_model(feats_list: list[FeatureSequence], config: AudConfig) -> AudModel
     )
 
 
+def _weighted_component_loglik(model: AudModel, feats: np.ndarray) -> np.ndarray:
+    """(F, U, S, M) log mix_weight + log N(x_t; mean, diag variance)."""
+    D = model.means.shape[-1]
+    diff = feats[:, None, None, None, :] - model.means[None]
+    ll = -0.5 * (
+        np.sum(diff * diff / model.variances[None], axis=-1)
+        + np.sum(np.log(model.variances), axis=-1)[None]
+        + D * math.log(2 * math.pi)
+    )
+    with np.errstate(divide="ignore"):
+        return ll + np.log(model.mix_weights)[None]
+
+
+# The phone loop's arcs, which `log_transitions` spells out as a dense matrix:
+# state (u, s) stays with log_stay[u, s] or advances to (u, s + 1) with
+# log_move[u, s]; a unit's last state exits with log_move[u, S - 1] into one
+# shared node, which enters unit u's first state with log_pi[u]. So each
+# frame of a recursion costs O(U * S).
+
+def _arcs(model: AudModel) -> tuple[np.ndarray, np.ndarray]:
+    """(U, S) log stay and log move probabilities. A pruned unit keeps its
+    arcs, but log_pi = -inf keeps every path out of it."""
+    with np.errstate(divide="ignore"):
+        return np.log(model.stay), np.log1p(-model.stay)
+
+
+def _self_arc(model: AudModel, log_stay: np.ndarray, log_move: np.ndarray) -> np.ndarray:
+    """(U, S) log weight of the arc (u, s) -> (u, s); with one state per
+    unit it also carries the unit's exit and re-entry into itself."""
+    if log_stay.shape[1] > 1:
+        return log_stay
+    return np.logaddexp(log_stay, (log_move[:, 0] + model.log_pi)[:, None])
+
+
+def _lse(v: np.ndarray) -> float:
+    """logsumexp of a 1-D array, without scipy's per-call overhead."""
+    m = v.max()
+    if m == -np.inf:
+        return m
+    return m + math.log(np.exp(v - m).sum())
+
+
+def _forward(log_b: np.ndarray, log_pi: np.ndarray, log_stay: np.ndarray,
+             log_move: np.ndarray) -> np.ndarray:
+    """(F, U, S) forward log probabilities given (F, U, S) state log densities."""
+    alpha = np.empty_like(log_b)
+    alpha[0] = -np.inf
+    alpha[0, :, 0] = log_pi + log_b[0, :, 0]
+    into = np.empty(log_b.shape[1:])
+    for t in range(1, log_b.shape[0]):
+        prev = alpha[t - 1]
+        into[:, 0] = _lse(prev[:, -1] + log_move[:, -1]) + log_pi
+        into[:, 1:] = prev[:, :-1] + log_move[:, :-1]
+        np.logaddexp(prev + log_stay, into, out=alpha[t])
+        alpha[t] += log_b[t]
+    return alpha
+
+
+def _backward(log_b: np.ndarray, log_pi: np.ndarray, log_stay: np.ndarray,
+              log_move: np.ndarray) -> np.ndarray:
+    """(F, U, S) backward log probabilities; an utterance ends on an exit."""
+    beta = np.empty_like(log_b)
+    beta[-1] = -np.inf
+    beta[-1, :, -1] = log_move[:, -1]
+    out = np.empty(log_b.shape[1:])
+    for t in range(log_b.shape[0] - 2, -1, -1):
+        nxt = log_b[t + 1] + beta[t + 1]
+        out[:, -1] = log_move[:, -1] + _lse(nxt[:, 0] + log_pi)
+        out[:, :-1] = nxt[:, 1:] + log_move[:, :-1]
+        np.logaddexp(nxt + log_stay, out, out=beta[t])
+    return beta
+
+
+def _final_loglik(alpha: np.ndarray, log_move: np.ndarray) -> float:
+    return _lse(alpha[-1, :, -1] + log_move[:, -1])
+
+
 def forward_loglik(model: AudModel, feats: np.ndarray) -> float:
     """Log likelihood of a feature matrix under the phone loop (forward pass)."""
-    b = model.emission_loglik(feats)
-    A, init, final = model.log_transitions()
-    alpha = init + b[0]
-    for t in range(1, feats.shape[0]):
-        alpha = logsumexp(alpha[:, None] + A, axis=0) + b[t]
-    return float(logsumexp(alpha + final))
+    U, S = model.stay.shape
+    log_b = model.emission_loglik(feats).reshape(-1, U, S)
+    log_stay, log_move = _arcs(model)
+    return float(_final_loglik(_forward(log_b, model.log_pi, log_stay, log_move), log_move))
 
 
 @dataclass
@@ -296,48 +357,34 @@ class _Stats:
     comp_sqsum: np.ndarray
     loglik: float = 0.0
 
+    @classmethod
+    def zeros(cls, U: int, S: int, M: int, D: int) -> "_Stats":
+        return cls(np.zeros(U), np.zeros((U, S)), np.zeros((U, S)), np.zeros((U, S, M)),
+                   np.zeros((U, S, M, D)), np.zeros((U, S, M, D)))
+
 
 def _estep_utterance(model: AudModel, feats: np.ndarray, stats: _Stats) -> None:
-    U, S, M, D = model.means.shape
-    N = U * S
-    F = feats.shape[0]
-    b = model.emission_loglik(feats)
-    A, init, final = model.log_transitions()
-    alpha = np.full((F, N), -np.inf)
-    beta = np.full((F, N), -np.inf)
-    alpha[0] = init + b[0]
-    for t in range(1, F):
-        alpha[t] = logsumexp(alpha[t - 1][:, None] + A, axis=0) + b[t]
-    beta[F - 1] = final
-    for t in range(F - 2, -1, -1):
-        beta[t] = logsumexp(A + (b[t + 1] + beta[t + 1])[None, :], axis=1)
-    ll = float(logsumexp(alpha[F - 1] + final))
+    log_resp, log_b = model.component_log_post(feats)  # (F,U,S,M), (F,U,S)
+    log_stay, log_move = _arcs(model)
+    alpha = _forward(log_b, model.log_pi, log_stay, log_move)
+    beta = _backward(log_b, model.log_pi, log_stay, log_move)
+    ll = float(_final_loglik(alpha, log_move))
     if not math.isfinite(ll):
         raise AudError("non-finite likelihood during E-step")
     stats.loglik += ll
-    with np.errstate(invalid="ignore"):
-        gamma = np.exp(alpha + beta - ll)  # (F, N)
-    gamma[~np.isfinite(gamma)] = 0.0
-    # transition posteriors
-    xi_sum = np.zeros((N, N))
-    for t in range(F - 1):
-        lx = alpha[t][:, None] + A + (b[t + 1] + beta[t + 1])[None, :] - ll
-        xi_sum += np.exp(np.clip(lx, -700, 50))
-    # unit entries: initial occupancy of first states + re-entries after exits
-    first_idx = np.arange(U) * S
-    entries = gamma[0].reshape(U, S)[:, 0].copy()
-    entries += xi_sum[:, first_idx].sum(axis=0)
-    stats.unit_entries += entries
-    # stay/advance counts; final exit counts as leaving the last state
-    diag = np.diag(xi_sum).reshape(U, S)
-    occ_from = xi_sum.sum(axis=1).reshape(U, S)
-    stats.stay_num += diag
-    stats.stay_den += occ_from
-    final_exit = np.exp(alpha[F - 1] + final - ll).reshape(U, S)
-    stats.stay_den += final_exit
+    gamma = np.exp(alpha + beta - ll)  # (F, U, S)
+    # unit entries: the occupancy of each unit's first state summed over
+    # frames, i.e. the initial occupancy, the re-entries after exits and
+    # also the first state's own self-loops
+    stats.unit_entries += gamma[:, :, 0].sum(axis=0)
+    # expected self-loops over expected occupancy: every occupied frame
+    # leaves its state by a stay, an advance, an exit or the final exit
+    stats.stay_num += np.exp(
+        alpha[:-1] + _self_arc(model, log_stay, log_move) + log_b[1:] + beta[1:] - ll
+    ).sum(axis=0)
+    stats.stay_den += gamma.sum(axis=0)
     # mixture-component stats
-    comp_post = np.exp(model.component_log_post(feats))  # (F,U,S,M)
-    resp = gamma.reshape(F, U, S, 1) * comp_post
+    resp = gamma[..., None] * np.exp(log_resp)
     stats.comp_occ += resp.sum(axis=0)
     stats.comp_sum += np.einsum("fusm,fd->usmd", resp, feats)
     stats.comp_sqsum += np.einsum("fusm,fd->usmd", resp, feats * feats)
@@ -375,14 +422,7 @@ def train_phone_loop(
     var_floor = np.maximum(X.var(axis=0) * config.var_floor_frac, 1e-10)
     objectives = []
     for it in range(config.iterations):
-        stats = _Stats(
-            unit_entries=np.zeros(U),
-            stay_num=np.zeros((U, S)),
-            stay_den=np.zeros((U, S)),
-            comp_occ=np.zeros((U, S, M)),
-            comp_sum=np.zeros((U, S, M, D)),
-            comp_sqsum=np.zeros((U, S, M, D)),
-        )
+        stats = _Stats.zeros(U, S, M, D)
         for f in feats_list:
             _estep_utterance(model, f.features, stats)
         objectives.append(map_objective(model, stats.loglik))
@@ -454,26 +494,40 @@ def decode_units(model: AudModel, feats: FeatureSequence) -> TimedUnitSequence:
             "feature dim %d does not match model dim %d" % (x.shape[1], model.dim)
         )
     U, S = model.stay.shape
-    b = model.emission_loglik(x)
-    A, init, final = model.log_transitions()
     F = x.shape[0]
-    N = U * S
-    delta_ = init + b[0]
-    back = np.zeros((F, N), dtype=np.int64)
+    log_b = model.emission_loglik(x).reshape(F, U, S)
+    log_stay, log_move = _arcs(model)
+    self_arc = _self_arc(model, log_stay, log_move)
+    # Ties go to the lowest predecessor index u * S + s, as an argmax over
+    # the dense transition matrix would: the advance from (u, s - 1) beats
+    # the self-loop of (u, s), and the exit of unit v beats the self-loop
+    # of (u, 0) only when v < u.
+    delta_ = np.full((U, S), -np.inf)
+    delta_[:, 0] = model.log_pi + log_b[0, :, 0]
+    moved = np.zeros((F, U, S), dtype=bool)  # best predecessor is not (u, s)
+    exit_from = np.zeros(F, dtype=np.int64)  # best exiting unit at frame t - 1
+    move = np.empty((U, S))
     for t in range(1, F):
-        scores = delta_[:, None] + A
-        back[t] = scores.argmax(axis=0)
-        delta_ = scores.max(axis=0) + b[t]
-    delta_ = delta_ + final
-    state = int(delta_.argmax())
-    if not math.isfinite(delta_[state]):
+        stay = delta_ + self_arc
+        exits = delta_[:, -1] + log_move[:, -1]
+        v = int(exits.argmax())
+        exit_from[t] = v
+        move[:, 0] = exits[v] + model.log_pi
+        move[:, 1:] = delta_[:, :-1] + log_move[:, :-1]
+        tie = move == stay
+        tie[: v + 1, 0] = False
+        np.logical_or(move > stay, tie, out=moved[t])
+        delta_ = np.maximum(stay, move) + log_b[t]
+    delta_[:, :-1] = -np.inf
+    delta_[:, -1] += log_move[:, -1]
+    u, s = divmod(int(delta_.argmax()), S)
+    if not math.isfinite(delta_[u, s]):
         raise AudError("no valid Viterbi path")
-    path = [state]
+    units = [u] * F
     for t in range(F - 1, 0, -1):
-        state = int(back[t, state])
-        path.append(state)
-    path.reverse()
-    units = [p // S for p in path]
+        if moved[t, u, s]:
+            u, s = (u, s - 1) if s > 0 else (int(exit_from[t]), S - 1)
+        units[t - 1] = u
     step = feats.frame_step_s
     intervals = []
     run_start = 0

@@ -28,6 +28,8 @@ from attnseg.aud import (
     train_phone_loop,
     viterbi_score,
     write_timed_units,
+    _estep_utterance,
+    _Stats,
 )
 from attnseg.corpus import load_timed_units
 
@@ -160,6 +162,99 @@ def brute_force_loglik(model, feats):
     return float(logsumexp(scores))
 
 
+# Dense O(N^2)-per-frame recursions on `log_transitions`, kept here as the
+# oracles of the structured ones in `attnseg.aud`.
+
+def dense_forward_loglik(model, feats):
+    b = model.emission_loglik(feats)
+    A, init, final = model.log_transitions()
+    alpha = init + b[0]
+    for t in range(1, feats.shape[0]):
+        alpha = logsumexp(alpha[:, None] + A, axis=0) + b[t]
+    return float(logsumexp(alpha + final))
+
+
+def dense_estep(model, feats):
+    U, S, M, D = model.means.shape
+    N = U * S
+    F = feats.shape[0]
+    stats = _Stats.zeros(U, S, M, D)
+    b = model.emission_loglik(feats)
+    A, init, final = model.log_transitions()
+    alpha = np.full((F, N), -np.inf)
+    beta = np.full((F, N), -np.inf)
+    alpha[0] = init + b[0]
+    for t in range(1, F):
+        alpha[t] = logsumexp(alpha[t - 1][:, None] + A, axis=0) + b[t]
+    beta[F - 1] = final
+    for t in range(F - 2, -1, -1):
+        beta[t] = logsumexp(A + (b[t + 1] + beta[t + 1])[None, :], axis=1)
+    ll = float(logsumexp(alpha[F - 1] + final))
+    stats.loglik += ll
+    with np.errstate(invalid="ignore"):
+        gamma = np.exp(alpha + beta - ll)
+    gamma[~np.isfinite(gamma)] = 0.0
+    xi_sum = np.zeros((N, N))
+    for t in range(F - 1):
+        lx = alpha[t][:, None] + A + (b[t + 1] + beta[t + 1])[None, :] - ll
+        xi_sum += np.exp(np.clip(lx, -700, 50))
+    first_idx = np.arange(U) * S
+    stats.unit_entries += gamma[0].reshape(U, S)[:, 0] + xi_sum[:, first_idx].sum(axis=0)
+    stats.stay_num += np.diag(xi_sum).reshape(U, S)
+    stats.stay_den += xi_sum.sum(axis=1).reshape(U, S)
+    stats.stay_den += np.exp(alpha[F - 1] + final - ll).reshape(U, S)
+    resp = gamma.reshape(F, U, S, 1) * np.exp(model.component_log_post(feats)[0])
+    stats.comp_occ += resp.sum(axis=0)
+    stats.comp_sum += np.einsum("fusm,fd->usmd", resp, feats)
+    stats.comp_sqsum += np.einsum("fusm,fd->usmd", resp, feats * feats)
+    return stats
+
+
+def dense_viterbi_units(model, feats):
+    """Per-frame units of the best path; ties go to the lowest predecessor."""
+    S = model.stay.shape[1]
+    b = model.emission_loglik(feats)
+    A, init, final = model.log_transitions()
+    F = feats.shape[0]
+    delta_ = init + b[0]
+    back = np.zeros((F, A.shape[0]), dtype=np.int64)
+    for t in range(1, F):
+        scores = delta_[:, None] + A
+        back[t] = scores.argmax(axis=0)
+        delta_ = scores.max(axis=0) + b[t]
+    state = int((delta_ + final).argmax())
+    path = [state]
+    for t in range(F - 1, 0, -1):
+        state = int(back[t, state])
+        path.append(state)
+    return [p // S for p in reversed(path)]
+
+
+def frame_units(seq, step=0.01):
+    return [int(lab[1:]) for lab, s, e in seq.intervals for _ in range(round((e - s) / step))]
+
+
+def random_model(units, states, mix, dim=2, seed=0, dead_unit=None):
+    """Random stay, unit and mixture weights; `dead_unit` gets log_pi = -inf,
+    as mid-EM before `prune_model`."""
+    rng = np.random.default_rng(seed)
+    pi = rng.dirichlet(np.ones(units))
+    if dead_unit is not None:
+        pi[dead_unit] = 0.0
+        pi /= pi.sum()
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(pi)
+    return AudModel(
+        config=AudConfig(num_units=units, states_per_unit=states,
+                         mix_components=mix, seed=seed),
+        log_pi=log_pi,
+        stay=rng.uniform(0.1, 0.9, (units, states)),
+        mix_weights=rng.dirichlet(np.ones(mix), (units, states)),
+        means=rng.standard_normal((units, states, mix, dim)) * 2.0,
+        variances=rng.uniform(0.5, 2.0, (units, states, mix, dim)),
+    )
+
+
 class TestPhoneLoopStructure:
     def test_config_validation(self):
         with pytest.raises(AudError):
@@ -167,8 +262,9 @@ class TestPhoneLoopStructure:
         with pytest.raises(AudError):
             AudConfig(gamma=0.0)
 
-    def test_transition_rows_normalize(self):
-        m = tiny_model(units=3, states=2)
+    @pytest.mark.parametrize("states", [1, 2, 3])
+    def test_transition_rows_normalize(self, states):
+        m = tiny_model(units=3, states=states)
         A, init, final = m.log_transitions()
         assert logsumexp(init) == pytest.approx(0.0, abs=1e-12)
         # every within-loop row sums to 1; the final vector holds the
@@ -206,6 +302,66 @@ class TestForwardAlgorithm:
         x = rng.standard_normal((4, 2))
         assert forward_loglik(m, x) == pytest.approx(
             brute_force_loglik(m, x), abs=1e-10)
+
+
+class TestStructuredRecursions:
+    """The O(U*S)-per-frame recursions against the dense oracles above."""
+
+    CASES = [(S, M) for S in (1, 2, 3) for M in (1, 2)]
+
+    @pytest.mark.parametrize("states,mix", CASES)
+    def test_forward_matches_dense(self, states, mix):
+        m = random_model(4, states, mix, seed=10 * states + mix, dead_unit=1)
+        x = np.random.default_rng(states + mix).standard_normal((9, 2)) * 2.0
+        assert forward_loglik(m, x) == pytest.approx(dense_forward_loglik(m, x), rel=1e-9)
+
+    @pytest.mark.parametrize("states,mix", CASES)
+    def test_estep_matches_dense(self, states, mix):
+        m = random_model(4, states, mix, seed=20 * states + mix, dead_unit=2)
+        x = np.random.default_rng(states * mix).standard_normal((9, 2)) * 2.0
+        U, S, M, D = m.means.shape
+        got = _Stats.zeros(U, S, M, D)
+        _estep_utterance(m, x, got)
+        want = dense_estep(m, x)
+        assert got.loglik == pytest.approx(want.loglik, rel=1e-9)
+        for name in ("unit_entries", "stay_num", "stay_den", "comp_occ", "comp_sum",
+                     "comp_sqsum"):
+            # atol only absorbs the oracle's exp(-700) floor on counts that are 0
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                       rtol=1e-9, atol=1e-290, err_msg=name)
+
+    @pytest.mark.parametrize("states,mix", CASES)
+    def test_viterbi_matches_dense(self, states, mix):
+        for seed in range(10):
+            m = random_model(4, states, mix, seed=100 * seed + 10 * states + mix,
+                             dead_unit=seed % 4)
+            x = np.random.default_rng(seed).standard_normal((12, 2)) * 2.0
+            f = FeatureSequence("u", 0.01, 0.025, x)
+            assert frame_units(decode_units(m, f)) == dense_viterbi_units(m, x)
+
+    @pytest.mark.parametrize("states", [1, 2, 3])
+    def test_viterbi_ties_take_lowest_predecessor(self, states):
+        # Features and means on a 2**30 grid with unit variances make every
+        # emission an exact multiple of 2**59, which absorbs every arc weight
+        # in rounding; paths with the same emission sum then tie exactly and
+        # only the tie-breaking picks the path. Units 0 and 2 are identical.
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            means = rng.integers(1, 3, (3, states, 1, 1)) * 2.0 ** 30
+            means[2] = means[0]
+            m = AudModel(
+                config=AudConfig(num_units=3, states_per_unit=states, mix_components=1),
+                log_pi=np.log(np.array([0.3, 0.3, 0.4])),
+                stay=rng.uniform(0.2, 0.8, (3, states)),
+                mix_weights=np.ones((3, states, 1)),
+                means=means,
+                variances=np.ones((3, states, 1, 1)),
+            )
+            x = rng.integers(0, 2, (10, 1)) * 3 * 2.0 ** 30
+            assert np.all(m.emission_loglik(x) % 2.0 ** 59 == 0)
+            units = frame_units(decode_units(m, FeatureSequence("u", 0.01, 0.025, x)))
+            assert units == dense_viterbi_units(m, x), seed
+            assert 2 not in units
 
 
 class TestTraining:
