@@ -12,7 +12,6 @@ and extraction so the two distributions match.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -20,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .corpus import ParallelCorpus, ParallelUtterance, Vocabulary
-from .numerics import LSTMParams, Tensor
+from .corpus import CorpusError, ParallelCorpus, ParallelUtterance, Vocabulary
+from .numerics import Tensor
 
 
 class AlignerError(RuntimeError):
@@ -31,7 +30,6 @@ class AlignerError(RuntimeError):
 @dataclass
 class AlignerConfig:
     cell_size: int = 64
-    layers: int = 1
     embed_dim: Optional[int] = None  # defaults to cell_size
     temperature: float = 10.0
     dropout: float = 0.5
@@ -54,12 +52,12 @@ class AlignerConfig:
             raise AlignerError("temperature must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise AlignerError("dropout must be in [0, 1)")
-        if self.layers != 1:
-            raise AlignerError("only single-layer encoder/decoder supported")
+        if self.dtype not in ("float32", "float64"):
+            raise AlignerError("dtype must be float32 or float64, got %r" % self.dtype)
 
     @property
     def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
+        return np.dtype(self.dtype)
 
 
 @dataclass
@@ -79,6 +77,8 @@ class AttentionMatrix:
 
     def validate(self, tol: float = 1e-6) -> None:
         w = self.weights
+        if not np.all(np.isfinite(w)):
+            raise AlignerError("%s: non-finite attention weight" % self.utt_id)
         if np.any(w < -tol) or np.any(w > 1 + tol):
             raise AlignerError("%s: attention weights outside [0, 1]" % self.utt_id)
         sums = w.sum(axis=1)
@@ -153,11 +153,11 @@ class AlignerModel:
 
     # -- forward pieces ----------------------------------------------------
 
-    def encode(self, src_ids: np.ndarray, rng=None, train: bool = False) -> tuple[list[Tensor], Tensor]:
+    def encode(self, src_ids: np.ndarray, rng=None, train: bool = False) -> tuple[Tensor, Tensor]:
         """Bidirectional encoding of (B, A) source ids.
 
-        Returns per-position states h_1..h_A (each (B, 2n)) and the
-        initial decoder state (nonlinear transform of the final
+        Returns the states h (B, A, 2n), forward then backward half, and
+        the initial decoder state (nonlinear transform of the final
         forward/backward states).
         """
         src_ids = np.atleast_2d(np.asarray(src_ids))
@@ -185,32 +185,32 @@ class AlignerModel:
         for i in reversed(range(A)):
             hb, cb = nm.lstm_step(self.enc_bwd, emb[i], (hb, cb))
             bwd[i] = hb
-        h = [nm.concat([fwd[i], bwd[i]], axis=-1) for i in range(A)]
+        h = nm.concat([nm.stack(fwd, axis=1), nm.stack(bwd, axis=1)], axis=-1)
         final = nm.concat([fwd[-1], bwd[0]], axis=-1)
         s0 = nm.tanh(nm.add(nm.matmul(final, self.init_W), self.init_b))
         return h, s0
 
-    def attend(self, h: list[Tensor], s_prev: Tensor,
-               h_proj: Optional[list[Tensor]] = None) -> tuple[Tensor, Tensor]:
+    def attend(self, h: Tensor, s_prev: Tensor,
+               h_proj: Optional[Tensor] = None) -> tuple[Tensor, Tensor]:
         """One attention read: scores via v^T tanh(W1 h_i + W2 s + b2).
 
-        Returns (alpha (B, A), context (B, 2n)); alpha rows sum to 1
-        under the configured temperature.
+        h (B, A, 2n); h_proj = h W1 (B, A, n) may be passed in, since it
+        is the same at every decoder step. Returns (alpha (B, A),
+        context (B, 2n)); alpha rows sum to 1 under the configured
+        temperature.
         """
+        B, A, _ = h.shape
         if h_proj is None:
-            h_proj = [nm.matmul(hi, self.attn_W1) for hi in h]
+            h_proj = nm.matmul(h, self.attn_W1)
         sp = nm.add(nm.matmul(s_prev, self.attn_W2), self.attn_b2)
-        scores = [nm.matmul(nm.tanh(nm.add(hp, sp)), self.attn_v) for hp in h_proj]
-        e = nm.concat(scores, axis=-1)  # (B, A)
+        pre = nm.tanh(nm.add(h_proj, nm.reshape(sp, (B, 1, -1))))
+        e = nm.reshape(nm.matmul(pre, self.attn_v), (B, A))
         alpha = nm.softmax_with_temperature(e, self.config.temperature)
-        parts = [nm.mul(nm.narrow(alpha, -1, i, 1), h[i]) for i in range(len(h))]
-        ctx = parts[0]
-        for p in parts[1:]:
-            ctx = nm.add(ctx, p)
+        ctx = nm.sum_axis(nm.mul(nm.reshape(alpha, (B, A, 1)), h), axis=1)
         return alpha, ctx
 
     def decode_step(self, s_prev: tuple[Tensor, Tensor], w_prev: np.ndarray, w_cur: np.ndarray,
-                    h: list[Tensor], h_proj: list[Tensor], rng=None, train: bool = False):
+                    h: Tensor, h_proj: Tensor, rng=None, train: bool = False):
         """Teacher-forced decoder step.
 
         Emits logits over UL symbols from (s_prev, E(w_prev), context)
@@ -248,7 +248,7 @@ class AlignerModel:
         n = self.config.cell_size
         dt = self.config.np_dtype
         h, s0 = self.encode(src_ids, rng=rng, train=train)
-        h_proj = [nm.matmul(hi, self.attn_W1) for hi in h]
+        h_proj = nm.matmul(h, self.attn_W1)
         state = (s0, Tensor(np.zeros((B, n), dtype=dt)))
         bos = np.full(B, self.ul_vocab.bos_id, dtype=np.int64)
         prev = bos
@@ -258,14 +258,11 @@ class AlignerModel:
             cur = tgt_ids[:, t]
             logits, alpha, state = self.decode_step(state, prev, cur, h, h_proj,
                                                     rng=rng, train=train)
-            nll = nm.cross_entropy(logits, cur)
-            m = Tensor(tgt_mask[:, t].astype(dt))
-            step_losses.append(nm.mul(nll, m))
+            step_losses.append(nm.cross_entropy(logits, cur))
             alphas.append(alpha)
             prev = cur
-        per_utt = step_losses[0]
-        for sl in step_losses[1:]:
-            per_utt = nm.add(per_utt, sl)
+        masked = nm.mul(nm.stack(step_losses, axis=0), Tensor(tgt_mask.T.astype(dt)))
+        per_utt = nm.sum_axis(masked, axis=0)  # adds the steps in order
         loss = nm.mean_all(per_utt)
         return loss, per_utt, alphas
 
@@ -403,13 +400,6 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
 # ---------------------------------------------------------------------------
 # Forced decoding / attention extraction
 
-def forced_decode(model: AlignerModel, utt: ParallelUtterance) -> AttentionMatrix:
-    """Teacher-forced attention extraction for one utterance (dropout off)."""
-    return forced_decode_corpus(
-        model, ParallelCorpus((utt,), model.ul_vocab, model.wrl_vocab)
-    )[utt.id]
-
-
 def forced_decode_corpus(model: AlignerModel, corpus: ParallelCorpus) -> dict[str, AttentionMatrix]:
     """Attention matrices for every utterance; EOS row dropped unless configured."""
     out: dict[str, AttentionMatrix] = {}
@@ -444,18 +434,39 @@ def write_attention_matrices(path: str, matrices: dict[str, AttentionMatrix]) ->
 
 
 def read_attention_matrices(path: str) -> dict[str, AttentionMatrix]:
+    """Inverse of `write_attention_matrices`.
+
+    Raises CorpusError, a data error, on a malformed or truncated file
+    and on a matrix that fails `AttentionMatrix.validate`.
+    """
     out: dict[str, AttentionMatrix] = {}
     with open(path, encoding="utf-8") as f:
-        lines = [l for l in f.read().splitlines() if l.strip()]
+        lines = [(k, l.split()) for k, l in enumerate(f, 1) if l.strip()]
     i = 0
     while i < len(lines):
-        utt_id, t_str, a_str = lines[i].split()
-        T, A = int(t_str), int(a_str)
-        rows_ = [np.array([float(v) for v in lines[i + 1 + t].split()]) for t in range(T)]
-        w = np.stack(rows_)
-        if w.shape != (T, A):
-            raise AlignerError("malformed attention file near %s" % utt_id)
-        out[utt_id] = AttentionMatrix(utt_id, w)
+        k, head = lines[i]
+        try:
+            utt_id, T, A = head[0], int(head[1]), int(head[2])
+        except (IndexError, ValueError):
+            T = A = 0
+        if len(head) != 3 or T < 1 or A < 1:
+            raise CorpusError("%s:%d: expected a header `id T A`" % (path, k))
+        body = lines[i + 1: i + 1 + T]
+        if len(body) < T:
+            raise CorpusError("%s: %s is truncated, %d of %d rows" % (path, utt_id, len(body), T))
+        for k, fields in body:
+            if len(fields) != A:
+                raise CorpusError("%s:%d: %d weights, expected %d" % (path, k, len(fields), A))
+        try:
+            w = np.array([[float(v) for v in fields] for _, fields in body])
+        except ValueError:
+            raise CorpusError("%s: %s has a non-numeric weight" % (path, utt_id)) from None
+        m = AttentionMatrix(utt_id, w)
+        try:
+            m.validate()
+        except AlignerError as e:
+            raise CorpusError("%s: %s" % (path, e)) from None
+        out[utt_id] = m
         i += 1 + T
     return out
 

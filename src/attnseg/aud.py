@@ -246,11 +246,8 @@ def init_model(feats_list: list[FeatureSequence], config: AudConfig) -> AudModel
             [centroids, centroids[rng.integers(0, k, U - k)]], axis=0
         )
     gvar = np.maximum(X.var(axis=0), 1e-6)
-    means = np.zeros((U, S, M, D))
-    for u in range(U):
-        for s in range(S):
-            for m in range(M):
-                means[u, s, m] = centroids[u] + 0.1 * np.sqrt(gvar) * rng.standard_normal(D)
+    noise = rng.standard_normal((U, S, M, D))
+    means = centroids[:, None, None, :] + 0.1 * np.sqrt(gvar) * noise
     variances = np.tile(gvar, (U, S, M, 1))
     return AudModel(
         config=config,

@@ -214,12 +214,21 @@ def save_aligner_bundle(ckpt_path: str, model: al.AlignerModel) -> None:
 
 
 def load_aligner_bundle(ckpt_path: str) -> al.AlignerModel:
-    with open(ckpt_path + ".json", encoding="utf-8") as f:
-        sidecar = json.load(f)
-    config = al.AlignerConfig(**sidecar["config"])
-    wrl_vocab = cp.Vocabulary(sidecar["wrl_tokens"])
-    ul_vocab = cp.Vocabulary(sidecar["ul_tokens"])
-    return al.load_model(ckpt_path, config, wrl_vocab, ul_vocab)
+    sidecar_path = ckpt_path + ".json"
+    with open(sidecar_path, encoding="utf-8") as f:
+        try:
+            sidecar = json.load(f)
+            config, wrl_tokens, ul_tokens = (
+                sidecar[k] for k in ("config", "wrl_tokens", "ul_tokens"))
+        except (ValueError, KeyError, TypeError) as e:
+            raise cp.CorpusError("%s: not an aligner sidecar (%s: %s)"
+                                 % (sidecar_path, type(e).__name__, e)) from None
+    unknown = set(config) - {f.name for f in dataclasses.fields(al.AlignerConfig)}
+    if unknown:
+        raise cp.CorpusError("%s: unknown config key(s) %s"
+                             % (sidecar_path, ", ".join(sorted(unknown))))
+    config = al.AlignerConfig(**config)
+    return al.load_model(ckpt_path, config, cp.Vocabulary(wrl_tokens), cp.Vocabulary(ul_tokens))
 
 
 # ---------------------------------------------------------------------------

@@ -282,44 +282,6 @@ def split_train_dev(
     )
 
 
-def corpus_stats(corpus: ParallelCorpus, segmentation_source: str = "gold") -> dict:
-    """Symbols/tokens per sentence and token/type counts under a segmentation.
-
-    segmentation_source "gold" reads gold_boundaries; a dict of
-    hypothesis segmentations may be passed instead.
-    """
-    if isinstance(segmentation_source, dict):
-        segs = segmentation_source
-    elif segmentation_source == "gold":
-        segs = {}
-        for u in corpus:
-            if u.gold_boundaries is None:
-                raise CorpusError("utterance %s has no gold segmentation" % u.id)
-            segs[u.id] = u.gold_boundaries
-    else:
-        raise CorpusError("unknown segmentation source %r" % segmentation_source)
-    sym_counts, tok_counts = [], []
-    n_tokens = 0
-    types: set[tuple[str, ...]] = set()
-    for u in corpus:
-        seg = segs[u.id]
-        sym_counts.append(len(u.ul_symbols))
-        tok_counts.append(seg.num_words)
-        n_tokens += seg.num_words
-        types.update(seg.words(u.ul_symbols))
-    return {
-        "sentences": len(corpus),
-        "symbols_per_sentence_avg": sum(sym_counts) / len(sym_counts),
-        "symbols_per_sentence_max": max(sym_counts),
-        "symbols_per_sentence_min": min(sym_counts),
-        "tokens_per_sentence_avg": sum(tok_counts) / len(tok_counts),
-        "tokens_per_sentence_max": max(tok_counts),
-        "tokens_per_sentence_min": min(tok_counts),
-        "tokens": n_tokens,
-        "types": len(types),
-    }
-
-
 def load_timed_units(path: str) -> dict[str, list[tuple[str, float, float]]]:
     """Read time-marked unit output: one `id start end label` line per interval."""
     out: dict[str, list[tuple[str, float, float]]] = {}

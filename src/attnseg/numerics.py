@@ -2,9 +2,9 @@
 
 Minimal tape-based autodiff over numpy arrays: just the operations the
 attentional encoder-decoder needs (affine maps, gate nonlinearities,
-concatenation, tempered softmax, embedding lookup, cross-entropy,
-dropout, maxout). Training arithmetic is float32 by default; gradient
-checks run the same code in float64.
+concatenation, stacking, reshaping, tempered softmax, embedding lookup,
+cross-entropy, dropout, maxout). Training arithmetic is float32 by
+default; gradient checks run the same code in float64.
 
 Any non-finite value produced by a public operation raises
 NumericsError immediately; values are never clamped silently.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -94,16 +94,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, parents=(a, b), backward=bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = _check_finite(a.data - b.data, "sub")
-
-    def bwd(g):
-        a.accumulate(_unbroadcast(g, a.data.shape))
-        b.accumulate(_unbroadcast(-g, b.data.shape))
-
-    return Tensor(out_data, parents=(a, b), backward=bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = _check_finite(a.data * b.data, "mul")
 
@@ -132,7 +122,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         a.accumulate(g @ b.data.T)
-        b.accumulate(a.data.T @ g)
+        # an N-d left operand acts as a stack of rows
+        b.accumulate(a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
     return Tensor(out_data, parents=(a, b), backward=bwd)
 
@@ -156,18 +147,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return Tensor(y, parents=(a,), backward=bwd)
 
 
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max; ties send the gradient to the first operand."""
-    out_data = _check_finite(np.maximum(a.data, b.data), "maximum")
-    take_a = a.data >= b.data
-
-    def bwd(g):
-        a.accumulate(_unbroadcast(g * take_a, a.data.shape))
-        b.accumulate(_unbroadcast(g * ~take_a, b.data.shape))
-
-    return Tensor(out_data, parents=(a, b), backward=bwd)
-
-
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     out_data = _check_finite(np.concatenate([p.data for p in parts], axis=axis), "concat")
     sizes = [p.data.shape[axis] for p in parts]
@@ -178,6 +157,26 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
             p.accumulate(piece)
 
     return Tensor(out_data, parents=tuple(parts), backward=bwd)
+
+
+def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join equally shaped tensors along a new axis."""
+    out_data = np.stack([p.data for p in parts], axis=axis)
+
+    def bwd(g):
+        for k, p in enumerate(parts):
+            p.accumulate(np.take(g, k, axis=axis))
+
+    return Tensor(out_data, parents=tuple(parts), backward=bwd)
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    out_data = a.data.reshape(shape)
+
+    def bwd(g):
+        a.accumulate(g.reshape(a.data.shape))
+
+    return Tensor(out_data, parents=(a,), backward=bwd)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -306,16 +305,24 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool = True
 
 
 def maxout(a: Tensor, pool_size: int = 2) -> Tensor:
-    """Maxout over groups of `pool_size` consecutive features on the last axis."""
+    """Maxout over `pool_size` blocks of the last axis.
+
+    Output feature j pools columns j, j + n/p, ..., one per block; a tie
+    sends the gradient to the first block.
+    """
     n = a.data.shape[-1]
     if n % pool_size != 0:
         raise NumericsError("maxout: %d features not divisible by pool %d" % (n, pool_size))
-    pieces = [narrow(a, -1, k * (n // pool_size), n // pool_size) for k in range(pool_size)]
-    # output feature j pools columns j, j + n/p, ..., one per block
-    out = pieces[0]
-    for p in pieces[1:]:
-        out = maximum(out, p)
-    return out
+    blocks = a.data.reshape(a.data.shape[:-1] + (pool_size, n // pool_size))
+    out_data = _check_finite(blocks.max(axis=-2), "maxout")
+    first = np.expand_dims(blocks.argmax(axis=-2), -2)  # argmax picks the first of a tie
+
+    def bwd(g):
+        full = np.zeros_like(blocks)
+        np.put_along_axis(full, first, np.expand_dims(g, -2), axis=-2)
+        a.accumulate(full.reshape(a.data.shape))
+
+    return Tensor(out_data, parents=(a,), backward=bwd)
 
 
 def backward(loss: Tensor) -> dict[str, np.ndarray]:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from attnseg import numerics as nm
 from attnseg.aligner import (
     AlignerConfig,
     AlignerError,
@@ -67,17 +68,18 @@ class TestConfig:
         with pytest.raises(AlignerError):
             AlignerConfig(dropout=1.0)
 
-    def test_rejects_multilayer(self):
+    def test_dtype_is_float32_or_float64(self):
+        assert AlignerConfig(dtype="float64").np_dtype == np.float64
+        assert AlignerConfig().np_dtype == np.float32
         with pytest.raises(AlignerError):
-            AlignerConfig(layers=2)
+            AlignerConfig(dtype="float16")
 
 
 class TestShapes:
     def test_encode(self, model):
         src = np.array([[4, 5, 6], [5, 6, 4]])
         h, s0 = model.encode(src)
-        assert len(h) == 3
-        assert h[0].data.shape == (2, 24)
+        assert h.shape == (2, 3, 24)
         assert s0.data.shape == (2, 12)
 
     def test_attend_rows_normalized(self, model):
@@ -99,6 +101,101 @@ class TestShapes:
     def test_out_of_range_source_id(self, model):
         with pytest.raises(AlignerError):
             model.encode(np.array([[9999]]))
+
+
+def reference_attend(model, h_list, s_prev):
+    """Per-position attention read: one score matmul and one context term per h_i."""
+    h_proj = [nm.matmul(hi, model.attn_W1) for hi in h_list]
+    sp = nm.add(nm.matmul(s_prev, model.attn_W2), model.attn_b2)
+    scores = [nm.matmul(nm.tanh(nm.add(hp, sp)), model.attn_v) for hp in h_proj]
+    alpha = nm.softmax_with_temperature(nm.concat(scores, axis=-1), model.config.temperature)
+    ctx = nm.mul(nm.narrow(alpha, -1, 0, 1), h_list[0])
+    for i in range(1, len(h_list)):
+        ctx = nm.add(ctx, nm.mul(nm.narrow(alpha, -1, i, 1), h_list[i]))
+    return alpha, ctx
+
+
+class TestAttendOracle:
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("A", [1, 2, 5, 9])
+    def test_matches_per_position_reference(self, corpus, A, B):
+        model = AlignerModel(small_config(dtype="float64", seed=A + 10 * B),
+                             corpus.wrl_vocab, corpus.ul_vocab)
+        n2 = 2 * model.config.cell_size
+        rng = np.random.default_rng(A + 10 * B)
+        h_data = rng.standard_normal((B, A, n2))
+        s_data = rng.standard_normal((B, model.config.cell_size))
+        w_alpha, w_ctx = rng.standard_normal((B, A)), rng.standard_normal((B, n2))
+
+        def run(attend):
+            model.parameters()  # names the parameters for the gradient map
+            h = nm.tensor(h_data, requires_grad=True, name="h")
+            alpha, ctx = attend(h, nm.tensor(s_data))
+            loss = nm.add(nm.sum_all(nm.mul(alpha, nm.tensor(w_alpha))),
+                          nm.sum_all(nm.mul(ctx, nm.tensor(w_ctx))))
+            grads = nm.backward(loss)
+            names = ("attn.W1", "attn.W2", "attn.b2", "attn.v", "h")
+            return [alpha.data, ctx.data] + [grads[k] for k in names]
+
+        def per_position(h, s):
+            h_list = [nm.reshape(nm.narrow(h, 1, i, 1), (B, n2)) for i in range(A)]
+            return reference_attend(model, h_list, s)
+
+        for got, want in zip(run(model.attend), run(per_position)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_graph_size_does_not_grow_with_source_length(self, model, monkeypatch):
+        created = []
+        init = nm.Tensor.__init__
+
+        def counting_init(tensor, *args, **kwargs):
+            created.append(tensor)
+            init(tensor, *args, **kwargs)
+
+        counts = []
+        for A in (2, 9):
+            h, s0 = model.encode(np.full((2, A), 4))
+            monkeypatch.setattr(nm.Tensor, "__init__", counting_init)
+            model.attend(h, s0)
+            monkeypatch.undo()
+            counts.append(len(created))
+            created.clear()
+        assert counts[0] == counts[1] > 0
+
+
+def maxout_reference(x, pool, g):
+    """Blockwise max and its gradient; a tie goes to the earliest block."""
+    blocks = np.split(x, pool, axis=-1)
+    out, winner = blocks[0], np.zeros(blocks[0].shape, dtype=int)
+    for k in range(1, pool):
+        better = blocks[k] > out
+        out, winner = np.where(better, blocks[k], out), np.where(better, k, winner)
+    grad = np.concatenate([np.where(winner == k, g, 0.0) for k in range(pool)], axis=-1)
+    return out, grad
+
+
+class TestMaxoutOracle:
+    @pytest.mark.parametrize("pool", [2, 3])
+    def test_matches_numpy_reference_with_ties(self, pool):
+        rng = np.random.default_rng(pool)
+        x = rng.standard_normal((2, 3, 4 * pool))
+        x[0, 0, 4:8] = x[0, 0, 0:4]  # blocks 0 and 1 tie exactly
+        x[1, 2, 5] = x[1, 2, 1] = 1e3  # a tie at the maximum
+        if pool == 3:
+            x[1, 1, 2::4] = 7.0  # a three-way tie
+        g = rng.standard_normal((2, 3, 4))
+        a = nm.tensor(x, requires_grad=True)
+        out = nm.maxout(a, pool)
+        nm.backward(nm.sum_all(nm.mul(out, nm.tensor(g))))
+        want_out, want_grad = maxout_reference(x, pool, g)
+        np.testing.assert_array_equal(out.data, want_out)
+        np.testing.assert_array_equal(a.grad, want_grad)
+        assert a.grad[1, 2, 1] == g[1, 2, 1] and a.grad[1, 2, 5] == 0.0
+
+    def test_rejects_indivisible_width(self):
+        with pytest.raises(nm.NumericsError):
+            nm.maxout(nm.tensor(np.zeros((1, 5))), 2)
 
 
 class TestBatching:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from attnseg import cli
-from attnseg.aligner import AttentionMatrix
+from attnseg.aligner import AlignerConfig, AlignerModel, AttentionMatrix
 from attnseg.cli import (
     ConfigError,
     SynthConfig,
@@ -166,6 +166,59 @@ class TestExitCodes:
         assert rc == cli.EXIT_OK
         assert os.path.exists(tmp_path / "c" / "ul.txt")
         assert os.path.exists(tmp_path / "c" / "ul.txt.manifest.json")
+
+
+BAD_MATRIX_FILES = {
+    "truncated": "utt00001 2 2\n0.5 0.5\n",
+    "bad_header": "utt00001 two 2\n0.5 0.5\n0.5 0.5\n",
+    "non_numeric": "utt00001 2 2\n0.5 0.5\n0.5 x\n",
+    "wrong_width": "utt00001 2 2\n0.5 0.5\n0.2 0.3 0.5\n",
+    "row_sum": "utt00001 2 2\n0.5 0.5\n0.9 0.9\n",
+    "non_finite": "utt00001 2 2\n0.5 0.5\nnan 1.0\n",
+}
+
+
+class TestBadInputs:
+    @pytest.fixture()
+    def corpus_dir(self, tmp_path):
+        d = str(tmp_path / "corpus")
+        write_synth_corpus(synth_corpus(SynthConfig(corpus_size=3, seed=1)), d)
+        return d
+
+    @pytest.mark.parametrize("command", ["segment", "plot"])
+    @pytest.mark.parametrize("case", sorted(BAD_MATRIX_FILES))
+    def test_bad_attention_file_is_data_error(self, corpus_dir, tmp_path, capsys,
+                                              command, case):
+        mats = tmp_path / "attn.txt"
+        mats.write_text(BAD_MATRIX_FILES[case])
+        args = [command, "--matrices", str(mats), "--ul", corpus_dir + "/ul.txt",
+                "--wrl", corpus_dir + "/wrl.txt", "--out", str(tmp_path / "out")]
+        if command == "plot":
+            args += ["--utt", "utt00001"]
+        assert main(args) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit", [None, "unknown_key", "no_vocabulary"])
+    def test_bad_aligner_sidecar_is_data_error(self, corpus_dir, tmp_path, capsys, edit):
+        corpus = load_parallel_corpus(corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt")
+        ckpt = str(tmp_path / "model.npz")
+        cli.save_aligner_bundle(ckpt, AlignerModel(AlignerConfig(cell_size=4),
+                                                   corpus.wrl_vocab, corpus.ul_vocab))
+        sidecar = json.loads(open(ckpt + ".json").read())
+        if edit == "unknown_key":
+            sidecar["config"]["layers"] = 1  # a knob older checkpoints still carry
+        elif edit == "no_vocabulary":
+            del sidecar["ul_tokens"]
+        open(ckpt + ".json", "w").write(json.dumps(sidecar))
+        rc = main(["force-align", "--model", ckpt, "--ul", corpus_dir + "/ul.txt",
+                   "--wrl", corpus_dir + "/wrl.txt", "--out", str(tmp_path / "attn.txt")])
+        err = capsys.readouterr().err
+        if edit is None:
+            assert rc == cli.EXIT_OK
+        else:
+            assert rc == cli.EXIT_DATA
+            assert err.startswith("data error: ") and err.count("\n") == 1
 
 
 class TestCommandRoundtrips:

@@ -9,7 +9,6 @@ from attnseg.corpus import (
     Vocabulary,
     build_vocabularies,
     corpus_from_timed_units,
-    corpus_stats,
     load_gold_segmentation,
     load_parallel_corpus,
     load_timed_units,
@@ -197,24 +196,6 @@ class TestSplit:
         c = self.make_corpus(4)
         with pytest.raises(CorpusError):
             split_train_dev(c, 1.5, seed=0)
-
-
-class TestStats:
-    def test_single_utterance(self):
-        u = ParallelUtterance("u", tuple("abcde"), ("x", "y"),
-                              gold_boundaries=Segmentation(5, {2}))
-        ul, wrl = build_vocabularies([u])
-        stats = corpus_stats(ParallelCorpus((u,), ul, wrl), "gold")
-        assert stats["symbols_per_sentence_avg"] == 5
-        assert stats["symbols_per_sentence_max"] == 5
-        assert stats["tokens"] == 2
-        assert stats["types"] == 2
-
-    def test_missing_gold(self):
-        u = ParallelUtterance("u", ("a",), ("x",))
-        ul, wrl = build_vocabularies([u])
-        with pytest.raises(CorpusError):
-            corpus_stats(ParallelCorpus((u,), ul, wrl), "gold")
 
 
 class TestTimedUnits:

@@ -189,10 +189,14 @@ class TestGradientChecks:
         finite_difference_check(build, ps)
 
     def test_narrow_maximum_scale(self):
-        ps = self.params(2, (2, 6))
-        build = lambda: nm.sum_all(
-            nm.scale(nm.maximum(nm.narrow(ps["p0"], -1, 0, 3),
-                                nm.narrow(ps["p0"], -1, 3, 3)), 1.7))
+        ps = self.params(2, (2, 7))
+        build = lambda: nm.sum_all(nm.scale(maxout(nm.narrow(ps["p0"], -1, 1, 6), 2), 1.7))
+        finite_difference_check(build, ps)
+
+    def test_nd_matmul_stack_reshape_sum_axis(self):
+        ps = self.params(8, (2, 3), (2, 3), (3, 4))
+        build = lambda: nm.sum_all(nm.tanh(nm.sum_axis(nm.reshape(
+            nm.matmul(nm.stack([ps["p0"], ps["p1"]], axis=1), ps["p2"]), (2, 8)), axis=0)))
         finite_difference_check(build, ps)
 
     def test_softmax_temperature_grad(self):
