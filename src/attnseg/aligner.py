@@ -27,6 +27,10 @@ class AlignerError(RuntimeError):
     pass
 
 
+class AlignerConfigError(AlignerError):
+    """An AlignerConfig setting out of range: a config error, not a numerical one."""
+
+
 @dataclass
 class AlignerConfig:
     cell_size: int = 64
@@ -47,13 +51,13 @@ class AlignerConfig:
         if self.embed_dim is None:
             self.embed_dim = self.cell_size
         if self.cell_size <= 0 or self.batch_size <= 0 or self.learning_rate <= 0:
-            raise AlignerError("cell size, batch size and learning rate must be positive")
+            raise AlignerConfigError("cell size, batch size and learning rate must be positive")
         if self.temperature <= 0:
-            raise AlignerError("temperature must be positive")
+            raise AlignerConfigError("temperature must be positive")
         if not 0.0 <= self.dropout < 1.0:
-            raise AlignerError("dropout must be in [0, 1)")
+            raise AlignerConfigError("dropout must be in [0, 1)")
         if self.dtype not in ("float32", "float64"):
-            raise AlignerError("dtype must be float32 or float64, got %r" % self.dtype)
+            raise AlignerConfigError("dtype must be float32 or float64, got %r" % self.dtype)
 
     @property
     def np_dtype(self):
@@ -187,7 +191,7 @@ class AlignerModel:
             bwd[i] = hb
         h = nm.concat([nm.stack(fwd, axis=1), nm.stack(bwd, axis=1)], axis=-1)
         final = nm.concat([fwd[-1], bwd[0]], axis=-1)
-        s0 = nm.tanh(nm.add(nm.matmul(final, self.init_W), self.init_b))
+        s0 = nm.tanh(nm.linear(final, self.init_W, self.init_b))
         return h, s0
 
     def attend(self, h: Tensor, s_prev: Tensor,
@@ -202,7 +206,7 @@ class AlignerModel:
         B, A, _ = h.shape
         if h_proj is None:
             h_proj = nm.matmul(h, self.attn_W1)
-        sp = nm.add(nm.matmul(s_prev, self.attn_W2), self.attn_b2)
+        sp = nm.linear(s_prev, self.attn_W2, self.attn_b2)
         pre = nm.tanh(nm.add(h_proj, nm.reshape(sp, (B, 1, -1))))
         e = nm.reshape(nm.matmul(pre, self.attn_v), (B, A))
         alpha = nm.softmax_with_temperature(e, self.config.temperature)
@@ -225,9 +229,8 @@ class AlignerModel:
         mix = nm.concat([s_h, e_prev, ctx], axis=-1)
         if train and self.config.dropout > 0:
             mix = nm.dropout(mix, self.config.dropout, rng, train=True)
-        hidden = nm.maxout(nm.add(nm.matmul(mix, self.out_W1), self.out_b1),
-                           self.config.maxout_pool)
-        logits = nm.add(nm.matmul(hidden, self.out_W2), self.out_b2)
+        hidden = nm.maxout(nm.linear(mix, self.out_W1, self.out_b1), self.config.maxout_pool)
+        logits = nm.linear(hidden, self.out_W2, self.out_b2)
         e_cur = nm.rows(self.tgt_embed, w_cur)
         if train and self.config.dropout > 0:
             e_cur = nm.dropout(e_cur, self.config.dropout, rng, train=True)
@@ -318,6 +321,8 @@ def _pack_batch(model: AlignerModel, utts: Sequence[ParallelUtterance]):
 
 @dataclass
 class TrainingLog:
+    """Per-epoch losses, mean gradient norm before clipping and share of clipped batches."""
+
     epochs: list[dict] = field(default_factory=list)
     best_epoch: int = -1
     best_dev_loss: float = math.inf
@@ -357,6 +362,7 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
     for epoch in range(1, config.max_epochs + 1):
         batches = _bucket_batches(corpus_train.utterances, config.batch_size, rng, shuffle=True)
         train_nll, n_utts = 0.0, 0
+        grad_norms = []
         for batch in batches:
             utts = [corpus_train.utterances[i] for i in batch]
             src, tgt, msk = _pack_batch(model, utts)
@@ -367,7 +373,7 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
                 raise AlignerError(
                     "training diverged at epoch %d (%s)" % (epoch, exc)
                 ) from exc
-            nm.clip_global_norm(grads, config.clip_norm)
+            grad_norms.append(nm.clip_global_norm(grads, config.clip_norm))
             nm.adam_update(params, grads, adam, lr=config.learning_rate)
             train_nll += float(per_utt.data.sum())
             n_utts += len(utts)
@@ -379,6 +385,10 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
             "train_loss": train_nll / n_utts,
             "dev_loss": dev_loss,
             "dev_perplexity": dev_ppl,
+            "grad_norm_mean": sum(grad_norms) / len(grad_norms),
+            # clip_global_norm rescales exactly when this holds
+            "clip_frac": sum(config.clip_norm > 0 and g > config.clip_norm
+                             for g in grad_norms) / len(grad_norms),
         })
         if not quiet:
             print("epoch %3d  train %.4f  dev %.4f  ppl %.4f"
@@ -436,8 +446,9 @@ def write_attention_matrices(path: str, matrices: dict[str, AttentionMatrix]) ->
 def read_attention_matrices(path: str) -> dict[str, AttentionMatrix]:
     """Inverse of `write_attention_matrices`.
 
-    Raises CorpusError, a data error, on a malformed or truncated file
-    and on a matrix that fails `AttentionMatrix.validate`.
+    Raises CorpusError, a data error, on a malformed or truncated file,
+    on an utterance id that appears twice and on a matrix that fails
+    `AttentionMatrix.validate`.
     """
     out: dict[str, AttentionMatrix] = {}
     with open(path, encoding="utf-8") as f:
@@ -451,6 +462,8 @@ def read_attention_matrices(path: str) -> dict[str, AttentionMatrix]:
             T = A = 0
         if len(head) != 3 or T < 1 or A < 1:
             raise CorpusError("%s:%d: expected a header `id T A`" % (path, k))
+        if utt_id in out:
+            raise CorpusError("%s:%d: utterance %s appears twice" % (path, k, utt_id))
         body = lines[i + 1: i + 1 + T]
         if len(body) < T:
             raise CorpusError("%s: %s is truncated, %d of %d rows" % (path, utt_id, len(body), T))

@@ -227,8 +227,12 @@ def load_aligner_bundle(ckpt_path: str) -> al.AlignerModel:
     if unknown:
         raise cp.CorpusError("%s: unknown config key(s) %s"
                              % (sidecar_path, ", ".join(sorted(unknown))))
-    config = al.AlignerConfig(**config)
-    return al.load_model(ckpt_path, config, cp.Vocabulary(wrl_tokens), cp.Vocabulary(ul_tokens))
+    try:  # a bad setting, or one the parameters in the .npz do not fit
+        config = al.AlignerConfig(**config)
+        return al.load_model(ckpt_path, config,
+                             cp.Vocabulary(wrl_tokens), cp.Vocabulary(ul_tokens))
+    except al.AlignerError as e:
+        raise cp.CorpusError("%s: %s" % (sidecar_path, e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +249,21 @@ def load_hyp_segmentations(corpus: cp.ParallelCorpus, path: str,
 
 def load_config_file(path: str) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as e:
+        raise ConfigError(" ".join(str(e).split())) from None
     if not read:
         raise ConfigError("config file %s not found" % path)
     return {sec: dict(parser.items(sec)) for sec in parser.sections()}
+
+
+def _number(kind, key: str, raw: str):
+    """int(raw) or float(raw); a value that is not a number is a config error."""
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError("%s = %r is not a number" % (key, raw)) from None
 
 
 def _coerce(cls, section: dict[str, str]):
@@ -259,10 +274,10 @@ def _coerce(cls, section: dict[str, str]):
         if key not in fields:
             raise ConfigError("unknown config key %r for %s" % (key, cls.__name__))
         ftype = fields[key].type
-        if ftype in ("int", int):
-            kwargs[key] = int(raw)
+        if ftype in ("int", int, "Optional[int]"):
+            kwargs[key] = _number(int, key, raw)
         elif ftype in ("float", float):
-            kwargs[key] = float(raw)
+            kwargs[key] = _number(float, key, raw)
         elif ftype in ("bool", bool):
             kwargs[key] = raw.lower() in ("1", "true", "yes")
         else:
@@ -433,7 +448,7 @@ def cmd_pipeline(args) -> int:
     -> segment -> baselines -> evaluate."""
     sections = load_config_file(args.config)
     out_dir = sections.get("pipeline", {}).get("out_dir", args.out_dir or "pipeline_out")
-    runs = int(sections.get("pipeline", {}).get("runs", "5"))
+    runs = _number(int, "runs", sections.get("pipeline", {}).get("runs", "5"))
     os.makedirs(out_dir, exist_ok=True)
 
     synth_cfg = _coerce(SynthConfig, sections.get("synth", {}))
@@ -612,7 +627,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, bl.BaselineError) as e:
+    except (ConfigError, bl.BaselineError, al.AlignerConfigError) as e:
         print("config error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
     except (cp.CorpusError, mt.MetricsError, sg.SegmenterError, aud_mod.AudError,

@@ -128,6 +128,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, parents=(a, b), backward=bwd)
 
 
+def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """Affine map x @ W + b as one node; x (..., in), W (in, out), b (out,)."""
+    if x.data.shape[-1] != W.data.shape[0] or b.data.shape != W.data.shape[1:]:
+        raise NumericsError(
+            "linear shape mismatch: %s @ %s + %s" % (x.data.shape, W.data.shape, b.data.shape)
+        )
+    out_data = _check_finite(x.data @ W.data + b.data, "linear")
+
+    def bwd(g):
+        x.accumulate(g @ W.data.T)
+        W.accumulate(x.data.reshape(-1, x.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        b.accumulate(_unbroadcast(g, b.data.shape))
+
+    return Tensor(out_data, parents=(x, W, b), backward=bwd)
+
+
 def tanh(a: Tensor) -> Tensor:
     y = _check_finite(np.tanh(a.data), "tanh")
 
@@ -376,23 +392,53 @@ class LSTMParams:
 
 
 def lstm_step(params: LSTMParams, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-    """Standard LSTM cell update; x (B, in), state (h, c) each (B, n)."""
+    """Standard LSTM cell update; x (B, in), state (h, c) each (B, n).
+
+    One fused op with a hand-derived backward that records two tape
+    nodes: the new cell c, whose parents are x, h, c and the weights,
+    and the new state h = o * tanh(c), whose only parent is that c.
+    The h node runs first in the reverse pass; it adds its share to
+    dL/dc and leaves dL/do for the c node to turn into pre-activation
+    gradients. A loss that never reads h leaves dL/do at zero.
+    """
     h, c = state
+    W, U, b = params.W, params.U, params.b
     n = params.hidden_size
-    if x.data.shape[-1] != params.W.data.shape[0]:
+    if x.data.shape[-1] != W.data.shape[0]:
         raise NumericsError(
-            "lstm_step input dim %d != W rows %d" % (x.data.shape[-1], params.W.data.shape[0])
+            "lstm_step input dim %d != W rows %d" % (x.data.shape[-1], W.data.shape[0])
         )
     if h.data.shape[-1] != n or c.data.shape[-1] != n:
         raise NumericsError("lstm_step state dim mismatch with cell size %d" % n)
-    pre = add(add(matmul(x, params.W), matmul(h, params.U)), params.b)
-    i = sigmoid(narrow(pre, -1, 0, n))
-    f = sigmoid(narrow(pre, -1, n, n))
-    o = sigmoid(narrow(pre, -1, 2 * n, n))
-    g = tanh(narrow(pre, -1, 3 * n, n))
-    c_new = add(mul(f, c), mul(i, g))
-    h_new = mul(o, tanh(c_new))
-    return h_new, c_new
+    pre = _check_finite(x.data @ W.data + h.data @ U.data + b.data, "lstm_step")
+    sig = 0.5 * (np.tanh(0.5 * pre[..., : 3 * n]) + 1.0)  # sigmoid()'s form, same values
+    i, f, o = sig[..., :n], sig[..., n: 2 * n], sig[..., 2 * n:]
+    g = np.tanh(pre[..., 3 * n:])
+    c_data = _check_finite(f * c.data + i * g, "lstm_step")
+    tc = np.tanh(c_data)
+    h_data = _check_finite(o * tc, "lstm_step")
+    d_o = []  # dL/do from the h node's backward, consumed by the c node's
+
+    def c_bwd(dc):
+        dpre = np.empty_like(pre)
+        dpre[..., :n] = dc * g * i * (1.0 - i)
+        dpre[..., n: 2 * n] = dc * c.data * f * (1.0 - f)
+        dpre[..., 2 * n: 3 * n] = d_o.pop() * o * (1.0 - o) if d_o else 0.0
+        dpre[..., 3 * n:] = dc * i * (1.0 - g * g)
+        c.accumulate(dc * f)
+        x.accumulate(dpre @ W.data.T)
+        W.accumulate(x.data.reshape(-1, x.data.shape[-1]).T @ dpre.reshape(-1, 4 * n))
+        h.accumulate(dpre @ U.data.T)
+        U.accumulate(h.data.reshape(-1, n).T @ dpre.reshape(-1, 4 * n))
+        b.accumulate(_unbroadcast(dpre, b.data.shape))
+
+    c_new = Tensor(c_data, parents=(x, h, c, W, U, b), backward=c_bwd)
+
+    def h_bwd(dh):
+        d_o.append(dh * tc)
+        c_new.accumulate(dh * o * (1.0 - tc * tc))
+
+    return Tensor(h_data, parents=(c_new,), backward=h_bwd), c_new
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,16 @@ class TestTraining:
         _, log_b = train(corpus, corpus, cfg)
         assert log_a.epochs == log_b.epochs
 
+    @pytest.mark.parametrize("clip_norm", [1e-6, 5.0])
+    def test_logs_gradient_norm_and_clip_rate(self, corpus, clip_norm):
+        _, log = train(corpus, corpus, small_config(max_epochs=2, patience=2,
+                                                    clip_norm=clip_norm))
+        for entry in log.epochs:
+            assert 0.0 < entry["grad_norm_mean"] < math.inf
+            assert 0.0 <= entry["clip_frac"] <= 1.0
+        if clip_norm < 1e-3:
+            assert [e["clip_frac"] for e in log.epochs] == [1.0, 1.0]
+
     def test_empty_corpus_rejected(self, corpus):
         empty = ParallelCorpus((), corpus.ul_vocab, corpus.wrl_vocab)
         with pytest.raises(AlignerError):

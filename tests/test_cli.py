@@ -141,6 +141,27 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config_file("/nonexistent/config.ini")
 
+    @pytest.mark.parametrize("text", ["[synth]\nseed = 1\nseed = 2\n", "seed = 1\n"])
+    def test_unparsable_file(self, tmp_path, text):
+        p = tmp_path / "c.ini"
+        p.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config_file(str(p))
+
+    def test_optional_int_is_coerced(self):
+        assert cli._coerce(AlignerConfig, {"embed_dim": "16"}).embed_dim == 16
+
+    @pytest.mark.parametrize("text", [
+        "[aligner]\ncell_size = abc", "[aligner]\ndropout = half",
+        "[aligner]\nembed_dim = x", "runs = two"])
+    def test_non_numeric_value_is_config_error(self, tmp_path, capsys, text):
+        p = tmp_path / "c.ini"
+        p.write_text("[pipeline]\nout_dir = %s\n%s\n" % (tmp_path / "out", text))
+        assert main(["pipeline", "--config", str(p)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "not a number" in err
+
 
 class TestExitCodes:
     def test_missing_data_file(self, tmp_path, capsys):
@@ -156,6 +177,20 @@ class TestExitCodes:
                    "--wrl", str(tmp_path / "wrl.txt"),
                    "--out", str(tmp_path / "o.txt"), "--p-boundary", "2.0"])
         assert rc == cli.EXIT_CONFIG
+
+    def test_bad_aligner_setting_is_config_error(self, tmp_path, capsys):
+        ini = tmp_path / "p.ini"
+        ini.write_text("[pipeline]\nout_dir = %s\n[synth]\ncorpus_size = 5\n"
+                       "[aligner]\ndropout = 1.0\n" % (tmp_path / "out"))
+        assert main(["pipeline", "--config", str(ini)]) == cli.EXIT_CONFIG
+        (tmp_path / "ul.txt").write_text("a b\n")
+        (tmp_path / "wrl.txt").write_text("x\n")
+        assert main(["train-aligner", "--ul", str(tmp_path / "ul.txt"),
+                     "--wrl", str(tmp_path / "wrl.txt"), "--out", str(tmp_path / "m.npz"),
+                     "--temperature", "0"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: dropout must be in [0, 1)",
+                       "config error: temperature must be positive"]
 
     def test_unknown_subcommand(self, capsys):
         rc = main(["frobnicate"])
@@ -175,6 +210,7 @@ BAD_MATRIX_FILES = {
     "wrong_width": "utt00001 2 2\n0.5 0.5\n0.2 0.3 0.5\n",
     "row_sum": "utt00001 2 2\n0.5 0.5\n0.9 0.9\n",
     "non_finite": "utt00001 2 2\n0.5 0.5\nnan 1.0\n",
+    "duplicate_id": "utt00001 1 2\n0.5 0.5\nutt00001 1 2\n1.0 0.0\n",
 }
 
 
@@ -199,7 +235,8 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("edit", [None, "unknown_key", "no_vocabulary"])
+    @pytest.mark.parametrize("edit", [None, "unknown_key", "no_vocabulary", "bad_dtype",
+                                      "cell_mismatch"])
     def test_bad_aligner_sidecar_is_data_error(self, corpus_dir, tmp_path, capsys, edit):
         corpus = load_parallel_corpus(corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt")
         ckpt = str(tmp_path / "model.npz")
@@ -210,6 +247,10 @@ class TestBadInputs:
             sidecar["config"]["layers"] = 1  # a knob older checkpoints still carry
         elif edit == "no_vocabulary":
             del sidecar["ul_tokens"]
+        elif edit == "bad_dtype":
+            sidecar["config"]["dtype"] = "float16"
+        elif edit == "cell_mismatch":
+            sidecar["config"]["cell_size"] = 6
         open(ckpt + ".json", "w").write(json.dumps(sidecar))
         rc = main(["force-align", "--model", ckpt, "--ul", corpus_dir + "/ul.txt",
                    "--wrl", corpus_dir + "/wrl.txt", "--out", str(tmp_path / "attn.txt")])

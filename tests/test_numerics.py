@@ -117,6 +117,120 @@ class TestLstmStep:
                       (tensor(np.zeros((1, 3))), tensor(np.zeros((1, 3)))))
 
 
+def composed_lstm_step(params, x, state):
+    """The LSTM cell built from tape primitives, one node per matmul, slice and gate."""
+    h, c = state
+    n = params.hidden_size
+    pre = nm.add(nm.add(nm.matmul(x, params.W), nm.matmul(h, params.U)), params.b)
+    i = nm.sigmoid(nm.narrow(pre, -1, 0, n))
+    f = nm.sigmoid(nm.narrow(pre, -1, n, n))
+    o = nm.sigmoid(nm.narrow(pre, -1, 2 * n, n))
+    g = nm.tanh(nm.narrow(pre, -1, 3 * n, n))
+    c_new = nm.add(nm.mul(f, c), nm.mul(i, g))
+    h_new = nm.mul(o, nm.tanh(c_new))
+    return h_new, c_new
+
+
+def assert_close_rel(got, want, tol=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+class TestFusedLstmOracle:
+    """The fused cell against the composed one: values and every gradient, float64."""
+
+    @pytest.mark.parametrize("steps", [1, 6])
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("reads", ["h+c", "h", "c"])
+    def test_matches_composed_cell(self, B, n, steps, reads):
+        d = 3
+        rng = np.random.default_rng(100 * B + 10 * n + steps)
+        params = lstm_init(rng, d, n, dtype=np.float64)
+        params.b.data += rng.standard_normal(4 * n)
+        xs = rng.standard_normal((steps, B, d))
+        h0, c0 = rng.standard_normal((B, n)), rng.standard_normal((B, n))
+        w_h = rng.standard_normal((steps, B, n))
+        w_c = rng.standard_normal((B, n))
+
+        def run(step):
+            ps = params.tensors("lstm")
+            for name, t in ps.items():
+                t.name = name
+            x = [tensor(xs[k], requires_grad=True, name="x%d" % k) for k in range(steps)]
+            h = tensor(h0, requires_grad=True, name="h0")
+            c = tensor(c0, requires_grad=True, name="c0")
+            terms, values = [], []
+            for k in range(steps):
+                h, c = step(params, x[k], (h, c))
+                values += [h.data, c.data]
+                if "h" in reads:
+                    terms.append(nm.sum_all(nm.mul(h, tensor(w_h[k]))))
+            if "c" in reads:
+                terms.append(nm.sum_all(nm.mul(c, tensor(w_c))))
+            loss = terms[0]
+            for t in terms[1:]:
+                loss = nm.add(loss, t)
+            grads = backward(loss)
+            names = sorted(ps) + ["x%d" % k for k in range(steps)] + ["h0", "c0"]
+            return values + [grads[k] for k in names]
+
+        for got, want in zip(run(lstm_step), run(composed_lstm_step)):
+            assert_close_rel(got, want)
+
+    def test_one_step_records_a_fixed_number_of_tensors(self, monkeypatch):
+        created = []
+        init = Tensor.__init__
+
+        def counted(self, *args, **kwargs):
+            created.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counted)
+        counts = []
+        for B, d, n in [(1, 2, 1), (5, 7, 6)]:
+            rng = np.random.default_rng(B)
+            params = lstm_init(rng, d, n, dtype=np.float64)
+            x = tensor(rng.standard_normal((B, d)))
+            state = (tensor(np.zeros((B, n))), tensor(np.zeros((B, n))))
+            del created[:]
+            lstm_step(params, x, state)
+            counts.append(len(created))
+        assert counts[0] == counts[1] <= 3
+
+    def test_float32_overflow_in_preactivations_raises(self):
+        rng = np.random.default_rng(0)
+        params = lstm_init(rng, 2, 3)
+        params.W.data[:] = 1.0  # 3e38 + 3e38 overflows float32
+        x = tensor(np.full((1, 2), 3e38, dtype=np.float32))
+        state = (tensor(np.zeros((1, 3), dtype=np.float32)),
+                 tensor(np.zeros((1, 3), dtype=np.float32)))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+            lstm_step(params, x, state)
+
+
+class TestLinear:
+    def test_matches_matmul_add(self):
+        rng = np.random.default_rng(9)
+        x_data, W_data, b_data = (rng.standard_normal(s) for s in [(3, 5), (5, 4), (4,)])
+        w_out = rng.standard_normal((3, 4))
+
+        def run(affine):
+            ts = [tensor(a, requires_grad=True, name=k)
+                  for k, a in zip("xWb", (x_data, W_data, b_data))]
+            y = affine(*ts)
+            grads = backward(nm.sum_all(nm.mul(y, tensor(w_out))))
+            return [y.data] + [grads[k] for k in "xWb"]
+
+        composed = lambda x, W, b: nm.add(nm.matmul(x, W), b)
+        for got, want in zip(run(nm.linear), run(composed)):
+            assert_close_rel(got, want)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(NumericsError, match="linear"):
+            nm.linear(tensor(np.ones((2, 3))), tensor(np.ones((3, 4))), tensor(np.ones(3)))
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = tensor(np.arange(6.0).reshape(2, 3), requires_grad=True, name="x")
@@ -221,6 +335,30 @@ class TestGradientChecks:
     def test_maxout_grad(self):
         ps = self.params(6, (2, 8))
         build = lambda: nm.sum_all(maxout(ps["p0"], 2))
+        finite_difference_check(build, ps)
+
+    def test_linear_grad(self):
+        ps = self.params(9, (3, 4), (4, 2), (2,))
+        build = lambda: nm.sum_all(nm.tanh(nm.linear(ps["p0"], ps["p1"], ps["p2"])))
+        finite_difference_check(build, ps)
+
+    @pytest.mark.parametrize("reads", ["c", "h"])
+    def test_lstm_grad_one_output(self, reads):
+        """The encoder reads only its last cell's h, the decoder's last c goes unread."""
+        rng = np.random.default_rng(10)
+        params = lstm_init(rng, 2, 3, dtype=np.float64)
+        ps = params.tensors("lstm")
+        x = tensor(rng.standard_normal((2, 2)), requires_grad=True, name="x")
+        h0 = tensor(rng.standard_normal((2, 3)), requires_grad=True, name="h0")
+        c0 = tensor(rng.standard_normal((2, 3)), requires_grad=True, name="c0")
+        ps.update(x=x, h0=h0, c0=c0)
+        for n, t in ps.items():
+            t.name = n
+
+        def build():
+            h, c = lstm_step(params, x, lstm_step(params, x, (h0, c0)))
+            return nm.sum_all(nm.tanh(c if reads == "c" else h))
+
         finite_difference_check(build, ps)
 
     def test_lstm_grad(self):
