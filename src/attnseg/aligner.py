@@ -351,7 +351,7 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
     per-epoch train/dev losses. Deterministic for a fixed seed.
     """
     if len(corpus_train) == 0:
-        raise AlignerError("empty training corpus")
+        raise CorpusError("empty training corpus")
     rng = np.random.default_rng(config.seed)
     model = AlignerModel(config, corpus_train.wrl_vocab, corpus_train.ul_vocab, rng=rng)
     params = model.parameters()

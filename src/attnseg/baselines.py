@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import ParallelCorpus, ParallelUtterance, Segmentation
@@ -56,6 +55,8 @@ def proportional_segment_corpus(corpus: ParallelCorpus) -> dict[str, Segmentatio
 # dpseg
 
 UTT_EDGE = ("<utt>",)  # context marker for utterance-initial/final positions
+ANNEAL_START_TEMP = 10.0
+ANNEAL_FRAC = 0.9  # fraction of sweeps over which the temperature decays to 1
 
 
 @dataclass
@@ -65,8 +66,6 @@ class DpsegConfig:
     alpha1: float = 3000.0  # bigram-level concentration (bigram order only)
     p_boundary: float = 0.5  # geometric word-length stop probability of the base
     iterations: int = 1000
-    anneal_start_temp: float = 10.0
-    anneal_frac: float = 0.9  # fraction of sweeps over which temp decays to 1
     sample_average: int = 0  # >0: majority vote over the last k samples
     seed: int = 0
 
@@ -81,67 +80,71 @@ class DpsegConfig:
             raise BaselineError("iterations must be >= 1")
 
 
+def _log_smoothed(n: int, alpha: float, log_prior: float, total: int) -> float:
+    """log((n + alpha * prior) / (total + alpha)); finite however small the prior is."""
+    num = math.log(n + alpha * math.exp(log_prior)) if n else math.log(alpha) + log_prior
+    return num - math.log(total + alpha)
+
+
+def _bump(counts: dict, key, k: int):
+    n = counts.get(key, 0) + k
+    if n:
+        counts[key] = n
+    else:
+        del counts[key]
+
+
 class _LexiconState:
-    """Token counts for the DP lexicon; bigram context counts when needed."""
+    """Token counts for the DP lexicon; bigram link and context counts when needed."""
 
     def __init__(self, config: DpsegConfig, num_symbols: int):
         self.cfg = config
         self.num_symbols = max(num_symbols, 1)
-        self.unigram: Counter = Counter()
+        self.bigram_order = config.order == "bigram"
+        self.unigram: dict = {}
         self.total = 0
-        self.bigram: Counter = Counter()  # (prev_word, word) -> count
-        self.context: Counter = Counter()  # prev_word -> count
+        self.bigram: dict = {}  # (prev_word, word) -> count
+        self.context: dict = {}  # prev_word -> count
+        p = config.p_boundary
+        # log P0(word) = log p + (len - 1) log(1 - p) - len log(num_symbols)
+        self._log_base_per_symbol = math.log1p(-p) - math.log(self.num_symbols)
+        self._log_base_offset = math.log(p) - math.log1p(-p)
 
-    def base_prob(self, word: tuple[str, ...]) -> float:
-        p = self.cfg.p_boundary
-        k = len(word)
-        return ((1.0 - p) ** (k - 1)) * p * (1.0 / self.num_symbols) ** k
+    def log_base(self, word: tuple[str, ...]) -> float:
+        """Geometric length times uniform spelling, in log space."""
+        return len(word) * self._log_base_per_symbol + self._log_base_offset
 
-    def p_unigram(self, word, extra_n: int = 0, extra_total: int = 0) -> float:
-        a0 = self.cfg.alpha0
-        return (self.unigram[word] + extra_n + a0 * self.base_prob(word)) / (
-            self.total + extra_total + a0
-        )
+    def log_prob(self, prev, word) -> float:
+        """log P(word | prev): the unigram predictive, backed off to by the bigram one."""
+        lp = _log_smoothed(self.unigram.get(word, 0), self.cfg.alpha0,
+                           self.log_base(word), self.total)
+        if self.bigram_order:
+            lp = _log_smoothed(self.bigram.get((prev, word), 0), self.cfg.alpha1,
+                               lp, self.context.get(prev, 0))
+        return lp
 
-    def p_bigram(self, prev, word, extra=None) -> float:
-        """P(word | prev) under the hierarchical process.
+    def update(self, chain: list, k: int, score: bool = False) -> float:
+        """Add (k = 1) or remove (k = -1) the chain [l_ctx, w1, ..., r_ctx].
 
-        `extra` optionally holds hypothesis-local count increments:
-        (bigram Counter, context Counter, unigram Counter, total int).
+        The inner words are counted; for bigrams every link is too. With
+        `score`, returns the chain's log probability: each word after
+        l_ctx scored under the counts of the words before it (unigrams
+        score the inner words only).
         """
-        a1 = self.cfg.alpha1
-        eb = ec = eu = None
-        et = 0
-        if extra is not None:
-            eb, ec, eu, et = extra
-        nb = self.bigram[(prev, word)] + (eb[(prev, word)] if eb else 0)
-        nc = self.context[prev] + (ec[prev] if ec else 0)
-        p1 = self.p_unigram(word, extra_n=(eu[word] if eu else 0), extra_total=et)
-        return (nb + a1 * p1) / (nc + a1)
-
-    # -- mutation ----------------------------------------------------------
-
-    def add_word(self, word):
-        self.unigram[word] += 1
-        self.total += 1
-
-    def remove_word(self, word):
-        self.unigram[word] -= 1
-        self.total -= 1
-        if self.unigram[word] == 0:
-            del self.unigram[word]
-
-    def add_bigram(self, prev, word):
-        self.bigram[(prev, word)] += 1
-        self.context[prev] += 1
-
-    def remove_bigram(self, prev, word):
-        self.bigram[(prev, word)] -= 1
-        self.context[prev] -= 1
-        if self.bigram[(prev, word)] == 0:
-            del self.bigram[(prev, word)]
-        if self.context[prev] == 0:
-            del self.context[prev]
+        lp = 0.0
+        last = len(chain) - 1
+        for i in range(1, len(chain)):
+            prev, word = chain[i - 1], chain[i]
+            inner = i < last
+            if score and (inner or self.bigram_order):
+                lp += self.log_prob(prev, word)
+            if self.bigram_order:
+                _bump(self.bigram, (prev, word), k)
+                _bump(self.context, prev, k)
+            if inner:
+                _bump(self.unigram, word, k)
+                self.total += k
+        return lp
 
 
 def _words_of(symbols, flags):
@@ -153,6 +156,22 @@ def _words_of(symbols, flags):
             start = j
     words.append(tuple(symbols[start:]))
     return words
+
+
+def _break_before(flags, j: int) -> int:
+    """The last word break strictly before position j (0 is the utterance start)."""
+    j -= 1
+    while j > 0 and not flags[j - 1]:
+        j -= 1
+    return j
+
+
+def _break_after(flags, j: int) -> int:
+    """The first word break strictly after position j (len(flags) + 1 is the end)."""
+    j += 1
+    while j <= len(flags) and not flags[j - 1]:
+        j += 1
+    return j
 
 
 class DpsegSampler:
@@ -175,132 +194,53 @@ class DpsegSampler:
     def _rebuild_counts(self):
         st = _LexiconState(self.cfg, self.state.num_symbols)
         for seq, flags in zip(self.sequences, self.flags):
-            words = _words_of(seq, flags)
-            prev = UTT_EDGE
-            for w in words:
-                st.add_word(w)
-                if self.cfg.order == "bigram":
-                    st.add_bigram(prev, w)
-                prev = w
-            if self.cfg.order == "bigram":
-                st.add_bigram(prev, UTT_EDGE)
+            st.update([UTT_EDGE] + _words_of(seq, flags) + [UTT_EDGE], 1)
         self.state = st
 
     def counts_consistent(self) -> bool:
         """Bookkeeping check: incremental counts equal a from-scratch recount."""
-        cur_u, cur_t = Counter(self.state.unigram), self.state.total
-        cur_b, cur_c = Counter(self.state.bigram), Counter(self.state.context)
+        cur = self.state
         self._rebuild_counts()
         return (
-            cur_u == self.state.unigram
-            and cur_t == self.state.total
-            and cur_b == self.state.bigram
-            and cur_c == self.state.context
+            cur.unigram == self.state.unigram
+            and cur.total == self.state.total
+            and cur.bigram == self.state.bigram
+            and cur.context == self.state.context
         )
 
     # -- single-site resampling -------------------------------------------
 
-    def _resample_site(self, ui: int, pos: int, temperature: float):
+    def _resample_site(self, ui: int, pos: int, temperature: float) -> float:
+        """Gibbs-sample the boundary after `pos` symbols; returns the merge-vs-split log-odds."""
         st = self.state
         seq = self.sequences[ui]
         flags = self.flags[ui]
-        has_boundary = flags[pos - 1]
-        w1, w2 = self._split_halves(ui, pos)
-        merged = w1 + w2
-        left = self._word_start(ui, pos)
-        right = pos + len(w2)
-        # context word before w1
-        if left == 0:
-            l_ctx = UTT_EDGE
-        else:
-            ls = left - 1
-            while ls > 0 and not flags[ls - 1]:
-                ls -= 1
-            l_ctx = tuple(seq[ls:left])
-        # context word after w2
-        if right == len(seq):
-            r_ctx = UTT_EDGE
-        else:
-            re = right + 1
-            while re < len(seq) and not flags[re - 1]:
-                re += 1
-            r_ctx = tuple(seq[right:re])
-        words_now = [w1, w2] if has_boundary else [merged]
-        # remove current configuration from counts
-        if self.cfg.order == "bigram":
-            chain = [l_ctx] + words_now + [r_ctx]
-            for a, b in zip(chain[:-1], chain[1:]):
-                st.remove_bigram(a, b)
-        for w in words_now:
-            st.remove_word(w)
-
-        p_merge = self._hyp_prob([merged], l_ctx, r_ctx)
-        p_split = self._hyp_prob([w1, w2], l_ctx, r_ctx)
-        if temperature != 1.0:
-            inv = 1.0 / temperature
-            p_merge, p_split = p_merge ** inv, p_split ** inv
-        z = p_merge + p_split
-        boundary = self.rng.random() < (p_split / z if z > 0 else 0.5)
-
-        new_words = [w1, w2] if boundary else [merged]
-        for w in new_words:
-            st.add_word(w)
-        if self.cfg.order == "bigram":
-            chain = [l_ctx] + new_words + [r_ctx]
-            for a, b in zip(chain[:-1], chain[1:]):
-                st.add_bigram(a, b)
-        self.flags[ui][pos - 1] = boundary
-
-    def _word_start(self, ui: int, pos: int) -> int:
-        flags = self.flags[ui]
-        left = pos - 1
-        while left > 0 and not flags[left - 1]:
-            left -= 1
-        return left
-
-    def _split_halves(self, ui: int, pos: int):
-        seq = self.sequences[ui]
-        flags = self.flags[ui]
-        left = self._word_start(ui, pos)
-        right = pos + 1
-        while right < len(seq) and not flags[right - 1]:
-            right += 1
-        return tuple(seq[left:pos]), tuple(seq[pos:right])
-
-    def _hyp_prob(self, words, l_ctx, r_ctx) -> float:
-        """Probability of a word chain with counts excluded; sequential updates."""
-        st = self.state
-        if self.cfg.order == "unigram":
-            p = 1.0
-            eu: Counter = Counter()
-            for i, w in enumerate(words):
-                p *= st.p_unigram(w, extra_n=eu[w], extra_total=i)
-                eu[w] += 1
-            return p
-        eb: Counter = Counter()
-        ec: Counter = Counter()
-        eu = Counter()
-        et = 0
-        p = 1.0
-        chain = [l_ctx] + list(words) + [r_ctx]
-        for i in range(len(chain) - 1):
-            a, b = chain[i], chain[i + 1]
-            p *= st.p_bigram(a, b, extra=(eb, ec, eu, et))
-            eb[(a, b)] += 1
-            ec[a] += 1
-            if b is not UTT_EDGE and i + 1 < len(chain) - 1:
-                eu[b] += 1
-                et += 1
-        return p
+        left, right = _break_before(flags, pos), _break_after(flags, pos)
+        w1, w2 = tuple(seq[left:pos]), tuple(seq[pos:right])
+        l_ctx = tuple(seq[_break_before(flags, left):left]) if left > 0 else UTT_EDGE
+        r_ctx = tuple(seq[right:_break_after(flags, right)]) if right < len(seq) else UTT_EDGE
+        split = [l_ctx, w1, w2, r_ctx]
+        merge = [l_ctx, w1 + w2, r_ctx]
+        st.update(split if flags[pos - 1] else merge, -1)
+        lp_merge = st.update(merge, 1, score=True)
+        st.update(merge, -1)
+        lp_split = st.update(split, 1, score=True)
+        # P(split) = p_split^(1/T) / (p_merge^(1/T) + p_split^(1/T)); exp capped below overflow
+        log_odds = (lp_merge - lp_split) / temperature
+        boundary = self.rng.random() < 1.0 / (1.0 + math.exp(min(log_odds, 700.0)))
+        if not boundary:
+            st.update(split, -1)
+            st.update(merge, 1)
+        flags[pos - 1] = boundary
+        return log_odds
 
     # -- driver ------------------------------------------------------------
 
     def _temperature(self, sweep: int) -> float:
-        n = max(1, int(self.cfg.iterations * self.cfg.anneal_frac))
+        n = max(1, int(self.cfg.iterations * ANNEAL_FRAC))
         if sweep >= n:
             return 1.0
-        t0 = self.cfg.anneal_start_temp
-        return t0 + (1.0 - t0) * (sweep / n)
+        return ANNEAL_START_TEMP + (1.0 - ANNEAL_START_TEMP) * (sweep / n)
 
     def sweep(self, temperature: float = 1.0):
         for ui, seq in enumerate(self.sequences):

@@ -233,6 +233,8 @@ def load_aligner_bundle(ckpt_path: str) -> al.AlignerModel:
                              cp.Vocabulary(wrl_tokens), cp.Vocabulary(ul_tokens))
     except al.AlignerError as e:
         raise cp.CorpusError("%s: %s" % (sidecar_path, e)) from None
+    except ValueError as e:  # the .npz itself is not a readable checkpoint
+        raise cp.CorpusError(str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +281,10 @@ def _coerce(cls, section: dict[str, str]):
         elif ftype in ("float", float):
             kwargs[key] = _number(float, key, raw)
         elif ftype in ("bool", bool):
-            kwargs[key] = raw.lower() in ("1", "true", "yes")
+            try:
+                kwargs[key] = configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+            except KeyError:
+                raise ConfigError("%s = %r is not a boolean" % (key, raw)) from None
         else:
             kwargs[key] = raw
     return cls(**kwargs)
@@ -449,15 +454,16 @@ def cmd_pipeline(args) -> int:
     sections = load_config_file(args.config)
     out_dir = sections.get("pipeline", {}).get("out_dir", args.out_dir or "pipeline_out")
     runs = _number(int, "runs", sections.get("pipeline", {}).get("runs", "5"))
+    synth_cfg = _coerce(SynthConfig, sections.get("synth", {}))
+    aligner_cfg = _coerce(al.AlignerConfig, sections.get("aligner", {}))
+    dp_cfg = _coerce(bl.DpsegConfig, sections["dpseg"]) if "dpseg" in sections else None
     os.makedirs(out_dir, exist_ok=True)
 
-    synth_cfg = _coerce(SynthConfig, sections.get("synth", {}))
     corpus = synth_corpus(synth_cfg)
     paths = write_synth_corpus(corpus, out_dir)
     write_manifest(paths["ul"], "synth", [], dataclasses.asdict(synth_cfg),
                    list(paths.values()))
 
-    aligner_cfg = _coerce(al.AlignerConfig, sections.get("aligner", {}))
     corpus = cp.load_parallel_corpus(paths["ul"], paths["wrl"])
     corpus = cp.load_gold_segmentation(corpus, paths["gold"])
     matrices_paths = []
@@ -483,8 +489,7 @@ def cmd_pipeline(args) -> int:
     results = {"attentional": mt.evaluate(segs, gold, corpus)}
     results["proportional"] = mt.evaluate(
         bl.proportional_segment_corpus(corpus), gold, corpus)
-    if "dpseg" in sections:
-        dp_cfg = _coerce(bl.DpsegConfig, sections["dpseg"])
+    if dp_cfg is not None:
         results["dpseg"] = mt.evaluate(
             bl.dpseg_segment_corpus(corpus, dp_cfg), gold, corpus)
     for name, report in results.items():

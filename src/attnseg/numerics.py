@@ -13,6 +13,7 @@ NumericsError immediately; values are never clamped silently.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -538,10 +539,15 @@ def save_checkpoint(path: str, params: dict[str, Tensor], meta: Optional[dict] =
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    with np.load(path, allow_pickle=False) as z:
-        version = int(z["__version__"])
-        if version != CHECKPOINT_VERSION:
-            raise NumericsError("unsupported checkpoint version %d" % version)
-        params = {k[len("param/"):]: z[k] for k in z.files if k.startswith("param/")}
-        meta = {k[len("meta/"):]: z[k] for k in z.files if k.startswith("meta/")}
+    """Read a save_checkpoint file; ValueError if it is not one of this version."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            version = int(z["__version__"])
+            params = {k[len("param/"):]: z[k] for k in z.files if k.startswith("param/")}
+            meta = {k[len("meta/"):]: z[k] for k in z.files if k.startswith("meta/")}
+    except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as e:
+        raise ValueError("%s: not a checkpoint (%s: %s)"
+                         % (path, type(e).__name__, e)) from None
+    if version != CHECKPOINT_VERSION:
+        raise ValueError("%s: unsupported checkpoint version %d" % (path, version))
     return params, meta

@@ -20,6 +20,7 @@ from attnseg.aligner import (
     write_attention_matrices,
 )
 from attnseg.corpus import (
+    CorpusError,
     ParallelCorpus,
     ParallelUtterance,
     build_vocabularies,
@@ -261,7 +262,7 @@ class TestTraining:
 
     def test_empty_corpus_rejected(self, corpus):
         empty = ParallelCorpus((), corpus.ul_vocab, corpus.wrl_vocab)
-        with pytest.raises(AlignerError):
+        with pytest.raises(CorpusError):  # a data error, not a numerical one
             train(empty, empty, small_config())
 
 

@@ -163,6 +163,25 @@ class TestConfigFile:
         assert "not a number" in err
 
 
+    @pytest.mark.parametrize("raw, value", [
+        ("1", True), ("yes", True), ("True", True), ("on", True),
+        ("0", False), ("no", False), ("false", False), ("OFF", False)])
+    def test_bool_reads_as_configparser_does(self, raw, value):
+        assert cli._coerce(AlignerConfig, {"include_eos_row": raw}).include_eos_row is value
+
+    @pytest.mark.parametrize("text", [
+        "[aligner]\ninclude_eos_row = treu", "[aligner]\ninclude_eos_row = 2",
+        "[dpseg]\nanneal_start_temp = 5", "[dpseg]\nanneal_frac = 0.5"])
+    def test_bad_bool_or_dropped_key_is_config_error(self, tmp_path, capsys, text):
+        p = tmp_path / "c.ini"
+        p.write_text("[pipeline]\nout_dir = %s\n%s\n" % (tmp_path / "out", text))
+        assert main(["pipeline", "--config", str(p)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "not a boolean" in err or "unknown config key" in err
+        assert not (tmp_path / "out").exists()  # rejected before any work
+
+
 class TestExitCodes:
     def test_missing_data_file(self, tmp_path, capsys):
         rc = main(["baseline-proportional", "--ul", str(tmp_path / "no.txt"),
@@ -191,6 +210,14 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: dropout must be in [0, 1)",
                        "config error: temperature must be positive"]
+
+    def test_empty_training_corpus_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "ul.txt").write_text("")
+        (tmp_path / "wrl.txt").write_text("")
+        assert main(["train-aligner", "--ul", str(tmp_path / "ul.txt"),
+                     "--wrl", str(tmp_path / "wrl.txt"),
+                     "--out", str(tmp_path / "m.npz")]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == "data error: empty training corpus\n"
 
     def test_unknown_subcommand(self, capsys):
         rc = main(["frobnicate"])
@@ -236,13 +263,16 @@ class TestBadInputs:
         assert err.startswith("data error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("edit", [None, "unknown_key", "no_vocabulary", "bad_dtype",
-                                      "cell_mismatch"])
+                                      "cell_mismatch", "npz_nine_bytes", "npz_truncated",
+                                      "npz_no_version", "npz_wrong_version"])
     def test_bad_aligner_sidecar_is_data_error(self, corpus_dir, tmp_path, capsys, edit):
         corpus = load_parallel_corpus(corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt")
         ckpt = str(tmp_path / "model.npz")
         cli.save_aligner_bundle(ckpt, AlignerModel(AlignerConfig(cell_size=4),
                                                    corpus.wrl_vocab, corpus.ul_vocab))
         sidecar = json.loads(open(ckpt + ".json").read())
+        with np.load(ckpt) as z:
+            arrays = {k: z[k] for k in z.files}
         if edit == "unknown_key":
             sidecar["config"]["layers"] = 1  # a knob older checkpoints still carry
         elif edit == "no_vocabulary":
@@ -251,6 +281,17 @@ class TestBadInputs:
             sidecar["config"]["dtype"] = "float16"
         elif edit == "cell_mismatch":
             sidecar["config"]["cell_size"] = 6
+        elif edit == "npz_nine_bytes":
+            open(ckpt, "wb").write(b"not a npz")
+        elif edit == "npz_truncated":
+            data = open(ckpt, "rb").read()
+            open(ckpt, "wb").write(data[:len(data) // 2])
+        elif edit == "npz_no_version":
+            del arrays["__version__"]
+            np.savez(ckpt, **arrays)
+        elif edit == "npz_wrong_version":
+            arrays["__version__"] = np.asarray(99)
+            np.savez(ckpt, **arrays)
         open(ckpt + ".json", "w").write(json.dumps(sidecar))
         rc = main(["force-align", "--model", ckpt, "--ul", corpus_dir + "/ul.txt",
                    "--wrl", corpus_dir + "/wrl.txt", "--out", str(tmp_path / "attn.txt")])
