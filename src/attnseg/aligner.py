@@ -13,6 +13,7 @@ and extraction so the two distributions match.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -147,7 +148,11 @@ class AlignerModel:
         return ps
 
     def set_parameters(self, values: dict[str, np.ndarray]) -> None:
+        """Load every parameter; a missing, unknown or misshapen one raises AlignerError."""
         params = self.parameters()
+        missing = sorted(set(params) - set(values))
+        if missing:
+            raise AlignerError("checkpoint lacks parameter(s) %s" % ", ".join(missing))
         for name, arr in values.items():
             if name not in params:
                 raise AlignerError("unknown parameter %r in checkpoint" % name)
@@ -194,48 +199,173 @@ class AlignerModel:
         s0 = nm.tanh(nm.linear(final, self.init_W, self.init_b))
         return h, s0
 
-    def attend(self, h: Tensor, s_prev: Tensor,
-               h_proj: Optional[Tensor] = None) -> tuple[Tensor, Tensor]:
-        """One attention read: scores via v^T tanh(W1 h_i + W2 s + b2).
+    def attend(self, h: np.ndarray, s_prev: np.ndarray,
+               h_proj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One attention read on arrays: scores v^T tanh(W1 h_i + W2 s + b2).
 
-        h (B, A, 2n); h_proj = h W1 (B, A, n) may be passed in, since it
-        is the same at every decoder step. Returns (alpha (B, A),
-        context (B, 2n)); alpha rows sum to 1 under the configured
-        temperature.
+        h (B, A, 2n) and h_proj = h W1 (B, A, n), which is the same at
+        every decoder step. Returns (alpha (B, A), context (B, 2n), the
+        tanh activations (B, A, n)); alpha rows sum to 1 under the
+        configured temperature.
         """
-        B, A, _ = h.shape
-        if h_proj is None:
-            h_proj = nm.matmul(h, self.attn_W1)
-        sp = nm.linear(s_prev, self.attn_W2, self.attn_b2)
-        pre = nm.tanh(nm.add(h_proj, nm.reshape(sp, (B, 1, -1))))
-        e = nm.reshape(nm.matmul(pre, self.attn_v), (B, A))
-        alpha = nm.softmax_with_temperature(e, self.config.temperature)
-        ctx = nm.sum_axis(nm.mul(nm.reshape(alpha, (B, A, 1)), h), axis=1)
-        return alpha, ctx
+        pre = h_proj + (s_prev @ self.attn_W2.data + self.attn_b2.data)[:, None, :]
+        act = np.tanh(nm.check_finite(pre, "attend"))
+        x = (act @ self.attn_v.data)[..., 0] / self.config.temperature
+        ex = np.exp(x - x.max(axis=-1, keepdims=True))
+        alpha = ex / ex.sum(axis=-1, keepdims=True)
+        ctx = (alpha[:, :, None] * h).sum(axis=1)
+        return alpha, ctx, act
 
-    def decode_step(self, s_prev: tuple[Tensor, Tensor], w_prev: np.ndarray, w_cur: np.ndarray,
-                    h: Tensor, h_proj: Tensor, rng=None, train: bool = False):
-        """Teacher-forced decoder step.
+    def decode_step(self, s_prev: np.ndarray, c_prev: np.ndarray, e_cur: np.ndarray,
+                    h: np.ndarray, h_proj: np.ndarray):
+        """One teacher-forced decoder step on arrays.
 
-        Emits logits over UL symbols from (s_prev, E(w_prev), context)
-        and advances the state with the ground-truth current symbol
-        w_cur. Returns (logits, alpha, new_state).
+        Reads the attention at state s_prev, then advances the decoder
+        cell on [E(w_cur), context], where E(w_cur) is the embedding of
+        the ground-truth current symbol (after dropout). Returns (alpha,
+        context, attention activations, cell input, gates, c, s).
         """
-        s_h, s_c = s_prev
-        alpha, ctx = self.attend(h, s_h, h_proj)
-        e_prev = nm.rows(self.tgt_embed, w_prev)
-        if train and self.config.dropout > 0:
-            e_prev = nm.dropout(e_prev, self.config.dropout, rng, train=True)
-        mix = nm.concat([s_h, e_prev, ctx], axis=-1)
-        if train and self.config.dropout > 0:
-            mix = nm.dropout(mix, self.config.dropout, rng, train=True)
-        hidden = nm.maxout(nm.linear(mix, self.out_W1, self.out_b1), self.config.maxout_pool)
-        logits = nm.linear(hidden, self.out_W2, self.out_b2)
-        e_cur = nm.rows(self.tgt_embed, w_cur)
-        if train and self.config.dropout > 0:
-            e_cur = nm.dropout(e_cur, self.config.dropout, rng, train=True)
-        s_new = nm.lstm_step(self.dec, nm.concat([e_cur, ctx], axis=-1), (s_h, s_c))
-        return logits, alpha, s_new
+        alpha, ctx, act = self.attend(h, s_prev, h_proj)
+        x = np.concatenate([e_cur, ctx], axis=-1)
+        gates, c, _, s = nm.lstm_cell(self.dec, x, s_prev, c_prev)
+        return alpha, ctx, act, x, gates, c, s
+
+    def decode(self, h: np.ndarray, h_proj: np.ndarray, s0: np.ndarray, tgt_ids: np.ndarray,
+               rng=None, train: bool = False, cache: Optional[dict] = None):
+        """Teacher-forced decoding of a batch on arrays, without a tape.
+
+        h (B, A, 2n), h_proj = h W1 and s0 (B, n) come from the encoder;
+        tgt_ids is (B, T). Only the attention read and the cell run step
+        by step. The readout never feeds back into the state, so
+        linear -> maxout -> linear -> cross-entropy runs once over all
+        T*B rows. Returns (nll (T, B), alphas (T, B, A)). A dict passed
+        as `cache` receives what `_decode_backward` needs.
+        """
+        cfg = self.config
+        B, T = tgt_ids.shape
+        n, d, dt = cfg.cell_size, cfg.embed_dim, cfg.np_dtype
+        drop = train and cfg.dropout > 0
+        cur_ids = tgt_ids.T  # (T, B)
+        prev_ids = np.vstack([np.full((1, B), self.ul_vocab.bos_id), cur_ids[:-1]])
+        table = self.tgt_embed.data
+        e_prev, e_cur = table[prev_ids], table[cur_ids]
+        mix_dim = n + d + 2 * n
+        masks = [np.empty((T, B, k), dtype=dt) for k in (d, mix_dim, d)] if drop else None
+        S = np.empty((T + 1, B, n), dtype=dt)  # S[t] is the state step t reads
+        C = np.zeros((T + 1, B, n), dtype=dt)
+        S[0] = s0
+        alphas = np.empty((T, B, h.shape[1]), dtype=dt)
+        ctxs = np.empty((T, B, 2 * n), dtype=dt)
+        acts, xs, gates = [], [], []
+        for t in range(T):
+            if drop:  # e_prev, mix, e_cur: the order of the per-step graph
+                for m in masks:
+                    m[t] = nm.dropout_mask(rng, (B, m.shape[-1]), cfg.dropout, dt)
+                e_cur[t] *= masks[2][t]
+            alphas[t], ctxs[t], act, x, g, C[t + 1], S[t + 1] = self.decode_step(
+                S[t], C[t], e_cur[t], h, h_proj)
+            if cache is not None:
+                acts.append(act)
+                xs.append(x)
+                gates.append(g)
+        if drop:
+            e_prev *= masks[0]
+        # (T, B, k) @ (k, m): numpy calls BLAS once per step, so each row is
+        # bit for bit what a step-by-step readout gives
+        mix = np.concatenate([S[:T], e_prev, ctxs], axis=-1)
+        if drop:
+            mix *= masks[1]
+        blocks = nm.check_finite(mix @ self.out_W1.data + self.out_b1.data, "readout")
+        blocks = blocks.reshape(T * B, cfg.maxout_pool, n)
+        hidden = blocks.max(axis=1)
+        logits = hidden.reshape(T, B, n) @ self.out_W2.data + self.out_b2.data
+        logits = nm.check_finite(logits.reshape(T * B, -1), "logits")
+        top = logits.max(axis=-1, keepdims=True)
+        ex = np.exp(logits - top)
+        nll = np.log(ex.sum(axis=-1)) + top[:, 0] - logits[np.arange(T * B), cur_ids.reshape(-1)]
+        nm.check_finite(nll, "nll")
+        if cache is not None:
+            cache.update(
+                cur_ids=cur_ids, prev_ids=prev_ids, masks=masks, S=S, C=C, alphas=alphas,
+                acts=np.stack(acts), xs=np.stack(xs), gates=np.stack(gates),
+                mix=mix.reshape(T * B, mix_dim),
+                winner=_first_max(blocks, hidden), hidden=hidden, ex=ex)
+        return nll.reshape(T, B), alphas
+
+    def _decode_backward(self, cache: dict, dnll: np.ndarray, h: Tensor, h_proj: Tensor,
+                         s0: Tensor) -> None:
+        """Reverse pass of `decode` from dL/dnll (T, B).
+
+        Back-propagation through time covers only the cell and the
+        attention read; every weight gradient is one matmul over the
+        stacked steps. The last step's cell output is never read, so that
+        cell gets no gradient.
+        """
+        cfg = self.config
+        T, B = dnll.shape
+        n, d = cfg.cell_size, cfg.embed_dim
+        S, C, alphas, acts, gates = (cache[k] for k in ("S", "C", "alphas", "acts", "gates"))
+        masks = cache["masks"]
+        # readout over all T*B rows
+        dlogits = cache["ex"] / cache["ex"].sum(axis=-1, keepdims=True)
+        dlogits[np.arange(T * B), cache["cur_ids"].reshape(-1)] -= 1.0
+        dlogits *= dnll.reshape(-1, 1)
+        self.out_W2.accumulate(cache["hidden"].T @ dlogits)
+        self.out_b2.accumulate(dlogits.sum(axis=0))
+        # input gradients through (T, B, k) matmuls as well: the attention
+        # gradients are sums over A that nearly cancel, so they would amplify
+        # a change in the last bit of dL/dcontext
+        dhidden = (dlogits.reshape(T, B, -1) @ self.out_W2.data.T).reshape(T * B, 1, n)
+        dblocks = (cache["winner"] * dhidden).reshape(T * B, -1)
+        self.out_W1.accumulate(cache["mix"].T @ dblocks)
+        self.out_b1.accumulate(dblocks.sum(axis=0))
+        dmix = dblocks.reshape(T, B, -1) @ self.out_W1.data.T
+        if masks is not None:
+            dmix *= masks[1]
+        de_prev, dctx_read = dmix[..., n: n + d], dmix[..., n + d:]
+        # back-propagation through time: cell, then attention, per step
+        h_data, W2, v = h.data, self.attn_W2.data, self.attn_v.data
+        tc = np.tanh(C[1:])
+        dpre = np.zeros_like(gates)
+        de_cur = np.zeros_like(de_prev)
+        dctx = np.empty_like(dctx_read)
+        dscore = np.empty_like(alphas)
+        dsp = np.empty((T, B, n), dtype=dmix.dtype)
+        dh_proj = np.zeros_like(h_proj.data)
+        ds, dc = None, 0.0  # dL/d(state) and dL/d(cell) of what step t + 1 reads
+        for t in reversed(range(T)):
+            ds_t, dctx[t] = dmix[t, :, :n], dctx_read[t]
+            if t < T - 1:
+                o = gates[t, :, 2 * n: 3 * n]
+                dc = dc + ds * o * (1.0 - tc[t] * tc[t])
+                dpre[t] = nm.lstm_cell_grad(gates[t], C[t], dc, ds * tc[t])
+                dx = dpre[t] @ self.dec.W.data.T
+                de_cur[t], dctx[t] = dx[:, :d], dctx[t] + dx[:, d:]
+                ds_t = ds_t + dpre[t] @ self.dec.U.data.T
+                dc = dc * gates[t, :, n: 2 * n]
+            dalpha = (dctx[t][:, None, :] * h_data).sum(axis=-1)
+            a = alphas[t]
+            dscore[t] = (dalpha - (dalpha * a).sum(axis=-1, keepdims=True)) * a / cfg.temperature
+            dpre_attn = (dscore[t][:, :, None] * v[:, 0]) * (1.0 - acts[t] * acts[t])
+            dh_proj += dpre_attn
+            dsp[t] = dpre_attn.sum(axis=1)
+            ds = ds_t + dsp[t] @ W2.T
+        s0.accumulate(ds)
+        h_proj.accumulate(dh_proj)
+        h.accumulate(alphas.transpose(1, 2, 0) @ dctx.transpose(1, 0, 2))
+        self.attn_v.accumulate(acts.reshape(-1, n).T @ dscore.reshape(-1, 1))
+        self.attn_W2.accumulate(S[:T].reshape(-1, n).T @ dsp.reshape(-1, n))
+        self.attn_b2.accumulate(dsp.reshape(-1, n).sum(axis=0))
+        if T > 1:
+            dpre, xs = dpre[:-1].reshape(-1, 4 * n), cache["xs"][:-1]
+            self.dec.W.accumulate(xs.reshape(-1, xs.shape[-1]).T @ dpre)
+            self.dec.U.accumulate(S[: T - 1].reshape(-1, n).T @ dpre)
+            self.dec.b.accumulate(dpre.sum(axis=0))
+        if masks is not None:
+            de_prev, de_cur = de_prev * masks[0], de_cur * masks[2]
+        ids = np.concatenate([cache["prev_ids"], cache["cur_ids"]]).reshape(-1)
+        onehot = (np.arange(len(self.ul_vocab))[:, None] == ids).astype(de_cur.dtype)
+        self.tgt_embed.accumulate(onehot @ np.concatenate([de_prev, de_cur]).reshape(-1, d))
 
     def forward_batch(self, src_ids: np.ndarray, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
                       rng=None, train: bool = False):
@@ -245,29 +375,39 @@ class AlignerModel:
         tgt_ids (B, T) PAD-padded, each row ending with EOS before the
         padding; tgt_mask (B, T) marks real positions. Returns the
         scalar loss (mean over utterances of summed symbol NLL),
-        per-utterance losses, and the per-step attention rows.
+        per-utterance losses, and the attention rows (T, B, A). The
+        decoder is one tape node whose parents are h, h W1, the initial
+        state and the decoder's parameters.
         """
-        B, T = tgt_ids.shape
-        n = self.config.cell_size
-        dt = self.config.np_dtype
         h, s0 = self.encode(src_ids, rng=rng, train=train)
         h_proj = nm.matmul(h, self.attn_W1)
-        state = (s0, Tensor(np.zeros((B, n), dtype=dt)))
-        bos = np.full(B, self.ul_vocab.bos_id, dtype=np.int64)
-        prev = bos
-        step_losses = []
-        alphas = []
-        for t in range(T):
-            cur = tgt_ids[:, t]
-            logits, alpha, state = self.decode_step(state, prev, cur, h, h_proj,
-                                                    rng=rng, train=train)
-            step_losses.append(nm.cross_entropy(logits, cur))
-            alphas.append(alpha)
-            prev = cur
-        masked = nm.mul(nm.stack(step_losses, axis=0), Tensor(tgt_mask.T.astype(dt)))
-        per_utt = nm.sum_axis(masked, axis=0)  # adds the steps in order
-        loss = nm.mean_all(per_utt)
-        return loss, per_utt, alphas
+        cache: dict = {}
+        nll, alphas = self.decode(h.data, h_proj.data, s0.data, tgt_ids,
+                                  rng=rng, train=train, cache=cache)
+        weights = tgt_mask.T.astype(self.config.np_dtype)
+
+        def bwd(g):
+            self._decode_backward(cache, g * weights, h, h_proj, s0)
+
+        params = (self.tgt_embed, self.attn_W2, self.attn_b2, self.attn_v, self.out_W1,
+                  self.out_b1, self.out_W2, self.out_b2, self.dec.W, self.dec.U, self.dec.b)
+        per_utt = Tensor((nll * weights).sum(axis=0),  # adds the steps in order
+                         parents=(h, h_proj, s0) + params, backward=bwd)
+        return nm.mean_all(per_utt), per_utt, alphas
+
+
+def _first_max(blocks: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Mask of the block that wins each maxout unit; a tie goes to the first.
+
+    blocks (N, pool, n), top = blocks.max(axis=1). Comparing block by
+    block is much faster than argmax over the short middle axis.
+    """
+    win = blocks == top[:, None, :]
+    taken = win[:, 0].copy()
+    for k in range(1, blocks.shape[1]):
+        win[:, k] &= ~taken
+        taken |= win[:, k]
+    return win
 
 
 # ---------------------------------------------------------------------------
@@ -321,34 +461,63 @@ def _pack_batch(model: AlignerModel, utts: Sequence[ParallelUtterance]):
 
 @dataclass
 class TrainingLog:
-    """Per-epoch losses, mean gradient norm before clipping and share of clipped batches."""
+    """Per epoch: losses, mean gradient norm before clipping, share of clipped
+    batches, dev attention entropy and wall time."""
 
     epochs: list[dict] = field(default_factory=list)
     best_epoch: int = -1
     best_dev_loss: float = math.inf
 
 
-def evaluate_loss(model: AlignerModel, corpus: ParallelCorpus) -> tuple[float, float]:
-    """Mean per-utterance NLL and per-symbol perplexity on a corpus (no dropout)."""
-    total_nll, total_syms, n_utts = 0.0, 0, 0
+def _decode_corpus(model: AlignerModel, corpus: ParallelCorpus):
+    """Teacher-forced passes with dropout off and no decoder tape, in
+    source-length buckets of up to 64.
+
+    Yields (utterances, mask (B, T), nll (T, B), alphas (T, B, A)).
+    """
     rng = np.random.default_rng(0)
-    batches = _bucket_batches(corpus.utterances, 64, rng, shuffle=False)
-    for batch in batches:
+    for batch in _bucket_batches(corpus.utterances, 64, rng, shuffle=False):
         utts = [corpus.utterances[i] for i in batch]
         src, tgt, msk = _pack_batch(model, utts)
-        _, per_utt, _ = model.forward_batch(src, tgt, msk, train=False)
-        total_nll += float(per_utt.data.sum())
+        h, s0 = model.encode(src)
+        nll, alphas = model.decode(h.data, h.data @ model.attn_W1.data, s0.data, tgt)
+        yield utts, msk, nll, alphas
+
+
+def evaluate_loss(model: AlignerModel,
+                  corpus: ParallelCorpus) -> tuple[float, float, Optional[float]]:
+    """Mean per-utterance NLL, per-symbol perplexity and attention entropy (no dropout).
+
+    The entropy is the mean of H(alpha) / log A over the real (non-pad)
+    decoder steps, EOS included, of utterances with A > 1 source words:
+    1 is a uniform read, 0 a hard one. It is None when no such step
+    exists.
+    """
+    total_nll, total_syms, n_utts = 0.0, 0, 0
+    entropy, entropy_rows = 0.0, 0
+    for utts, msk, nll, alphas in _decode_corpus(model, corpus):
+        real = msk.T.astype(nll.dtype)
+        total_nll += float((nll * real).sum(axis=0).sum())
         total_syms += int(msk.sum())
         n_utts += len(utts)
-    return total_nll / n_utts, math.exp(total_nll / total_syms)
+        A = alphas.shape[-1]
+        if A > 1:
+            a = alphas[msk.T].astype(np.float64)
+            row_entropy = -(a * np.log(np.where(a > 0, a, 1.0))).sum(axis=-1)
+            entropy += float(row_entropy.sum()) / math.log(A)
+            entropy_rows += len(row_entropy)
+    return (total_nll / n_utts, math.exp(total_nll / total_syms),
+            entropy / entropy_rows if entropy_rows else None)
 
 
 def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
-          config: AlignerConfig, quiet: bool = True) -> tuple[AlignerModel, TrainingLog]:
+          config: AlignerConfig) -> tuple[AlignerModel, TrainingLog]:
     """Adam training with early stopping on dev cross-entropy.
 
     Returns the model restored to its best-dev checkpoint plus a log of
-    per-epoch train/dev losses. Deterministic for a fixed seed.
+    per-epoch train/dev losses, gradient statistics, dev attention
+    entropy and wall time. Deterministic for a fixed seed, apart from
+    `epoch_s`. Prints nothing.
     """
     if len(corpus_train) == 0:
         raise CorpusError("empty training corpus")
@@ -360,6 +529,7 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
     best_params: dict[str, np.ndarray] = {}
     bad_epochs = 0
     for epoch in range(1, config.max_epochs + 1):
+        t0 = time.perf_counter()
         batches = _bucket_batches(corpus_train.utterances, config.batch_size, rng, shuffle=True)
         train_nll, n_utts = 0.0, 0
         grad_norms = []
@@ -377,8 +547,9 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
             nm.adam_update(params, grads, adam, lr=config.learning_rate)
             train_nll += float(per_utt.data.sum())
             n_utts += len(utts)
-        dev_loss, dev_ppl = (
-            evaluate_loss(model, corpus_dev) if len(corpus_dev) else (train_nll / n_utts, 0.0)
+        dev_loss, dev_ppl, dev_entropy = (
+            evaluate_loss(model, corpus_dev) if len(corpus_dev)
+            else (train_nll / n_utts, 0.0, None)
         )
         log.epochs.append({
             "epoch": epoch,
@@ -389,10 +560,9 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
             # clip_global_norm rescales exactly when this holds
             "clip_frac": sum(config.clip_norm > 0 and g > config.clip_norm
                              for g in grad_norms) / len(grad_norms),
+            "dev_attn_entropy": dev_entropy,
+            "epoch_s": time.perf_counter() - t0,
         })
-        if not quiet:
-            print("epoch %3d  train %.4f  dev %.4f  ppl %.4f"
-                  % (epoch, train_nll / n_utts, dev_loss, dev_ppl))
         if dev_loss < log.best_dev_loss - 1e-9:
             log.best_dev_loss = dev_loss
             log.best_epoch = epoch
@@ -413,18 +583,11 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
 def forced_decode_corpus(model: AlignerModel, corpus: ParallelCorpus) -> dict[str, AttentionMatrix]:
     """Attention matrices for every utterance; EOS row dropped unless configured."""
     out: dict[str, AttentionMatrix] = {}
-    rng = np.random.default_rng(0)
-    batches = _bucket_batches(corpus.utterances, 64, rng, shuffle=False)
-    for batch in batches:
-        utts = [corpus.utterances[i] for i in batch]
-        src, tgt, msk = _pack_batch(model, utts)
-        _, _, alphas = model.forward_batch(src, tgt, msk, train=False)
-        # alphas: list of T tensors (B, A)
-        stacked = np.stack([a.data for a in alphas], axis=1)  # (B, T, A)
+    for utts, _, _, alphas in _decode_corpus(model, corpus):
         for b, u in enumerate(utts):
             T = len(u.ul_symbols)
             rows_keep = T + 1 if model.config.include_eos_row else T
-            m = AttentionMatrix(u.id, stacked[b, :rows_keep].astype(np.float64))
+            m = AttentionMatrix(u.id, alphas[:rows_keep, b].astype(np.float64))
             m.validate()
             out[u.id] = m
     return out

@@ -358,7 +358,7 @@ def cmd_train_aligner(args) -> int:
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
     config = _aligner_config_from_args(args)
     train, dev = cp.split_train_dev(corpus, args.dev_fraction, args.split_seed)
-    model, log = al.train(train, dev, config, quiet=args.quiet)
+    model, log = al.train(train, dev, config)
     save_aligner_bundle(args.out, model)
     with open(args.out + ".log.json", "w", encoding="utf-8") as f:
         json.dump({"best_epoch": log.best_epoch, "best_dev_loss": log.best_dev_loss,
@@ -368,7 +368,8 @@ def cmd_train_aligner(args) -> int:
     cfg.update({"dev_fraction": args.dev_fraction, "split_seed": args.split_seed})
     write_manifest(args.out, "train-aligner", [args.ul, args.wrl], cfg,
                    [args.out, args.out + ".json"])
-    print("best dev loss %.4f at epoch %d" % (log.best_dev_loss, log.best_epoch))
+    if not args.quiet:
+        print("best dev loss %.4f at epoch %d" % (log.best_dev_loss, log.best_epoch))
     return EXIT_OK
 
 
@@ -471,7 +472,7 @@ def cmd_pipeline(args) -> int:
         # split resampling across runs, as in the multi-run averaging protocol
         train, dev = cp.split_train_dev(corpus, 0.1, seed=synth_cfg.seed + run)
         run_cfg = dataclasses.replace(aligner_cfg, seed=aligner_cfg.seed + run)
-        model, _log = al.train(train, dev, run_cfg, quiet=True)
+        model, _log = al.train(train, dev, run_cfg)
         matrices = al.forced_decode_corpus(model, corpus)
         mpath = os.path.join(out_dir, "attention_run%d.txt" % run)
         al.write_attention_matrices(mpath, matrices)
@@ -559,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--dev-fraction", type=float, default=0.1)
     s.add_argument("--split-seed", type=int, default=0)
-    s.add_argument("--quiet", action="store_true")
+    s.add_argument("--quiet", action="store_true", help="do not print the summary line")
     s.set_defaults(func=cmd_train_aligner)
 
     s = sub.add_parser("force-align", help="extract attention matrices")

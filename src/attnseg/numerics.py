@@ -1,9 +1,10 @@
 """Dense tensors and reverse-mode automatic differentiation.
 
 Minimal tape-based autodiff over numpy arrays: just the operations the
-attentional encoder-decoder needs (affine maps, gate nonlinearities,
-concatenation, stacking, reshaping, tempered softmax, embedding lookup,
-cross-entropy, dropout, maxout). Training arithmetic is float32 by
+aligner's encoder needs (affine maps, tanh, concatenation, stacking,
+embedding lookup, dropout, the LSTM cell) and the mean of its loss. The
+decoder is one op of its own, built in `aligner` from the numpy cell
+forward and gradient defined here. Training arithmetic is float32 by
 default; gradient checks run the same code in float64.
 
 Any non-finite value produced by a public operation raises
@@ -24,7 +25,7 @@ class NumericsError(ArithmeticError):
     """Raised on non-finite values or inconsistent shapes."""
 
 
-def _check_finite(x: np.ndarray, op: str) -> np.ndarray:
+def check_finite(x: np.ndarray, op: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NumericsError("non-finite value produced by %s" % op)
     return x
@@ -71,10 +72,6 @@ class Tensor:
         return "Tensor(shape=%s%s)" % (self.data.shape, ", name=%r" % self.name if self.name else "")
 
 
-def tensor(data, requires_grad: bool = False, name: Optional[str] = None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, name=name)
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum gradient over axes that were broadcast in the forward pass."""
     while g.ndim > len(shape):
@@ -85,28 +82,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = _check_finite(a.data + b.data, "add")
-
-    def bwd(g):
-        a.accumulate(_unbroadcast(g, a.data.shape))
-        b.accumulate(_unbroadcast(g, b.data.shape))
-
-    return Tensor(out_data, parents=(a, b), backward=bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = _check_finite(a.data * b.data, "mul")
-
-    def bwd(g):
-        a.accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b.accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor(out_data, parents=(a, b), backward=bwd)
-
-
 def scale(a: Tensor, k: float) -> Tensor:
-    out_data = _check_finite(a.data * k, "scale")
+    out_data = check_finite(a.data * k, "scale")
 
     def bwd(g):
         a.accumulate(g * k)
@@ -119,7 +96,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise NumericsError(
             "matmul shape mismatch: %s @ %s" % (a.data.shape, b.data.shape)
         )
-    out_data = _check_finite(a.data @ b.data, "matmul")
+    out_data = check_finite(a.data @ b.data, "matmul")
 
     def bwd(g):
         a.accumulate(g @ b.data.T)
@@ -135,7 +112,7 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
         raise NumericsError(
             "linear shape mismatch: %s @ %s + %s" % (x.data.shape, W.data.shape, b.data.shape)
         )
-    out_data = _check_finite(x.data @ W.data + b.data, "linear")
+    out_data = check_finite(x.data @ W.data + b.data, "linear")
 
     def bwd(g):
         x.accumulate(g @ W.data.T)
@@ -146,7 +123,7 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    y = _check_finite(np.tanh(a.data), "tanh")
+    y = check_finite(np.tanh(a.data), "tanh")
 
     def bwd(g):
         a.accumulate(g * (1.0 - y * y))
@@ -154,18 +131,8 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor(y, parents=(a,), backward=bwd)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    # stable logistic via tanh identity
-    y = _check_finite(0.5 * (np.tanh(0.5 * a.data) + 1.0), "sigmoid")
-
-    def bwd(g):
-        a.accumulate(g * y * (1.0 - y))
-
-    return Tensor(y, parents=(a,), backward=bwd)
-
-
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
-    out_data = _check_finite(np.concatenate([p.data for p in parts], axis=axis), "concat")
+    out_data = check_finite(np.concatenate([p.data for p in parts], axis=axis), "concat")
     sizes = [p.data.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
 
@@ -187,30 +154,6 @@ def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor(out_data, parents=tuple(parts), backward=bwd)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out_data = a.data.reshape(shape)
-
-    def bwd(g):
-        a.accumulate(g.reshape(a.data.shape))
-
-    return Tensor(out_data, parents=(a,), backward=bwd)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of `length` entries along `axis` starting at `start`."""
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-    out_data = a.data[sl]
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[sl] = g
-        a.accumulate(full)
-
-    return Tensor(out_data, parents=(a,), backward=bwd)
-
-
 def rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """Embedding lookup: gather rows of a (V, n) table by integer ids."""
     ids = np.asarray(ids)
@@ -229,21 +172,10 @@ def rows(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out_data = _check_finite(np.asarray(a.data.sum()), "sum")
+    out_data = check_finite(np.asarray(a.data.sum()), "sum")
 
     def bwd(g):
         a.accumulate(np.broadcast_to(g, a.data.shape))
-
-    return Tensor(out_data, parents=(a,), backward=bwd)
-
-
-def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    out_data = _check_finite(a.data.sum(axis=axis, keepdims=keepdims), "sum_axis")
-
-    def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        a.accumulate(np.broadcast_to(g, a.data.shape).copy())
 
     return Tensor(out_data, parents=(a,), backward=bwd)
 
@@ -252,58 +184,9 @@ def mean_all(a: Tensor) -> Tensor:
     return scale(sum_all(a), 1.0 / a.data.size)
 
 
-def softmax_with_temperature(
-    logits: Tensor, T: float, mask: Optional[np.ndarray] = None
-) -> Tensor:
-    """Row-stochastic softmax(logits / T) over the last axis.
-
-    T > 0; stabilized by max-subtraction. `mask` (same shape, boolean)
-    marks valid positions; masked entries get probability exactly 0 and
-    receive no gradient.
-    """
-    if T <= 0:
-        raise NumericsError("softmax temperature must be positive, got %r" % T)
-    x = logits.data / T
-    if mask is not None:
-        if mask.shape != x.shape:
-            raise NumericsError("mask shape %s != logits shape %s" % (mask.shape, x.shape))
-        x = np.where(mask, x, -np.inf)
-    m = np.max(x, axis=-1, keepdims=True)
-    # all-masked rows would give -inf max; forbid them
-    if not np.all(np.isfinite(m)):
-        raise NumericsError("softmax row with no valid entries")
-    ex = np.exp(x - m)
-    s = ex / ex.sum(axis=-1, keepdims=True)
-    _check_finite(s, "softmax_with_temperature")
-
-    def bwd(g):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        gl = (g - inner) * s / T
-        logits.accumulate(gl)
-
-    return Tensor(s, parents=(logits,), backward=bwd)
-
-
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Per-example negative log-likelihood of target ids under softmax(logits).
-
-    logits (B, V), targets (B,) -> losses (B,).
-    """
-    targets = np.asarray(targets)
-    x = logits.data
-    m = x.max(axis=-1, keepdims=True)
-    z = x - m
-    lse = np.log(np.exp(z).sum(axis=-1)) + m[..., 0]
-    nll = lse - x[np.arange(x.shape[0]), targets]
-    _check_finite(nll, "cross_entropy")
-
-    def bwd(g):
-        p = np.exp(x - m)
-        p /= p.sum(axis=-1, keepdims=True)
-        p[np.arange(x.shape[0]), targets] -= 1.0
-        logits.accumulate(p * g[:, None])
-
-    return Tensor(nll, parents=(logits,), backward=bwd)
+def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.ndarray:
+    """Inverted-dropout multipliers: 0 with probability `rate`, else 1/(1-rate)."""
+    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool = True) -> Tensor:
@@ -312,32 +195,11 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool = True
         raise NumericsError("dropout rate must be in [0, 1), got %r" % rate)
     if not train or rate == 0.0:
         return a
-    keep = (rng.random(a.data.shape) >= rate).astype(a.data.dtype) / (1.0 - rate)
+    keep = dropout_mask(rng, a.data.shape, rate, a.data.dtype)
     out_data = a.data * keep
 
     def bwd(g):
         a.accumulate(g * keep)
-
-    return Tensor(out_data, parents=(a,), backward=bwd)
-
-
-def maxout(a: Tensor, pool_size: int = 2) -> Tensor:
-    """Maxout over `pool_size` blocks of the last axis.
-
-    Output feature j pools columns j, j + n/p, ..., one per block; a tie
-    sends the gradient to the first block.
-    """
-    n = a.data.shape[-1]
-    if n % pool_size != 0:
-        raise NumericsError("maxout: %d features not divisible by pool %d" % (n, pool_size))
-    blocks = a.data.reshape(a.data.shape[:-1] + (pool_size, n // pool_size))
-    out_data = _check_finite(blocks.max(axis=-2), "maxout")
-    first = np.expand_dims(blocks.argmax(axis=-2), -2)  # argmax picks the first of a tie
-
-    def bwd(g):
-        full = np.zeros_like(blocks)
-        np.put_along_axis(full, first, np.expand_dims(g, -2), axis=-2)
-        a.accumulate(full.reshape(a.data.shape))
 
     return Tensor(out_data, parents=(a,), backward=bwd)
 
@@ -392,6 +254,45 @@ class LSTMParams:
         return {prefix + ".W": self.W, prefix + ".U": self.U, prefix + ".b": self.b}
 
 
+def lstm_cell(params: LSTMParams, x: np.ndarray, h: np.ndarray,
+              c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The LSTM cell forward on arrays; x (B, in), h and c (B, n).
+
+    Returns (gates, c_new, tanh(c_new), h_new), where gates (B, 4n)
+    holds the activated i, f, o and g. A non-finite pre-activation,
+    cell or state raises NumericsError: an overflow saturates the gates
+    and leaves c_new and h_new finite, so the pre-activations are
+    checked as well.
+    """
+    n = params.hidden_size
+    pre = check_finite(x @ params.W.data + h @ params.U.data + params.b.data, "lstm_cell")
+    gates = np.empty_like(pre)
+    gates[..., : 3 * n] = 0.5 * (np.tanh(0.5 * pre[..., : 3 * n]) + 1.0)  # the logistic
+    gates[..., 3 * n:] = np.tanh(pre[..., 3 * n:])
+    i, f, o, g = (gates[..., k * n: (k + 1) * n] for k in range(4))
+    c_new = check_finite(f * c + i * g, "lstm_cell")
+    tc = np.tanh(c_new)
+    return gates, c_new, tc, check_finite(o * tc, "lstm_cell")
+
+
+def lstm_cell_grad(gates: np.ndarray, c: np.ndarray, dc: np.ndarray, d_o) -> np.ndarray:
+    """dL/d(pre-activations) of one cell from its gates and input cell c.
+
+    dc is dL/dc_new including the share that reaches c_new through
+    h_new = o * tanh(c_new); d_o is dL/do (0 when h_new is not read).
+    The caller passes dc * f on to c and the pre-activation gradient on
+    to x, h and the weights.
+    """
+    n = gates.shape[-1] // 4
+    i, f, o, g = (gates[..., k * n: (k + 1) * n] for k in range(4))
+    dpre = np.empty_like(gates)
+    dpre[..., :n] = dc * g * i * (1.0 - i)
+    dpre[..., n: 2 * n] = dc * c * f * (1.0 - f)
+    dpre[..., 2 * n: 3 * n] = d_o * o * (1.0 - o)
+    dpre[..., 3 * n:] = dc * i * (1.0 - g * g)
+    return dpre
+
+
 def lstm_step(params: LSTMParams, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
     """Standard LSTM cell update; x (B, in), state (h, c) each (B, n).
 
@@ -411,21 +312,12 @@ def lstm_step(params: LSTMParams, x: Tensor, state: tuple[Tensor, Tensor]) -> tu
         )
     if h.data.shape[-1] != n or c.data.shape[-1] != n:
         raise NumericsError("lstm_step state dim mismatch with cell size %d" % n)
-    pre = _check_finite(x.data @ W.data + h.data @ U.data + b.data, "lstm_step")
-    sig = 0.5 * (np.tanh(0.5 * pre[..., : 3 * n]) + 1.0)  # sigmoid()'s form, same values
-    i, f, o = sig[..., :n], sig[..., n: 2 * n], sig[..., 2 * n:]
-    g = np.tanh(pre[..., 3 * n:])
-    c_data = _check_finite(f * c.data + i * g, "lstm_step")
-    tc = np.tanh(c_data)
-    h_data = _check_finite(o * tc, "lstm_step")
+    gates, c_data, tc, h_data = lstm_cell(params, x.data, h.data, c.data)
+    f, o = gates[..., n: 2 * n], gates[..., 2 * n: 3 * n]
     d_o = []  # dL/do from the h node's backward, consumed by the c node's
 
     def c_bwd(dc):
-        dpre = np.empty_like(pre)
-        dpre[..., :n] = dc * g * i * (1.0 - i)
-        dpre[..., n: 2 * n] = dc * c.data * f * (1.0 - f)
-        dpre[..., 2 * n: 3 * n] = d_o.pop() * o * (1.0 - o) if d_o else 0.0
-        dpre[..., 3 * n:] = dc * i * (1.0 - g * g)
+        dpre = lstm_cell_grad(gates, c.data, dc, d_o.pop() if d_o else 0.0)
         c.accumulate(dc * f)
         x.accumulate(dpre @ W.data.T)
         W.accumulate(x.data.reshape(-1, x.data.shape[-1]).T @ dpre.reshape(-1, 4 * n))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_ops as ref
 from attnseg import numerics as nm
 from attnseg.aligner import (
     AlignerConfig,
@@ -10,6 +11,7 @@ from attnseg.aligner import (
     AlignerModel,
     AttentionMatrix,
     _bucket_batches,
+    _first_max,
     _pack_batch,
     evaluate_loss,
     forced_decode_corpus,
@@ -23,6 +25,7 @@ from attnseg.corpus import (
     CorpusError,
     ParallelCorpus,
     ParallelUtterance,
+    Vocabulary,
     build_vocabularies,
 )
 
@@ -86,18 +89,19 @@ class TestShapes:
     def test_attend_rows_normalized(self, model):
         src = np.array([[4, 5, 6, 7]])
         h, s0 = model.encode(src)
-        alpha, ctx = model.attend(h, s0)
-        assert alpha.data.shape == (1, 4)
-        assert ctx.data.shape == (1, 24)
-        assert alpha.data.sum() == pytest.approx(1.0, abs=1e-6)
-        assert np.all(alpha.data > 0)
+        alpha, ctx, act = model.attend(h.data, s0.data, h.data @ model.attn_W1.data)
+        assert alpha.shape == (1, 4)
+        assert ctx.shape == (1, 24)
+        assert act.shape == (1, 4, 12)
+        assert alpha.sum() == pytest.approx(1.0, abs=1e-6)
+        assert np.all(alpha > 0)
 
     def test_large_temperature_near_uniform(self, corpus):
         cfg = small_config(temperature=1e4)
         m = AlignerModel(cfg, corpus.wrl_vocab, corpus.ul_vocab)
         h, s0 = m.encode(np.array([[4, 5, 6]]))
-        alpha, _ = m.attend(h, s0)
-        np.testing.assert_allclose(alpha.data, 1 / 3, atol=1e-4)
+        alpha, _, _ = m.attend(h.data, s0.data, h.data @ m.attn_W1.data)
+        np.testing.assert_allclose(alpha, 1 / 3, atol=1e-4)
 
     def test_out_of_range_source_id(self, model):
         with pytest.raises(AlignerError):
@@ -107,16 +111,34 @@ class TestShapes:
 def reference_attend(model, h_list, s_prev):
     """Per-position attention read: one score matmul and one context term per h_i."""
     h_proj = [nm.matmul(hi, model.attn_W1) for hi in h_list]
-    sp = nm.add(nm.matmul(s_prev, model.attn_W2), model.attn_b2)
-    scores = [nm.matmul(nm.tanh(nm.add(hp, sp)), model.attn_v) for hp in h_proj]
-    alpha = nm.softmax_with_temperature(nm.concat(scores, axis=-1), model.config.temperature)
-    ctx = nm.mul(nm.narrow(alpha, -1, 0, 1), h_list[0])
+    sp = ref.add(nm.matmul(s_prev, model.attn_W2), model.attn_b2)
+    scores = [nm.matmul(nm.tanh(ref.add(hp, sp)), model.attn_v) for hp in h_proj]
+    alpha = ref.softmax_with_temperature(nm.concat(scores, axis=-1), model.config.temperature)
+    ctx = ref.mul(ref.narrow(alpha, -1, 0, 1), h_list[0])
     for i in range(1, len(h_list)):
-        ctx = nm.add(ctx, nm.mul(nm.narrow(alpha, -1, i, 1), h_list[i]))
+        ctx = ref.add(ctx, ref.mul(ref.narrow(alpha, -1, i, 1), h_list[i]))
     return alpha, ctx
 
 
+def count_tensors(monkeypatch, fn, *args, **kwargs):
+    """Call fn and return (its result, the number of Tensors it created)."""
+    created = []
+    init = nm.Tensor.__init__
+
+    def counting_init(tensor, *a, **k):
+        created.append(tensor)
+        init(tensor, *a, **k)
+
+    monkeypatch.setattr(nm.Tensor, "__init__", counting_init)
+    try:
+        return fn(*args, **kwargs), len(created)
+    finally:
+        monkeypatch.undo()
+
+
 class TestAttendOracle:
+    """The tape attention of the reference decoder graph against a per-position one."""
+
     @pytest.mark.parametrize("B", [1, 3])
     @pytest.mark.parametrize("A", [1, 2, 5, 9])
     def test_matches_per_position_reference(self, corpus, A, B):
@@ -130,39 +152,131 @@ class TestAttendOracle:
 
         def run(attend):
             model.parameters()  # names the parameters for the gradient map
-            h = nm.tensor(h_data, requires_grad=True, name="h")
-            alpha, ctx = attend(h, nm.tensor(s_data))
-            loss = nm.add(nm.sum_all(nm.mul(alpha, nm.tensor(w_alpha))),
-                          nm.sum_all(nm.mul(ctx, nm.tensor(w_ctx))))
+            h = ref.tensor(h_data, requires_grad=True, name="h")
+            alpha, ctx = attend(h, ref.tensor(s_data))
+            loss = ref.add(nm.sum_all(ref.mul(alpha, ref.tensor(w_alpha))),
+                           nm.sum_all(ref.mul(ctx, ref.tensor(w_ctx))))
             grads = nm.backward(loss)
             names = ("attn.W1", "attn.W2", "attn.b2", "attn.v", "h")
             return [alpha.data, ctx.data] + [grads[k] for k in names]
 
         def per_position(h, s):
-            h_list = [nm.reshape(nm.narrow(h, 1, i, 1), (B, n2)) for i in range(A)]
+            h_list = [ref.reshape(ref.narrow(h, 1, i, 1), (B, n2)) for i in range(A)]
             return reference_attend(model, h_list, s)
 
-        for got, want in zip(run(model.attend), run(per_position)):
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        def tape(h, s):
+            return ref.tape_attend(model, h, s)
+
+        want = run(per_position)
+        for got, w in zip(run(tape), want):
+            assert got.shape == w.shape
+            assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(w))
+        alpha, ctx, _ = model.attend(h_data, s_data, h_data @ model.attn_W1.data)
+        for got, w in zip((alpha, ctx), want):
+            assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(w))
 
     def test_graph_size_does_not_grow_with_source_length(self, model, monkeypatch):
-        created = []
-        init = nm.Tensor.__init__
-
-        def counting_init(tensor, *args, **kwargs):
-            created.append(tensor)
-            init(tensor, *args, **kwargs)
-
         counts = []
         for A in (2, 9):
             h, s0 = model.encode(np.full((2, A), 4))
-            monkeypatch.setattr(nm.Tensor, "__init__", counting_init)
-            model.attend(h, s0)
-            monkeypatch.undo()
-            counts.append(len(created))
-            created.clear()
+            args = (h.data, s0.data, h.data @ model.attn_W1.data)
+            counts.append(count_tensors(monkeypatch, model.attend, *args)[1])
+        assert counts == [0, 0]  # the read is plain numpy inside the decoder op
+
+
+def oracle_case(A, T, B, seed, perturb=0.0, cell_size=5):
+    """A float64 model and a batch whose first row is padded.
+
+    At the initial parameters the attention is nearly uniform, so the
+    attention gradients are sums over A that nearly cancel; `perturb`
+    adds Gaussian noise of that scale to every parameter.
+    """
+    wrl = Vocabulary(["w%d" % i for i in range(6)])
+    ul = Vocabulary(["s%d" % i for i in range(7)])
+    model = AlignerModel(AlignerConfig(cell_size=cell_size, dtype="float64", seed=seed,
+                                       dropout=0.5), wrl, ul)
+    rng = np.random.default_rng(seed)
+    for p in model.parameters().values():
+        p.data += perturb * rng.standard_normal(p.data.shape)
+    src = rng.integers(4, len(wrl), size=(B, A))
+    tgt = rng.integers(4, len(ul), size=(B, T))
+    mask = np.ones((B, T), dtype=bool)
+    if B > 1 and T > 1:
+        tgt[0, T - 2:] = ul.pad_id
+        mask[0, T - 2:] = False
+    return model, src, tgt, mask
+
+
+class TestDecoderOracle:
+    """The fused decoder op against the per-step tape graph, float64."""
+
+    @pytest.mark.parametrize("start", ["initial", "perturbed", "initial_cell_16"])
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("T", [1, 6])
+    @pytest.mark.parametrize("A", [1, 2, 5])
+    def test_matches_reference_decode_step(self, A, T, B, train, start):
+        model, src, tgt, mask = oracle_case(
+            A, T, B, seed=100 * A + 10 * T + B, perturb=0.3 if start == "perturbed" else 0.0,
+            cell_size=16 if start == "initial_cell_16" else 5)
+        params = model.parameters()
+
+        def run(forward):
+            rng = np.random.default_rng(7)
+            loss, per_utt, alphas = forward(src, tgt, mask, rng=rng, train=train)
+            grads = nm.backward(loss)
+            alphas = np.asarray(alphas if isinstance(alphas, np.ndarray)
+                                else [a.data for a in alphas])
+            # a parameter the loss does not reach (the decoder cell when T=1) has no entry
+            return ([loss.data, per_utt.data, alphas]
+                    + [grads.get(k, np.zeros_like(p.data)) for k, p in params.items()],
+                    (rng.random(), sorted(k for k in grads if k in params)))
+
+        got, got_after = run(model.forward_batch)
+        want, want_after = run(lambda *a, **k: ref.reference_forward_batch(model, *a, **k))
+        # the same dropout draws in the same order, and the same parameters reached:
+        # adam_update skips a parameter without a gradient
+        assert got_after == want_after
+        for name, g, w in zip(["loss", "per_utt", "alphas"] + list(params), got, want):
+            assert g.shape == w.shape, name
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), name
+
+    def test_train_batch_graph_does_not_grow_with_target_length(self, monkeypatch):
+        counts = []
+        for T in (2, 12):
+            model, src, tgt, mask = oracle_case(3, T, 2, seed=1)
+
+            def step():
+                loss, _, _ = model.forward_batch(src, tgt, mask,
+                                                 rng=np.random.default_rng(0), train=True)
+                nm.backward(loss)
+
+            counts.append(count_tensors(monkeypatch, step)[1])
         assert counts[0] == counts[1] > 0
+
+    def test_forced_decode_creates_no_decoder_tensor(self, corpus, model, monkeypatch):
+        calls = []
+        encode = model.encode
+
+        def counted_encode(*args, **kwargs):
+            result, n = count_tensors(monkeypatch, encode, *args, **kwargs)
+            calls.append(n)
+            return result
+
+        monkeypatch.setattr(model, "encode", counted_encode)
+        mats, total = count_tensors(monkeypatch, forced_decode_corpus, model, corpus)
+        assert len(mats) == len(corpus) and calls
+        assert total == sum(calls)
+
+    def test_float32_overflow_in_decoder_cell_raises(self, corpus):
+        model = AlignerModel(small_config(), corpus.wrl_vocab, corpus.ul_vocab)
+        model.tgt_embed.data[:] = 3e38  # 3e38 + 3e38 overflows float32 in the cell's x @ W
+        model.dec.W.data[:] = 1.0
+        model.out_W1.data[:] = 0.0  # so the readout stays finite
+        src, tgt, msk = _pack_batch(model, list(corpus)[:1])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(nm.NumericsError, match="lstm_cell"):
+            model.forward_batch(src, tgt, msk)
 
 
 def maxout_reference(x, pool, g):
@@ -186,17 +300,21 @@ class TestMaxoutOracle:
         if pool == 3:
             x[1, 1, 2::4] = 7.0  # a three-way tie
         g = rng.standard_normal((2, 3, 4))
-        a = nm.tensor(x, requires_grad=True)
-        out = nm.maxout(a, pool)
-        nm.backward(nm.sum_all(nm.mul(out, nm.tensor(g))))
+        a = ref.tensor(x, requires_grad=True)
+        out = ref.maxout(a, pool)
+        nm.backward(nm.sum_all(ref.mul(out, ref.tensor(g))))
         want_out, want_grad = maxout_reference(x, pool, g)
         np.testing.assert_array_equal(out.data, want_out)
         np.testing.assert_array_equal(a.grad, want_grad)
         assert a.grad[1, 2, 1] == g[1, 2, 1] and a.grad[1, 2, 5] == 0.0
+        # the fused decoder's readout routes its gradient through this mask
+        blocks = x.reshape(6, pool, 4)
+        win = _first_max(blocks, blocks.max(axis=1))
+        np.testing.assert_array_equal((win * g.reshape(6, 1, 4)).reshape(x.shape), want_grad)
 
     def test_rejects_indivisible_width(self):
         with pytest.raises(nm.NumericsError):
-            nm.maxout(nm.tensor(np.zeros((1, 5))), 2)
+            ref.maxout(ref.tensor(np.zeros((1, 5))), 2)
 
 
 class TestBatching:
@@ -241,14 +359,35 @@ class TestTraining:
         model, log = train(corpus, corpus, cfg)
         first = log.epochs[0]["dev_loss"]
         assert log.best_dev_loss < first
-        _, ppl = evaluate_loss(model, corpus)
+        _, ppl, _ = evaluate_loss(model, corpus)
         assert ppl < 1.2
 
     def test_deterministic_given_seed(self, corpus):
         cfg = small_config(max_epochs=3, patience=3, seed=7)
         _, log_a = train(corpus, corpus, cfg)
         _, log_b = train(corpus, corpus, cfg)
-        assert log_a.epochs == log_b.epochs
+
+        def untimed(log):
+            return [{k: v for k, v in e.items() if k != "epoch_s"} for e in log.epochs]
+
+        assert untimed(log_a) == untimed(log_b)
+
+    def test_logs_epoch_time_and_dev_entropy_and_prints_nothing(self, corpus, capsys):
+        _, log = train(corpus, corpus, small_config(max_epochs=2, patience=2, dropout=0.3))
+        assert capsys.readouterr().out == ""
+        for entry in log.epochs:
+            assert set(entry) == {"epoch", "train_loss", "dev_loss", "dev_perplexity",
+                                  "grad_norm_mean", "clip_frac", "dev_attn_entropy",
+                                  "epoch_s"}
+            assert 0.0 <= entry["dev_attn_entropy"] <= 1.0
+            assert entry["epoch_s"] > 0.0
+
+    def test_dev_entropy_reads_uniform_and_one_word_rows(self, corpus):
+        model = AlignerModel(small_config(temperature=1e6), corpus.wrl_vocab, corpus.ul_vocab)
+        assert evaluate_loss(model, corpus)[2] == pytest.approx(1.0, abs=1e-6)
+        one_word = ParallelCorpus(tuple(u for u in corpus if len(u.wrl_words) == 1),
+                                  corpus.ul_vocab, corpus.wrl_vocab)
+        assert len(one_word) and evaluate_loss(model, one_word)[2] is None
 
     @pytest.mark.parametrize("clip_norm", [1e-6, 5.0])
     def test_logs_gradient_norm_and_clip_rate(self, corpus, clip_norm):

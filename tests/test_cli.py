@@ -264,7 +264,8 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("edit", [None, "unknown_key", "no_vocabulary", "bad_dtype",
                                       "cell_mismatch", "npz_nine_bytes", "npz_truncated",
-                                      "npz_no_version", "npz_wrong_version"])
+                                      "npz_no_version", "npz_wrong_version",
+                                      "npz_missing_param"])
     def test_bad_aligner_sidecar_is_data_error(self, corpus_dir, tmp_path, capsys, edit):
         corpus = load_parallel_corpus(corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt")
         ckpt = str(tmp_path / "model.npz")
@@ -291,6 +292,9 @@ class TestBadInputs:
             np.savez(ckpt, **arrays)
         elif edit == "npz_wrong_version":
             arrays["__version__"] = np.asarray(99)
+            np.savez(ckpt, **arrays)
+        elif edit == "npz_missing_param":
+            del arrays["param/src_embed"]
             np.savez(ckpt, **arrays)
         open(ckpt + ".json", "w").write(json.dumps(sidecar))
         rc = main(["force-align", "--model", ckpt, "--ul", corpus_dir + "/ul.txt",
