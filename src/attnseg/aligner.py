@@ -55,6 +55,8 @@ class AlignerConfig:
             raise AlignerConfigError("cell size, batch size and learning rate must be positive")
         if self.temperature <= 0:
             raise AlignerConfigError("temperature must be positive")
+        if self.max_epochs < 1 or self.patience < 1:
+            raise AlignerConfigError("max epochs and patience must be at least 1")
         if not 0.0 <= self.dropout < 1.0:
             raise AlignerConfigError("dropout must be in [0, 1)")
         if self.dtype not in ("float32", "float64"):
@@ -162,42 +164,56 @@ class AlignerModel:
 
     # -- forward pieces ----------------------------------------------------
 
-    def encode(self, src_ids: np.ndarray, rng=None, train: bool = False) -> tuple[Tensor, Tensor]:
-        """Bidirectional encoding of (B, A) source ids.
+    def encode(self, src_ids: np.ndarray, rng=None, train: bool = False,
+               cache: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
+        """Bidirectional encoding of (B, A) source ids on arrays, without a tape.
 
         Returns the states h (B, A, 2n), forward then backward half, and
-        the initial decoder state (nonlinear transform of the final
-        forward/backward states).
+        the initial decoder state s0 (B, n), a nonlinear transform of the
+        final forward/backward states. A dict passed as `cache` receives
+        what `_encode_backward` needs.
         """
         src_ids = np.atleast_2d(np.asarray(src_ids))
         if src_ids.size == 0:
             raise AlignerError("empty source sequence")
         if src_ids.min() < 0 or src_ids.max() >= len(self.wrl_vocab):
             raise AlignerError("source id outside vocabulary range")
+        cfg = self.config
         B, A = src_ids.shape
-        n = self.config.cell_size
-        dt = self.config.np_dtype
-        zeros = Tensor(np.zeros((B, n), dtype=dt))
-        emb = []
-        for i in range(A):
-            e = nm.rows(self.src_embed, src_ids[:, i])
-            if train and self.config.dropout > 0:
-                e = nm.dropout(e, self.config.dropout, rng, train=True)
-            emb.append(e)
-        hf, cf = zeros, zeros
-        fwd = []
-        for i in range(A):
-            hf, cf = nm.lstm_step(self.enc_fwd, emb[i], (hf, cf))
-            fwd.append(hf)
-        hb, cb = zeros, zeros
-        bwd = [None] * A
-        for i in reversed(range(A)):
-            hb, cb = nm.lstm_step(self.enc_bwd, emb[i], (hb, cb))
-            bwd[i] = hb
-        h = nm.concat([nm.stack(fwd, axis=1), nm.stack(bwd, axis=1)], axis=-1)
-        final = nm.concat([fwd[-1], bwd[0]], axis=-1)
-        s0 = nm.tanh(nm.linear(final, self.init_W, self.init_b))
+        n, dt = cfg.cell_size, cfg.np_dtype
+        x = self.src_embed.data[src_ids.T]  # (A, B, d)
+        mask = None
+        if train and cfg.dropout > 0:  # A draws of (B, d), one per position
+            mask = nm.dropout_mask(rng, x.shape, cfg.dropout, dt)
+            x *= mask
+        fwd = _lstm_forward(self.enc_fwd, x)
+        bwd = _lstm_forward(self.enc_bwd, x[::-1])
+        h = np.empty((B, A, 2 * n), dtype=dt)
+        h[..., :n] = fwd[0][1:].transpose(1, 0, 2)
+        h[..., n:] = bwd[0][:0:-1].transpose(1, 0, 2)
+        final = np.concatenate([fwd[0][A], bwd[0][A]], axis=-1)
+        s0 = np.tanh(nm.check_finite(final @ self.init_W.data + self.init_b.data, "s0"))
+        if cache is not None:
+            cache.update(src_ids=src_ids, mask=mask, x=x, fwd=fwd, bwd=bwd, final=final, s0=s0)
         return h, s0
+
+    def _encode_backward(self, cache: dict, dh: np.ndarray, ds0: np.ndarray) -> None:
+        """Reverse pass of `encode` from dL/dh (B, A, 2n) and dL/ds0 (B, n)."""
+        n = self.config.cell_size
+        dpre = ds0 * (1.0 - cache["s0"] * cache["s0"])
+        self.init_W.accumulate(cache["final"].T @ dpre)
+        self.init_b.accumulate(dpre.sum(axis=0))
+        dfinal = dpre @ self.init_W.data.T
+        dh = dh.transpose(1, 0, 2)  # (A, B, 2n)
+        dh_fwd, dh_bwd = dh[..., :n].copy(), dh[::-1, :, n:].copy()  # in reading order
+        dh_fwd[-1] += dfinal[:, :n]
+        dh_bwd[-1] += dfinal[:, n:]
+        x = cache["x"]
+        dx = _lstm_backward(self.enc_fwd, x, cache["fwd"], dh_fwd)
+        dx += _lstm_backward(self.enc_bwd, x[::-1], cache["bwd"], dh_bwd)[::-1]
+        if cache["mask"] is not None:
+            dx *= cache["mask"]
+        _accumulate_rows(self.src_embed, cache["src_ids"].T, dx)
 
     def attend(self, h: np.ndarray, s_prev: np.ndarray,
                h_proj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,7 +243,7 @@ class AlignerModel:
         """
         alpha, ctx, act = self.attend(h, s_prev, h_proj)
         x = np.concatenate([e_cur, ctx], axis=-1)
-        gates, c, _, s = nm.lstm_cell(self.dec, x, s_prev, c_prev)
+        gates, c, _, s = nm.lstm_step(self.dec, x, s_prev, c_prev)
         return alpha, ctx, act, x, gates, c, s
 
     def decode(self, h: np.ndarray, h_proj: np.ndarray, s0: np.ndarray, tgt_ids: np.ndarray,
@@ -286,20 +302,19 @@ class AlignerModel:
         nm.check_finite(nll, "nll")
         if cache is not None:
             cache.update(
-                cur_ids=cur_ids, prev_ids=prev_ids, masks=masks, S=S, C=C, alphas=alphas,
+                h=h, cur_ids=cur_ids, prev_ids=prev_ids, masks=masks, S=S, C=C, alphas=alphas,
                 acts=np.stack(acts), xs=np.stack(xs), gates=np.stack(gates),
                 mix=mix.reshape(T * B, mix_dim),
                 winner=_first_max(blocks, hidden), hidden=hidden, ex=ex)
         return nll.reshape(T, B), alphas
 
-    def _decode_backward(self, cache: dict, dnll: np.ndarray, h: Tensor, h_proj: Tensor,
-                         s0: Tensor) -> None:
+    def _decode_backward(self, cache: dict, dnll: np.ndarray):
         """Reverse pass of `decode` from dL/dnll (T, B).
 
         Back-propagation through time covers only the cell and the
         attention read; every weight gradient is one matmul over the
         stacked steps. The last step's cell output is never read, so that
-        cell gets no gradient.
+        cell gets no gradient. Returns dL/dh, dL/dh_proj and dL/ds0.
         """
         cfg = self.config
         T, B = dnll.shape
@@ -324,14 +339,14 @@ class AlignerModel:
             dmix *= masks[1]
         de_prev, dctx_read = dmix[..., n: n + d], dmix[..., n + d:]
         # back-propagation through time: cell, then attention, per step
-        h_data, W2, v = h.data, self.attn_W2.data, self.attn_v.data
+        h, W2, v = cache["h"], self.attn_W2.data, self.attn_v.data
         tc = np.tanh(C[1:])
         dpre = np.zeros_like(gates)
         de_cur = np.zeros_like(de_prev)
         dctx = np.empty_like(dctx_read)
         dscore = np.empty_like(alphas)
         dsp = np.empty((T, B, n), dtype=dmix.dtype)
-        dh_proj = np.zeros_like(h_proj.data)
+        dh_proj = np.zeros(h.shape[:-1] + (n,), dtype=dmix.dtype)
         ds, dc = None, 0.0  # dL/d(state) and dL/d(cell) of what step t + 1 reads
         for t in reversed(range(T)):
             ds_t, dctx[t] = dmix[t, :, :n], dctx_read[t]
@@ -343,16 +358,13 @@ class AlignerModel:
                 de_cur[t], dctx[t] = dx[:, :d], dctx[t] + dx[:, d:]
                 ds_t = ds_t + dpre[t] @ self.dec.U.data.T
                 dc = dc * gates[t, :, n: 2 * n]
-            dalpha = (dctx[t][:, None, :] * h_data).sum(axis=-1)
+            dalpha = (dctx[t][:, None, :] * h).sum(axis=-1)
             a = alphas[t]
             dscore[t] = (dalpha - (dalpha * a).sum(axis=-1, keepdims=True)) * a / cfg.temperature
             dpre_attn = (dscore[t][:, :, None] * v[:, 0]) * (1.0 - acts[t] * acts[t])
             dh_proj += dpre_attn
             dsp[t] = dpre_attn.sum(axis=1)
             ds = ds_t + dsp[t] @ W2.T
-        s0.accumulate(ds)
-        h_proj.accumulate(dh_proj)
-        h.accumulate(alphas.transpose(1, 2, 0) @ dctx.transpose(1, 0, 2))
         self.attn_v.accumulate(acts.reshape(-1, n).T @ dscore.reshape(-1, 1))
         self.attn_W2.accumulate(S[:T].reshape(-1, n).T @ dsp.reshape(-1, n))
         self.attn_b2.accumulate(dsp.reshape(-1, n).sum(axis=0))
@@ -363,9 +375,9 @@ class AlignerModel:
             self.dec.b.accumulate(dpre.sum(axis=0))
         if masks is not None:
             de_prev, de_cur = de_prev * masks[0], de_cur * masks[2]
-        ids = np.concatenate([cache["prev_ids"], cache["cur_ids"]]).reshape(-1)
-        onehot = (np.arange(len(self.ul_vocab))[:, None] == ids).astype(de_cur.dtype)
-        self.tgt_embed.accumulate(onehot @ np.concatenate([de_prev, de_cur]).reshape(-1, d))
+        ids = np.concatenate([cache["prev_ids"], cache["cur_ids"]])
+        _accumulate_rows(self.tgt_embed, ids, np.concatenate([de_prev, de_cur]))
+        return alphas.transpose(1, 2, 0) @ dctx.transpose(1, 0, 2), dh_proj, ds
 
     def forward_batch(self, src_ids: np.ndarray, tgt_ids: np.ndarray, tgt_mask: np.ndarray,
                       rng=None, train: bool = False):
@@ -374,26 +386,78 @@ class AlignerModel:
         src_ids (B, A) with no padding (bucketed by source length);
         tgt_ids (B, T) PAD-padded, each row ending with EOS before the
         padding; tgt_mask (B, T) marks real positions. Returns the
-        scalar loss (mean over utterances of summed symbol NLL),
-        per-utterance losses, and the attention rows (T, B, A). The
-        decoder is one tape node whose parents are h, h W1, the initial
-        state and the decoder's parameters.
+        scalar loss (mean over utterances of summed symbol NLL), the
+        per-utterance losses (B,) and the attention rows (T, B, A). The
+        loss is the batch's only tape node; its parents are all the
+        parameters.
         """
-        h, s0 = self.encode(src_ids, rng=rng, train=train)
-        h_proj = nm.matmul(h, self.attn_W1)
-        cache: dict = {}
-        nll, alphas = self.decode(h.data, h_proj.data, s0.data, tgt_ids,
-                                  rng=rng, train=train, cache=cache)
+        enc, dec = {}, {}
+        h, s0 = self.encode(src_ids, rng=rng, train=train, cache=enc)
+        nll, alphas = self.decode(h, h @ self.attn_W1.data, s0, tgt_ids,
+                                  rng=rng, train=train, cache=dec)
         weights = tgt_mask.T.astype(self.config.np_dtype)
+        per_utt = (nll * weights).sum(axis=0)  # adds the steps in order
+        k = 1.0 / per_utt.size
 
         def bwd(g):
-            self._decode_backward(cache, g * weights, h, h_proj, s0)
+            dh, dh_proj, ds0 = self._decode_backward(dec, weights * (g * k))
+            n = self.config.cell_size
+            self.attn_W1.accumulate(h.reshape(-1, 2 * n).T @ dh_proj.reshape(-1, n))
+            self._encode_backward(enc, dh + dh_proj @ self.attn_W1.data.T, ds0)
 
-        params = (self.tgt_embed, self.attn_W2, self.attn_b2, self.attn_v, self.out_W1,
-                  self.out_b1, self.out_W2, self.out_b2, self.dec.W, self.dec.U, self.dec.b)
-        per_utt = Tensor((nll * weights).sum(axis=0),  # adds the steps in order
-                         parents=(h, h_proj, s0) + params, backward=bwd)
-        return nm.mean_all(per_utt), per_utt, alphas
+        loss = Tensor(nm.check_finite(np.asarray(per_utt.sum()) * k, "loss"),
+                      parents=tuple(self.parameters().values()), backward=bwd)
+        return loss, per_utt, alphas
+
+
+def _lstm_forward(params: nm.LSTMParams, x: np.ndarray):
+    """Run one cell over x (A, B, in) in order, from zero state and cell.
+
+    Returns (H, C, gates): H and C (A + 1, B, n) hold the state and
+    cell before step 0 and after each step, gates (A, B, 4n).
+    """
+    A, B, _ = x.shape
+    n = params.hidden_size
+    H = np.zeros((A + 1, B, n), dtype=x.dtype)
+    C = np.zeros_like(H)
+    gates = np.empty((A, B, 4 * n), dtype=x.dtype)
+    for i in range(A):
+        gates[i], C[i + 1], _, H[i + 1] = nm.lstm_step(params, x[i], H[i], C[i])
+    return H, C, gates
+
+
+def _lstm_backward(params: nm.LSTMParams, x: np.ndarray, run, dh: np.ndarray) -> np.ndarray:
+    """Back-propagation through time for `_lstm_forward`.
+
+    run is its (H, C, gates) and dh (A, B, n) the gradient each step's
+    state receives from outside the recurrence. Accumulates the cell's
+    weight gradients, each one matmul over all steps, and returns dL/dx.
+    """
+    H, C, gates = run
+    A, n = len(gates), params.hidden_size
+    tc = np.tanh(C[1:])
+    dpre = np.empty_like(gates)
+    ds, dc = dh[A - 1], 0.0  # dL/d(state), dL/d(cell) of step i
+    for i in reversed(range(A)):
+        if i < A - 1:
+            ds = dh[i] + dpre[i + 1] @ params.U.data.T
+        dc = dc + ds * gates[i, :, 2 * n: 3 * n] * (1.0 - tc[i] * tc[i])
+        dpre[i] = nm.lstm_cell_grad(gates[i], C[i], dc, ds * tc[i])
+        dc = dc * gates[i, :, n: 2 * n]
+    flat = dpre.reshape(-1, 4 * n)
+    params.W.accumulate(x.reshape(-1, x.shape[-1]).T @ flat)
+    params.U.accumulate(H[:A].reshape(-1, n).T @ flat)
+    params.b.accumulate(flat.sum(axis=0))
+    return dpre @ params.W.data.T
+
+
+def _accumulate_rows(table: Tensor, ids: np.ndarray, d_rows: np.ndarray) -> None:
+    """Add d_rows (..., d) to the gradient rows `ids` (...) of an embedding table.
+
+    A one-hot matmul, because np.add.at is more than ten times slower here.
+    """
+    onehot = (np.arange(len(table.data))[:, None] == ids.reshape(-1)).astype(d_rows.dtype)
+    table.accumulate(onehot @ d_rows.reshape(-1, table.data.shape[1]))
 
 
 def _first_max(blocks: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -480,7 +544,7 @@ def _decode_corpus(model: AlignerModel, corpus: ParallelCorpus):
         utts = [corpus.utterances[i] for i in batch]
         src, tgt, msk = _pack_batch(model, utts)
         h, s0 = model.encode(src)
-        nll, alphas = model.decode(h.data, h.data @ model.attn_W1.data, s0.data, tgt)
+        nll, alphas = model.decode(h, h @ model.attn_W1.data, s0, tgt)
         yield utts, msk, nll, alphas
 
 
@@ -545,7 +609,7 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
                 ) from exc
             grad_norms.append(nm.clip_global_norm(grads, config.clip_norm))
             nm.adam_update(params, grads, adam, lr=config.learning_rate)
-            train_nll += float(per_utt.data.sum())
+            train_nll += float(per_utt.sum())
             n_utts += len(utts)
         dev_loss, dev_ppl, dev_entropy = (
             evaluate_loss(model, corpus_dev) if len(corpus_dev)

@@ -18,9 +18,15 @@ import numpy as np
 from scipy.fftpack import dct
 from scipy.special import logsumexp
 
+from .numerics import ARCHIVE_ERRORS
+
 
 class AudError(ValueError):
     pass
+
+
+class AudConfigError(AudError):
+    """An AudConfig setting out of range: a config error, not a data error."""
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +152,13 @@ class AudConfig:
 
     def __post_init__(self):
         if self.num_units < 2:
-            raise AudError("need at least 2 units")
+            raise AudConfigError("need at least 2 units")
         if self.states_per_unit < 1 or self.mix_components < 1:
-            raise AudError("states and mixture components must be >= 1")
+            raise AudConfigError("states and mixture components must be >= 1")
         if self.gamma <= 0:
-            raise AudError("gamma must be positive")
+            raise AudConfigError("gamma must be positive")
+        if self.iterations < 1:
+            raise AudConfigError("need at least 1 iteration")
 
 
 @dataclass
@@ -576,21 +584,25 @@ def save_aud_model(path: str, model: AudModel) -> None:
 
 
 def load_aud_model(path: str) -> AudModel:
-    with np.load(path) as z:
-        c = z["config"]
-        config = AudConfig(
-            num_units=int(c[0]), states_per_unit=int(c[1]), mix_components=int(c[2]),
-            gamma=float(c[3]), iterations=int(c[4]), var_floor_frac=float(c[5]),
-            seed=int(c[6]),
-        )
-        return AudModel(
-            config=config,
-            log_pi=z["log_pi"],
-            stay=z["stay"],
-            mix_weights=z["mix_weights"],
-            means=z["means"],
-            variances=z["variances"],
-        )
+    """Read a `save_aud_model` file; AudError, naming the path, if it is not one."""
+    try:
+        with np.load(path) as z:
+            c = z["config"]
+            config = AudConfig(
+                num_units=int(c[0]), states_per_unit=int(c[1]), mix_components=int(c[2]),
+                gamma=float(c[3]), iterations=int(c[4]), var_floor_frac=float(c[5]),
+                seed=int(c[6]),
+            )
+            return AudModel(
+                config=config,
+                log_pi=z["log_pi"],
+                stay=z["stay"],
+                mix_weights=z["mix_weights"],
+                means=z["means"],
+                variances=z["variances"],
+            )
+    except ARCHIVE_ERRORS as e:
+        raise AudError("%s: not an AUD model (%s: %s)" % (path, type(e).__name__, e)) from None
 
 
 def save_features(path: str, feats_list: list) -> None:
@@ -602,10 +614,18 @@ def save_features(path: str, feats_list: list) -> None:
 
 
 def load_features(path: str) -> list:
+    """Read a `save_features` file; AudError, naming the path, if it is not one or is empty."""
     out = []
-    with np.load(path) as z:
-        ids = sorted(k[len("feat/"):] for k in z.files if k.startswith("feat/"))
-        for utt_id in ids:
-            step, length = z["time/" + utt_id]
-            out.append(FeatureSequence(utt_id, float(step), float(length), z["feat/" + utt_id]))
+    try:
+        with np.load(path) as z:
+            ids = sorted(k[len("feat/"):] for k in z.files if k.startswith("feat/"))
+            for utt_id in ids:
+                step, length = z["time/" + utt_id]
+                out.append(FeatureSequence(utt_id, float(step), float(length),
+                                           z["feat/" + utt_id]))
+    except ARCHIVE_ERRORS as e:
+        raise AudError("%s: not a feature archive (%s: %s)"
+                       % (path, type(e).__name__, e)) from None
+    if not out:
+        raise AudError("%s: no feature matrices" % path)
     return out

@@ -311,10 +311,12 @@ def cmd_synth(args) -> int:
 def cmd_mfcc(args) -> int:
     feats = []
     with open(args.wav_list, encoding="utf-8") as f:
-        entries = [line.split() for line in f if line.strip()]
-    for utt_id, path in entries:
-        signal, rate = aud_mod.read_wav(path)
-        feats.append(aud_mod.extract_mfcc(signal, rate, utt_id=utt_id))
+        entries = [(k, line.split()) for k, line in enumerate(f, 1) if line.strip()]
+    for k, fields in entries:
+        if len(fields) != 2:
+            raise aud_mod.AudError("%s:%d: expected `id wav-path`" % (args.wav_list, k))
+        signal, rate = aud_mod.read_wav(fields[1])
+        feats.append(aud_mod.extract_mfcc(signal, rate, utt_id=fields[0]))
     aud_mod.save_features(args.out, feats)
     write_manifest(args.out, "mfcc", [args.wav_list], {}, [args.out])
     print("extracted features for %d utterances" % len(feats))
@@ -633,7 +635,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, bl.BaselineError, al.AlignerConfigError) as e:
+    except (ConfigError, bl.BaselineError, al.AlignerConfigError, aud_mod.AudConfigError) as e:
         print("config error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
     except (cp.CorpusError, mt.MetricsError, sg.SegmenterError, aud_mod.AudError,

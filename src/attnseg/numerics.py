@@ -1,14 +1,15 @@
-"""Dense tensors and reverse-mode automatic differentiation.
+"""The LSTM cell on arrays, a minimal loss tape, the optimizer and checkpoints.
 
-Minimal tape-based autodiff over numpy arrays: just the operations the
-aligner's encoder needs (affine maps, tanh, concatenation, stacking,
-embedding lookup, dropout, the LSTM cell) and the mean of its loss. The
-decoder is one op of its own, built in `aligner` from the numpy cell
-forward and gradient defined here. Training arithmetic is float32 by
-default; gradient checks run the same code in float64.
+The aligner computes its forward passes on numpy arrays and derives
+their backward passes by hand (`aligner.AlignerModel.encode`, `decode`
+and their `_backward` passes), sharing the LSTM cell forward and
+gradient defined here. A training batch records one `Tensor`, its loss,
+whose backward fills the parameters' gradient buffers; `backward`
+returns them by name. Training arithmetic is float32 by default;
+gradient checks run the same code in float64.
 
-Any non-finite value produced by a public operation raises
-NumericsError immediately; values are never clamped silently.
+Any non-finite value produced by a forward pass raises NumericsError
+immediately; values are never clamped silently.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import zipfile
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -55,13 +56,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
-
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.array(g, dtype=self.data.dtype, copy=True)
@@ -72,136 +66,9 @@ class Tensor:
         return "Tensor(shape=%s%s)" % (self.data.shape, ", name=%r" % self.name if self.name else "")
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum gradient over axes that were broadcast in the forward pass."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
-def scale(a: Tensor, k: float) -> Tensor:
-    out_data = check_finite(a.data * k, "scale")
-
-    def bwd(g):
-        a.accumulate(g * k)
-
-    return Tensor(out_data, parents=(a,), backward=bwd)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise NumericsError(
-            "matmul shape mismatch: %s @ %s" % (a.data.shape, b.data.shape)
-        )
-    out_data = check_finite(a.data @ b.data, "matmul")
-
-    def bwd(g):
-        a.accumulate(g @ b.data.T)
-        # an N-d left operand acts as a stack of rows
-        b.accumulate(a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-
-    return Tensor(out_data, parents=(a, b), backward=bwd)
-
-
-def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """Affine map x @ W + b as one node; x (..., in), W (in, out), b (out,)."""
-    if x.data.shape[-1] != W.data.shape[0] or b.data.shape != W.data.shape[1:]:
-        raise NumericsError(
-            "linear shape mismatch: %s @ %s + %s" % (x.data.shape, W.data.shape, b.data.shape)
-        )
-    out_data = check_finite(x.data @ W.data + b.data, "linear")
-
-    def bwd(g):
-        x.accumulate(g @ W.data.T)
-        W.accumulate(x.data.reshape(-1, x.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        b.accumulate(_unbroadcast(g, b.data.shape))
-
-    return Tensor(out_data, parents=(x, W, b), backward=bwd)
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = check_finite(np.tanh(a.data), "tanh")
-
-    def bwd(g):
-        a.accumulate(g * (1.0 - y * y))
-
-    return Tensor(y, parents=(a,), backward=bwd)
-
-
-def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
-    out_data = check_finite(np.concatenate([p.data for p in parts], axis=axis), "concat")
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        for p, piece in zip(parts, np.split(g, splits, axis=axis)):
-            p.accumulate(piece)
-
-    return Tensor(out_data, parents=tuple(parts), backward=bwd)
-
-
-def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Join equally shaped tensors along a new axis."""
-    out_data = np.stack([p.data for p in parts], axis=axis)
-
-    def bwd(g):
-        for k, p in enumerate(parts):
-            p.accumulate(np.take(g, k, axis=axis))
-
-    return Tensor(out_data, parents=tuple(parts), backward=bwd)
-
-
-def rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Embedding lookup: gather rows of a (V, n) table by integer ids."""
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise NumericsError(
-            "row index out of range [0, %d)" % table.data.shape[0]
-        )
-    out_data = table.data[ids]
-
-    def bwd(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
-        table.accumulate(full)
-
-    return Tensor(out_data, parents=(table,), backward=bwd)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out_data = check_finite(np.asarray(a.data.sum()), "sum")
-
-    def bwd(g):
-        a.accumulate(np.broadcast_to(g, a.data.shape))
-
-    return Tensor(out_data, parents=(a,), backward=bwd)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    return scale(sum_all(a), 1.0 / a.data.size)
-
-
 def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.ndarray:
     """Inverted-dropout multipliers: 0 with probability `rate`, else 1/(1-rate)."""
     return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
-
-
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool = True) -> Tensor:
-    """Inverted dropout: scales by 1/(1-rate) at train time, identity at eval."""
-    if not 0.0 <= rate < 1.0:
-        raise NumericsError("dropout rate must be in [0, 1), got %r" % rate)
-    if not train or rate == 0.0:
-        return a
-    keep = dropout_mask(rng, a.data.shape, rate, a.data.dtype)
-    out_data = a.data * keep
-
-    def bwd(g):
-        a.accumulate(g * keep)
-
-    return Tensor(out_data, parents=(a,), backward=bwd)
 
 
 def backward(loss: Tensor) -> dict[str, np.ndarray]:
@@ -254,7 +121,7 @@ class LSTMParams:
         return {prefix + ".W": self.W, prefix + ".U": self.U, prefix + ".b": self.b}
 
 
-def lstm_cell(params: LSTMParams, x: np.ndarray, h: np.ndarray,
+def lstm_step(params: LSTMParams, x: np.ndarray, h: np.ndarray,
               c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The LSTM cell forward on arrays; x (B, in), h and c (B, n).
 
@@ -281,7 +148,7 @@ def lstm_cell_grad(gates: np.ndarray, c: np.ndarray, dc: np.ndarray, d_o) -> np.
     dc is dL/dc_new including the share that reaches c_new through
     h_new = o * tanh(c_new); d_o is dL/do (0 when h_new is not read).
     The caller passes dc * f on to c and the pre-activation gradient on
-    to x, h and the weights.
+    to x, h and the weights (`lstm_step` has no tape node of its own).
     """
     n = gates.shape[-1] // 4
     i, f, o, g = (gates[..., k * n: (k + 1) * n] for k in range(4))
@@ -291,47 +158,6 @@ def lstm_cell_grad(gates: np.ndarray, c: np.ndarray, dc: np.ndarray, d_o) -> np.
     dpre[..., 2 * n: 3 * n] = d_o * o * (1.0 - o)
     dpre[..., 3 * n:] = dc * i * (1.0 - g * g)
     return dpre
-
-
-def lstm_step(params: LSTMParams, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-    """Standard LSTM cell update; x (B, in), state (h, c) each (B, n).
-
-    One fused op with a hand-derived backward that records two tape
-    nodes: the new cell c, whose parents are x, h, c and the weights,
-    and the new state h = o * tanh(c), whose only parent is that c.
-    The h node runs first in the reverse pass; it adds its share to
-    dL/dc and leaves dL/do for the c node to turn into pre-activation
-    gradients. A loss that never reads h leaves dL/do at zero.
-    """
-    h, c = state
-    W, U, b = params.W, params.U, params.b
-    n = params.hidden_size
-    if x.data.shape[-1] != W.data.shape[0]:
-        raise NumericsError(
-            "lstm_step input dim %d != W rows %d" % (x.data.shape[-1], W.data.shape[0])
-        )
-    if h.data.shape[-1] != n or c.data.shape[-1] != n:
-        raise NumericsError("lstm_step state dim mismatch with cell size %d" % n)
-    gates, c_data, tc, h_data = lstm_cell(params, x.data, h.data, c.data)
-    f, o = gates[..., n: 2 * n], gates[..., 2 * n: 3 * n]
-    d_o = []  # dL/do from the h node's backward, consumed by the c node's
-
-    def c_bwd(dc):
-        dpre = lstm_cell_grad(gates, c.data, dc, d_o.pop() if d_o else 0.0)
-        c.accumulate(dc * f)
-        x.accumulate(dpre @ W.data.T)
-        W.accumulate(x.data.reshape(-1, x.data.shape[-1]).T @ dpre.reshape(-1, 4 * n))
-        h.accumulate(dpre @ U.data.T)
-        U.accumulate(h.data.reshape(-1, n).T @ dpre.reshape(-1, 4 * n))
-        b.accumulate(_unbroadcast(dpre, b.data.shape))
-
-    c_new = Tensor(c_data, parents=(x, h, c, W, U, b), backward=c_bwd)
-
-    def h_bwd(dh):
-        d_o.append(dh * tc)
-        c_new.accumulate(dh * o * (1.0 - tc * tc))
-
-    return Tensor(h_data, parents=(c_new,), backward=h_bwd), c_new
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +229,25 @@ def adam_update(
             raise NumericsError(
                 "gradient shape %s != parameter shape %s for %r" % (g.shape, p.data.shape, name)
             )
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        # p -= lr * mhat / (sqrt(vhat) + eps) with mhat = m / (1 - b1^t) and
+        # vhat = v / (1 - b2^t), in the textbook order but in two buffers
+        step, vhat = np.empty_like(m), np.empty_like(v)
         m *= b1
-        m += (1 - b1) * g
+        m += np.multiply(g, 1 - b1, out=step)
         v *= b2
-        v += (1 - b2) * g * g
-        mhat = m / (1 - b1 ** t)
-        vhat = v / (1 - b2 ** t)
-        p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype)
+        np.multiply(g, 1 - b2, out=vhat)
+        vhat *= g
+        v += vhat
+        np.divide(m, 1 - b1 ** t, out=step)
+        step *= lr
+        np.divide(v, 1 - b2 ** t, out=vhat)
+        np.sqrt(vhat, out=vhat)
+        vhat += eps
+        step /= vhat
+        p.data -= step
     return state
 
 
@@ -419,6 +255,9 @@ def adam_update(
 # Checkpoints
 
 CHECKPOINT_VERSION = 1
+
+# what np.load and reading its arrays raise on a file that is not the archive expected
+ARCHIVE_ERRORS = (ValueError, TypeError, KeyError, IndexError, EOFError, zipfile.BadZipFile)
 
 
 def save_checkpoint(path: str, params: dict[str, Tensor], meta: Optional[dict] = None) -> None:
@@ -437,7 +276,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
             version = int(z["__version__"])
             params = {k[len("param/"):]: z[k] for k in z.files if k.startswith("param/")}
             meta = {k[len("meta/"):]: z[k] for k in z.files if k.startswith("meta/")}
-    except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as e:
+    except ARCHIVE_ERRORS as e:
         raise ValueError("%s: not a checkpoint (%s: %s)"
                          % (path, type(e).__name__, e)) from None
     if version != CHECKPOINT_VERSION:

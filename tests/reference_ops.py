@@ -1,22 +1,192 @@
 """Tape ops and graphs that only the tests use.
 
-The aligner's decoder is one fused op with a hand-derived backward, so
-these primitives have no caller in the package. They are the building
-blocks of the reference graphs the fused code is checked against:
-`tape_attend` and `reference_decode_step` build the decoder one step at
-a time on the tape, one node per primitive, and `reference_forward_batch`
-runs them over a whole batch as the oracle for
-`AlignerModel.forward_batch`.
+The aligner runs its encoder and decoder on arrays with hand-derived
+backward passes, so these primitives have no caller in the package.
+They are the building blocks of the reference graphs the array code is
+checked against: `reference_encode` builds the bidirectional encoder
+one position at a time on the tape, `tape_attend` and
+`reference_decode_step` build the decoder one step at a time, one node
+per primitive, and `reference_forward_batch` runs them over a whole
+batch as the oracle for `AlignerModel.forward_batch`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from attnseg import numerics as nm
-from attnseg.numerics import NumericsError, Tensor, _unbroadcast, check_finite
+from attnseg.aligner import AlignerError
+from attnseg.numerics import NumericsError, Tensor, check_finite
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum gradient over axes that were broadcast in the forward pass."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g
+
+
+def scale(a: Tensor, k: float) -> Tensor:
+    out_data = check_finite(a.data * k, "scale")
+
+    def bwd(g):
+        a.accumulate(g * k)
+
+    return Tensor(out_data, parents=(a,), backward=bwd)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.shape[-1] != b.data.shape[0]:
+        raise NumericsError(
+            "matmul shape mismatch: %s @ %s" % (a.data.shape, b.data.shape)
+        )
+    out_data = check_finite(a.data @ b.data, "matmul")
+
+    def bwd(g):
+        a.accumulate(g @ b.data.T)
+        # an N-d left operand acts as a stack of rows
+        b.accumulate(a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+
+    return Tensor(out_data, parents=(a, b), backward=bwd)
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """Affine map x @ W + b as one node; x (..., in), W (in, out), b (out,)."""
+    if x.data.shape[-1] != W.data.shape[0] or b.data.shape != W.data.shape[1:]:
+        raise NumericsError(
+            "linear shape mismatch: %s @ %s + %s" % (x.data.shape, W.data.shape, b.data.shape)
+        )
+    out_data = check_finite(x.data @ W.data + b.data, "linear")
+
+    def bwd(g):
+        x.accumulate(g @ W.data.T)
+        W.accumulate(x.data.reshape(-1, x.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        b.accumulate(_unbroadcast(g, b.data.shape))
+
+    return Tensor(out_data, parents=(x, W, b), backward=bwd)
+
+
+def tanh(a: Tensor) -> Tensor:
+    y = check_finite(np.tanh(a.data), "tanh")
+
+    def bwd(g):
+        a.accumulate(g * (1.0 - y * y))
+
+    return Tensor(y, parents=(a,), backward=bwd)
+
+
+def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
+    out_data = check_finite(np.concatenate([p.data for p in parts], axis=axis), "concat")
+    sizes = [p.data.shape[axis] for p in parts]
+    splits = np.cumsum(sizes)[:-1]
+
+    def bwd(g):
+        for p, piece in zip(parts, np.split(g, splits, axis=axis)):
+            p.accumulate(piece)
+
+    return Tensor(out_data, parents=tuple(parts), backward=bwd)
+
+
+def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join equally shaped tensors along a new axis."""
+    out_data = np.stack([p.data for p in parts], axis=axis)
+
+    def bwd(g):
+        for k, p in enumerate(parts):
+            p.accumulate(np.take(g, k, axis=axis))
+
+    return Tensor(out_data, parents=tuple(parts), backward=bwd)
+
+
+def rows(table: Tensor, ids: np.ndarray) -> Tensor:
+    """Embedding lookup: gather rows of a (V, n) table by integer ids."""
+    ids = np.asarray(ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
+        raise NumericsError(
+            "row index out of range [0, %d)" % table.data.shape[0]
+        )
+    out_data = table.data[ids]
+
+    def bwd(g):
+        full = np.zeros_like(table.data)
+        np.add.at(full, ids, g)
+        table.accumulate(full)
+
+    return Tensor(out_data, parents=(table,), backward=bwd)
+
+
+def sum_all(a: Tensor) -> Tensor:
+    out_data = check_finite(np.asarray(a.data.sum()), "sum")
+
+    def bwd(g):
+        a.accumulate(np.broadcast_to(g, a.data.shape))
+
+    return Tensor(out_data, parents=(a,), backward=bwd)
+
+
+def mean_all(a: Tensor) -> Tensor:
+    return scale(sum_all(a), 1.0 / a.data.size)
+
+
+def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool = True) -> Tensor:
+    """Inverted dropout: scales by 1/(1-rate) at train time, identity at eval."""
+    if not 0.0 <= rate < 1.0:
+        raise NumericsError("dropout rate must be in [0, 1), got %r" % rate)
+    if not train or rate == 0.0:
+        return a
+    keep = nm.dropout_mask(rng, a.data.shape, rate, a.data.dtype)
+    out_data = a.data * keep
+
+    def bwd(g):
+        a.accumulate(g * keep)
+
+    return Tensor(out_data, parents=(a,), backward=bwd)
+
+
+def lstm_step(params: nm.LSTMParams, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
+    """Standard LSTM cell update; x (B, in), state (h, c) each (B, n).
+
+    One fused op with a hand-derived backward that records two tape
+    nodes: the new cell c, whose parents are x, h, c and the weights,
+    and the new state h = o * tanh(c), whose only parent is that c.
+    The h node runs first in the reverse pass; it adds its share to
+    dL/dc and leaves dL/do for the c node to turn into pre-activation
+    gradients. A loss that never reads h leaves dL/do at zero.
+    """
+    h, c = state
+    W, U, b = params.W, params.U, params.b
+    n = params.hidden_size
+    if x.data.shape[-1] != W.data.shape[0]:
+        raise NumericsError(
+            "lstm_step input dim %d != W rows %d" % (x.data.shape[-1], W.data.shape[0])
+        )
+    if h.data.shape[-1] != n or c.data.shape[-1] != n:
+        raise NumericsError("lstm_step state dim mismatch with cell size %d" % n)
+    gates, c_data, tc, h_data = nm.lstm_step(params, x.data, h.data, c.data)
+    f, o = gates[..., n: 2 * n], gates[..., 2 * n: 3 * n]
+    d_o = []  # dL/do from the h node's backward, consumed by the c node's
+
+    def c_bwd(dc):
+        dpre = nm.lstm_cell_grad(gates, c.data, dc, d_o.pop() if d_o else 0.0)
+        c.accumulate(dc * f)
+        x.accumulate(dpre @ W.data.T)
+        W.accumulate(x.data.reshape(-1, x.data.shape[-1]).T @ dpre.reshape(-1, 4 * n))
+        h.accumulate(dpre @ U.data.T)
+        U.accumulate(h.data.reshape(-1, n).T @ dpre.reshape(-1, 4 * n))
+        b.accumulate(_unbroadcast(dpre, b.data.shape))
+
+    c_new = Tensor(c_data, parents=(x, h, c, W, U, b), backward=c_bwd)
+
+    def h_bwd(dh):
+        d_o.append(dh * tc)
+        c_new.accumulate(dh * o * (1.0 - tc * tc))
+
+    return Tensor(h_data, parents=(c_new,), backward=h_bwd), c_new
 
 
 def tensor(data, requires_grad: bool = False, name: Optional[str] = None) -> Tensor:
@@ -164,7 +334,46 @@ def maxout(a: Tensor, pool_size: int = 2) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# The per-step decoder graph
+# The per-position encoder and per-step decoder graphs
+
+def reference_encode(model, src_ids: np.ndarray, rng=None,
+                     train: bool = False) -> tuple[Tensor, Tensor]:
+    """Bidirectional encoding of (B, A) source ids.
+
+    Returns the states h (B, A, 2n), forward then backward half, and
+    the initial decoder state (nonlinear transform of the final
+    forward/backward states).
+    """
+    src_ids = np.atleast_2d(np.asarray(src_ids))
+    if src_ids.size == 0:
+        raise AlignerError("empty source sequence")
+    if src_ids.min() < 0 or src_ids.max() >= len(model.wrl_vocab):
+        raise AlignerError("source id outside vocabulary range")
+    B, A = src_ids.shape
+    n = model.config.cell_size
+    dt = model.config.np_dtype
+    zeros = Tensor(np.zeros((B, n), dtype=dt))
+    emb = []
+    for i in range(A):
+        e = rows(model.src_embed, src_ids[:, i])
+        if train and model.config.dropout > 0:
+            e = dropout(e, model.config.dropout, rng, train=True)
+        emb.append(e)
+    hf, cf = zeros, zeros
+    fwd = []
+    for i in range(A):
+        hf, cf = lstm_step(model.enc_fwd, emb[i], (hf, cf))
+        fwd.append(hf)
+    hb, cb = zeros, zeros
+    bwd = [None] * A
+    for i in reversed(range(A)):
+        hb, cb = lstm_step(model.enc_bwd, emb[i], (hb, cb))
+        bwd[i] = hb
+    h = concat([stack(fwd, axis=1), stack(bwd, axis=1)], axis=-1)
+    final = concat([fwd[-1], bwd[0]], axis=-1)
+    s0 = tanh(linear(final, model.init_W, model.init_b))
+    return h, s0
+
 
 def tape_attend(model, h: Tensor, s_prev: Tensor,
                 h_proj: Optional[Tensor] = None) -> tuple[Tensor, Tensor]:
@@ -175,10 +384,10 @@ def tape_attend(model, h: Tensor, s_prev: Tensor,
     """
     B, A, _ = h.shape
     if h_proj is None:
-        h_proj = nm.matmul(h, model.attn_W1)
-    sp = nm.linear(s_prev, model.attn_W2, model.attn_b2)
-    pre = nm.tanh(add(h_proj, reshape(sp, (B, 1, -1))))
-    e = reshape(nm.matmul(pre, model.attn_v), (B, A))
+        h_proj = matmul(h, model.attn_W1)
+    sp = linear(s_prev, model.attn_W2, model.attn_b2)
+    pre = tanh(add(h_proj, reshape(sp, (B, 1, -1))))
+    e = reshape(matmul(pre, model.attn_v), (B, A))
     alpha = softmax_with_temperature(e, model.config.temperature)
     ctx = sum_axis(mul(reshape(alpha, (B, A, 1)), h), axis=1)
     return alpha, ctx
@@ -195,30 +404,31 @@ def reference_decode_step(model, s_prev: tuple[Tensor, Tensor], w_prev: np.ndarr
     drop = train and cfg.dropout > 0
     s_h, s_c = s_prev
     alpha, ctx = tape_attend(model, h, s_h, h_proj)
-    e_prev = nm.rows(model.tgt_embed, w_prev)
+    e_prev = rows(model.tgt_embed, w_prev)
     if drop:
-        e_prev = nm.dropout(e_prev, cfg.dropout, rng, train=True)
-    mix = nm.concat([s_h, e_prev, ctx], axis=-1)
+        e_prev = dropout(e_prev, cfg.dropout, rng, train=True)
+    mix = concat([s_h, e_prev, ctx], axis=-1)
     if drop:
-        mix = nm.dropout(mix, cfg.dropout, rng, train=True)
-    hidden = maxout(nm.linear(mix, model.out_W1, model.out_b1), cfg.maxout_pool)
-    logits = nm.linear(hidden, model.out_W2, model.out_b2)
-    e_cur = nm.rows(model.tgt_embed, w_cur)
+        mix = dropout(mix, cfg.dropout, rng, train=True)
+    hidden = maxout(linear(mix, model.out_W1, model.out_b1), cfg.maxout_pool)
+    logits = linear(hidden, model.out_W2, model.out_b2)
+    e_cur = rows(model.tgt_embed, w_cur)
     if drop:
-        e_cur = nm.dropout(e_cur, cfg.dropout, rng, train=True)
-    s_new = nm.lstm_step(model.dec, nm.concat([e_cur, ctx], axis=-1), (s_h, s_c))
+        e_cur = dropout(e_cur, cfg.dropout, rng, train=True)
+    s_new = lstm_step(model.dec, concat([e_cur, ctx], axis=-1), (s_h, s_c))
     return logits, alpha, s_new
 
 
 def reference_forward_batch(model, src_ids, tgt_ids, tgt_mask, rng=None, train=False):
-    """`AlignerModel.forward_batch` built from the per-step tape graph.
+    """`AlignerModel.forward_batch` built from the per-position tape graphs.
 
-    Returns (loss, per-utterance losses, list of T alpha tensors (B, A)).
+    Returns, like it, (loss, per-utterance losses (B,), alphas (T, B, A));
+    only the loss is a Tensor.
     """
     B, T = tgt_ids.shape
     dt = model.config.np_dtype
-    h, s0 = model.encode(src_ids, rng=rng, train=train)
-    h_proj = nm.matmul(h, model.attn_W1)
+    h, s0 = reference_encode(model, src_ids, rng=rng, train=train)
+    h_proj = matmul(h, model.attn_W1)
     state = (s0, Tensor(np.zeros((B, model.config.cell_size), dtype=dt)))
     prev = np.full(B, model.ul_vocab.bos_id, dtype=np.int64)
     step_losses, alphas = [], []
@@ -229,6 +439,6 @@ def reference_forward_batch(model, src_ids, tgt_ids, tgt_mask, rng=None, train=F
         step_losses.append(cross_entropy(logits, cur))
         alphas.append(alpha)
         prev = cur
-    masked = mul(nm.stack(step_losses, axis=0), Tensor(tgt_mask.T.astype(dt)))
+    masked = mul(stack(step_losses, axis=0), Tensor(tgt_mask.T.astype(dt)))
     per_utt = sum_axis(masked, axis=0)
-    return nm.mean_all(per_utt), per_utt, alphas
+    return mean_all(per_utt), per_utt.data, np.stack([a.data for a in alphas])

