@@ -411,7 +411,7 @@ def map_objective(model: AudModel, loglik: float) -> float:
 
 def train_phone_loop(
     feats_list: list[FeatureSequence], config: AudConfig,
-    model: Optional[AudModel] = None, quiet: bool = True,
+    model: Optional[AudModel] = None,
 ) -> tuple[AudModel, list[float]]:
     """MAP-EM (Baum-Welch with Dirichlet MAP update for the unit weights).
 
@@ -426,14 +426,11 @@ def train_phone_loop(
     X = np.concatenate([f.features for f in feats_list], axis=0)
     var_floor = np.maximum(X.var(axis=0) * config.var_floor_frac, 1e-10)
     objectives = []
-    for it in range(config.iterations):
+    for _ in range(config.iterations):
         stats = _Stats.zeros(U, S, M, D)
         for f in feats_list:
             _estep_utterance(model, f.features, stats)
         objectives.append(map_objective(model, stats.loglik))
-        if not quiet:
-            print("iter %d  objective %.4f  active units %d"
-                  % (it + 1, objectives[-1], len(model.active_units())))
         # M-step: MAP unit weights
         raw = np.maximum(0.0, stats.unit_entries + config.gamma - 1.0)
         raw[~np.isfinite(model.log_pi)] = 0.0

@@ -38,6 +38,10 @@ class ConfigError(ValueError):
     pass
 
 
+# exceptions that `main` reports as config errors (exit 2)
+CONFIG_ERRORS = (ConfigError, bl.BaselineError, al.AlignerConfigError, aud_mod.AudConfigError)
+
+
 # ---------------------------------------------------------------------------
 # Synthetic corpus generation
 
@@ -183,19 +187,22 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _write_json(path: str, obj, sort_keys: bool = False) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=sort_keys)
+        f.write("\n")
+
+
 def write_manifest(artifact: str, stage: str, inputs: list[str], config: dict,
                    outputs: list[str]) -> None:
     cfg_json = json.dumps(config, sort_keys=True)
-    manifest = {
+    _write_json(artifact + ".manifest.json", {
         "stage": stage,
         "inputs": {p: _sha256(p) for p in inputs if os.path.exists(p)},
         "config": config,
         "config_hash": hashlib.sha256(cfg_json.encode()).hexdigest(),
         "outputs": {p: _sha256(p) for p in outputs if os.path.exists(p)},
-    }
-    with open(artifact + ".manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    }, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +215,7 @@ def save_aligner_bundle(ckpt_path: str, model: al.AlignerModel) -> None:
         "wrl_tokens": model.wrl_vocab.tokens(),
         "ul_tokens": model.ul_vocab.tokens(),
     }
-    with open(ckpt_path + ".json", "w", encoding="utf-8") as f:
-        json.dump(sidecar, f, indent=2)
-        f.write("\n")
+    _write_json(ckpt_path + ".json", sidecar)
 
 
 def load_aligner_bundle(ckpt_path: str) -> al.AlignerModel:
@@ -220,87 +225,124 @@ def load_aligner_bundle(ckpt_path: str) -> al.AlignerModel:
             sidecar = json.load(f)
             config, wrl_tokens, ul_tokens = (
                 sidecar[k] for k in ("config", "wrl_tokens", "ul_tokens"))
+            if not isinstance(config, dict):
+                raise TypeError("config is not an object")
         except (ValueError, KeyError, TypeError) as e:
             raise cp.CorpusError("%s: not an aligner sidecar (%s: %s)"
                                  % (sidecar_path, type(e).__name__, e)) from None
-    unknown = set(config) - {f.name for f in dataclasses.fields(al.AlignerConfig)}
-    if unknown:
-        raise cp.CorpusError("%s: unknown config key(s) %s"
-                             % (sidecar_path, ", ".join(sorted(unknown))))
     try:  # a bad setting, or one the parameters in the .npz do not fit
-        config = al.AlignerConfig(**config)
+        config = _coerce(al.AlignerConfig, config, strings=False)
         return al.load_model(ckpt_path, config,
                              cp.Vocabulary(wrl_tokens), cp.Vocabulary(ul_tokens))
-    except al.AlignerError as e:
+    except (ConfigError, al.AlignerError) as e:
         raise cp.CorpusError("%s: %s" % (sidecar_path, e)) from None
     except ValueError as e:  # the .npz itself is not a readable checkpoint
         raise cp.CorpusError(str(e)) from None
 
 
 # ---------------------------------------------------------------------------
-# Segmentation file parsing (hypothesis side)
+# Configs from outside: INI sections, command-line flags and checkpoint sidecars.
+# Each config value is declared once, as a dataclass field; the INI key is the
+# field name and so, with `-` for `_`, is the flag (bar FLAG_SPELLINGS).
 
-def load_hyp_segmentations(corpus: cp.ParallelCorpus, path: str,
-                           delimiter: str | None = None) -> dict[str, cp.Segmentation]:
-    seg_corpus = cp.load_gold_segmentation(corpus, path, delimiter=delimiter)
-    return {u.id: u.gold_boundaries for u in seg_corpus}
-
-
-# ---------------------------------------------------------------------------
-# Config files (flat INI, every CLI flag overrides its config key)
-
-def load_config_file(path: str) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser()
-    try:
-        read = parser.read(path)
-    except configparser.Error as e:
-        raise ConfigError(" ".join(str(e).split())) from None
-    if not read:
-        raise ConfigError("config file %s not found" % path)
-    return {sec: dict(parser.items(sec)) for sec in parser.sections()}
+FLAG_SPELLINGS = {"corpus_size": "--size", "num_units": "--units",
+                  "states_per_unit": "--states", "mix_components": "--mix"}
+_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
 
-def _number(kind, key: str, raw: str):
-    """int(raw) or float(raw); a value that is not a number is a config error."""
+def _field_value(key: str, annotation: str, raw, strings: bool):
+    """`raw` as the type its field is annotated with (`int`, `float`, `bool`, `str`
+    or `Optional[...]` of one); a value that does not fit is a config error."""
+    optional = annotation.startswith("Optional[")
+    kind = _TYPES[annotation[len("Optional["):-1] if optional else annotation]
+    if not strings:  # JSON: an integer may stand for a float, but a boolean is no number
+        if type(raw) is kind or (raw is None and optional):
+            return raw
+        if kind is float and type(raw) is int:
+            return float(raw)
+        raise ConfigError("%s = %s is not of type %s" % (key, json.dumps(raw), annotation))
+    if kind is bool:
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        except KeyError:
+            raise ConfigError("%s = %r is not a boolean" % (key, raw)) from None
     try:
         return kind(raw)
     except ValueError:
         raise ConfigError("%s = %r is not a number" % (key, raw)) from None
 
 
-def _coerce(cls, section: dict[str, str]):
-    """Build a dataclass config from string values in an INI section."""
+def _coerce(cls, values: dict, strings: bool = True):
+    """Build config dataclass `cls` from outside values, checked by field annotation.
+
+    `strings`: INI or argv text, parsed (booleans as configparser spells
+    them); otherwise JSON values, which must already have the field's type.
+    """
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
     kwargs = {}
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    for key, raw in section.items():
+    for key, raw in values.items():
         if key not in fields:
             raise ConfigError("unknown config key %r for %s" % (key, cls.__name__))
-        ftype = fields[key].type
-        if ftype in ("int", int, "Optional[int]"):
-            kwargs[key] = _number(int, key, raw)
-        elif ftype in ("float", float):
-            kwargs[key] = _number(float, key, raw)
-        elif ftype in ("bool", bool):
-            try:
-                kwargs[key] = configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-            except KeyError:
-                raise ConfigError("%s = %r is not a boolean" % (key, raw)) from None
-        else:
-            kwargs[key] = raw
+        kwargs[key] = _field_value(key, fields[key], raw, strings)
     return cls(**kwargs)
+
+
+def _config_flags(parser: argparse.ArgumentParser, names: str) -> None:
+    """One flag per named config field; a flag left out keeps the field's default."""
+    for name in names.split():
+        parser.add_argument(FLAG_SPELLINGS.get(name, "--" + name.replace("_", "-")),
+                            dest="config." + name, metavar=name.upper(),
+                            default=argparse.SUPPRESS)
+
+
+def _flag_values(args) -> dict[str, str]:
+    """The config fields given as flags, as strings for `_coerce`."""
+    return {k[len("config."):]: v for k, v in vars(args).items() if k.startswith("config.")}
+
+
+@dataclass
+class PipelineConfig:
+    runs: int = 5
+    out_dir: str = "pipeline_out"
+
+    def __post_init__(self):
+        if self.runs < 1:
+            raise ConfigError("runs must be >= 1")
+
+
+def load_config_file(path: str) -> dict[str, dict[str, str]]:
+    parser = configparser.ConfigParser()
+    try:
+        read = parser.read(path, encoding="utf-8")
+        sections = {sec: dict(parser.items(sec)) for sec in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise ConfigError(" ".join(str(e).split())) from None
+    if not read:
+        raise ConfigError("config file %s not found" % path)
+    return sections
+
+
+def pipeline_configs(path: str, flags: dict[str, str]):
+    """(pipeline, synth, aligner, dpseg or None) configs from an INI file.
+
+    Sections: [pipeline], [synth], [aligner] and, to run the dpseg
+    baseline, [dpseg]. `flags` override [pipeline] keys.
+    """
+    sections = load_config_file(path)
+    unknown = sorted(set(sections) - {"pipeline", "synth", "aligner", "dpseg"})
+    if unknown:
+        raise ConfigError("unknown config section(s) %s in %s" % (", ".join(unknown), path))
+    return (_coerce(PipelineConfig, {**sections.get("pipeline", {}), **flags}),
+            _coerce(SynthConfig, sections.get("synth", {})),
+            _coerce(al.AlignerConfig, sections.get("aligner", {})),
+            _coerce(bl.DpsegConfig, sections["dpseg"]) if "dpseg" in sections else None)
 
 
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(
-        lexicon_size=args.lexicon_size, word_len_min=args.word_len_min,
-        word_len_max=args.word_len_max, sent_len_min=args.sent_len_min,
-        sent_len_max=args.sent_len_max, corpus_size=args.size,
-        alphabet_size=args.alphabet_size, sub_rate=args.sub_rate,
-        del_rate=args.del_rate, ins_rate=args.ins_rate, seed=args.seed,
-    )
+    cfg = _coerce(SynthConfig, _flag_values(args))
     corpus = synth_corpus(cfg)
     paths = write_synth_corpus(corpus, args.out_dir)
     write_manifest(paths["ul"], "synth", [], dataclasses.asdict(cfg), list(paths.values()))
@@ -324,16 +366,17 @@ def cmd_mfcc(args) -> int:
 
 
 def cmd_aud_train(args) -> int:
+    cfg = _coerce(aud_mod.AudConfig, _flag_values(args))
     feats = aud_mod.load_features(args.features)
-    cfg = aud_mod.AudConfig(num_units=args.units, states_per_unit=args.states,
-                            mix_components=args.mix, gamma=args.gamma,
-                            iterations=args.iterations, seed=args.seed)
-    model, objectives = aud_mod.train_phone_loop(feats, cfg, quiet=args.quiet)
+    model, objectives = aud_mod.train_phone_loop(feats, cfg)
     aud_mod.save_aud_model(args.out, model)
+    _write_json(args.out + ".log.json",
+                {"active_units": model.num_units, "objectives": objectives})
     write_manifest(args.out, "aud-train", [args.features],
                    dataclasses.asdict(cfg), [args.out])
-    print("trained phone loop: %d active units, final objective %.4f"
-          % (model.num_units, objectives[-1]))
+    if not args.quiet:
+        print("trained phone loop: %d active units, final objective %.4f"
+              % (model.num_units, objectives[-1]))
     return EXIT_OK
 
 
@@ -347,25 +390,15 @@ def cmd_aud_decode(args) -> int:
     return EXIT_OK
 
 
-def _aligner_config_from_args(args) -> al.AlignerConfig:
-    return al.AlignerConfig(
-        cell_size=args.cell_size, temperature=args.temperature,
-        dropout=args.dropout, batch_size=args.batch_size,
-        learning_rate=args.learning_rate, max_epochs=args.max_epochs,
-        patience=args.patience, seed=args.seed,
-    )
-
-
 def cmd_train_aligner(args) -> int:
+    config = _coerce(al.AlignerConfig, _flag_values(args))
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
-    config = _aligner_config_from_args(args)
     train, dev = cp.split_train_dev(corpus, args.dev_fraction, args.split_seed)
     model, log = al.train(train, dev, config)
     save_aligner_bundle(args.out, model)
-    with open(args.out + ".log.json", "w", encoding="utf-8") as f:
-        json.dump({"best_epoch": log.best_epoch, "best_dev_loss": log.best_dev_loss,
-                   "epochs": log.epochs}, f, indent=2)
-        f.write("\n")
+    _write_json(args.out + ".log.json", {"best_epoch": log.best_epoch,
+                                         "best_dev_loss": log.best_dev_loss,
+                                         "epochs": log.epochs})
     cfg = dataclasses.asdict(config)
     cfg.update({"dev_fraction": args.dev_fraction, "split_seed": args.split_seed})
     write_manifest(args.out, "train-aligner", [args.ul, args.wrl], cfg,
@@ -390,10 +423,8 @@ def cmd_segment(args) -> int:
     segs = sg.segment_corpus(runs, smooth=not args.no_smooth)
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
     cp.write_segmentations(corpus, segs, args.out, delimiter=args.delimiter or None)
-    sidecar = {utt_id: sorted(s.boundaries) for utt_id, s in segs.items()}
-    with open(args.out + ".boundaries.json", "w", encoding="utf-8") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(args.out + ".boundaries.json",
+                {utt_id: sorted(s.boundaries) for utt_id, s in segs.items()}, sort_keys=True)
     write_manifest(args.out, "segment", list(args.matrices) + [args.ul, args.wrl],
                    {"smooth": not args.no_smooth, "runs": len(runs)}, [args.out])
     print("segmented %d utterances" % len(segs))
@@ -409,10 +440,8 @@ def cmd_baseline_proportional(args) -> int:
 
 
 def cmd_baseline_dpseg(args) -> int:
+    cfg = _coerce(bl.DpsegConfig, _flag_values(args))
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
-    cfg = bl.DpsegConfig(order=args.order, alpha0=args.alpha0, alpha1=args.alpha1,
-                         p_boundary=args.p_boundary, iterations=args.iterations,
-                         sample_average=args.sample_average, seed=args.seed)
     segs = bl.dpseg_segment_corpus(corpus, cfg)
     cp.write_segmentations(corpus, segs, args.out, delimiter=args.delimiter or None)
     write_manifest(args.out, "baseline-dpseg", [args.ul, args.wrl],
@@ -425,9 +454,9 @@ def cmd_evaluate(args) -> int:
     if not os.path.exists(args.gold):
         raise cp.CorpusError("gold file %s does not exist" % args.gold)
     corpus = cp.load_gold_segmentation(corpus, args.gold, delimiter=args.delimiter or None)
-    hyp = load_hyp_segmentations(
-        cp.ParallelCorpus(corpus.utterances, corpus.ul_vocab, corpus.wrl_vocab),
-        args.hyp, delimiter=args.delimiter or None)
+    hyp = {u.id: u.gold_boundaries
+           for u in cp.load_gold_segmentation(corpus, args.hyp,
+                                              delimiter=args.delimiter or None)}
     gold = mt.gold_segmentations(corpus)
     report = mt.evaluate(hyp, gold, corpus)
     mt.write_report(report, args.out, args.out + ".json")
@@ -454,12 +483,9 @@ def cmd_plot(args) -> int:
 def cmd_pipeline(args) -> int:
     """Full toy pipeline from an INI config: synth -> k trainings -> average
     -> segment -> baselines -> evaluate."""
-    sections = load_config_file(args.config)
-    out_dir = sections.get("pipeline", {}).get("out_dir", args.out_dir or "pipeline_out")
-    runs = _number(int, "runs", sections.get("pipeline", {}).get("runs", "5"))
-    synth_cfg = _coerce(SynthConfig, sections.get("synth", {}))
-    aligner_cfg = _coerce(al.AlignerConfig, sections.get("aligner", {}))
-    dp_cfg = _coerce(bl.DpsegConfig, sections["dpseg"]) if "dpseg" in sections else None
+    pipe_cfg, synth_cfg, aligner_cfg, dp_cfg = pipeline_configs(args.config,
+                                                                _flag_values(args))
+    out_dir = pipe_cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
     corpus = synth_corpus(synth_cfg)
@@ -470,7 +496,7 @@ def cmd_pipeline(args) -> int:
     corpus = cp.load_parallel_corpus(paths["ul"], paths["wrl"])
     corpus = cp.load_gold_segmentation(corpus, paths["gold"])
     matrices_paths = []
-    for run in range(runs):
+    for run in range(pipe_cfg.runs):
         # split resampling across runs, as in the multi-run averaging protocol
         train, dev = cp.split_train_dev(corpus, 0.1, seed=synth_cfg.seed + run)
         run_cfg = dataclasses.replace(aligner_cfg, seed=aligner_cfg.seed + run)
@@ -512,17 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("synth", help="generate a synthetic parallel corpus")
     s.add_argument("--out-dir", required=True)
-    s.add_argument("--lexicon-size", type=int, default=20)
-    s.add_argument("--word-len-min", type=int, default=2)
-    s.add_argument("--word-len-max", type=int, default=5)
-    s.add_argument("--sent-len-min", type=int, default=2)
-    s.add_argument("--sent-len-max", type=int, default=6)
-    s.add_argument("--size", type=int, default=500)
-    s.add_argument("--alphabet-size", type=int, default=12)
-    s.add_argument("--sub-rate", type=float, default=0.0)
-    s.add_argument("--del-rate", type=float, default=0.0)
-    s.add_argument("--ins-rate", type=float, default=0.0)
-    s.add_argument("--seed", type=int, default=0)
+    _config_flags(s, "lexicon_size word_len_min word_len_max sent_len_min sent_len_max "
+                     "corpus_size alphabet_size sub_rate del_rate ins_rate seed")
     s.set_defaults(func=cmd_synth)
 
     s = sub.add_parser("mfcc", help="extract MFCC+delta+delta-delta features")
@@ -533,13 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("aud-train", help="train the phone-loop AUD model")
     s.add_argument("--features", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--units", type=int, default=100)
-    s.add_argument("--states", type=int, default=3)
-    s.add_argument("--mix", type=int, default=2)
-    s.add_argument("--gamma", type=float, default=0.5)
-    s.add_argument("--iterations", type=int, default=10)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--quiet", action="store_true")
+    _config_flags(s, "num_units states_per_unit mix_components gamma iterations seed")
+    s.add_argument("--quiet", action="store_true", help="do not print the summary line")
     s.set_defaults(func=cmd_aud_train)
 
     s = sub.add_parser("aud-decode", help="Viterbi-decode features to timed units")
@@ -552,14 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ul", required=True)
     s.add_argument("--wrl", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--cell-size", type=int, default=64)
-    s.add_argument("--temperature", type=float, default=10.0)
-    s.add_argument("--dropout", type=float, default=0.5)
-    s.add_argument("--batch-size", type=int, default=32)
-    s.add_argument("--learning-rate", type=float, default=0.001)
-    s.add_argument("--max-epochs", type=int, default=200)
-    s.add_argument("--patience", type=int, default=10)
-    s.add_argument("--seed", type=int, default=0)
+    _config_flags(s, "cell_size temperature dropout batch_size learning_rate max_epochs "
+                     "patience seed")
     s.add_argument("--dev-fraction", type=float, default=0.1)
     s.add_argument("--split-seed", type=int, default=0)
     s.add_argument("--quiet", action="store_true", help="do not print the summary line")
@@ -592,13 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ul", required=True)
     s.add_argument("--wrl", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--order", choices=["unigram", "bigram"], default="bigram")
-    s.add_argument("--alpha0", type=float, default=100.0)
-    s.add_argument("--alpha1", type=float, default=3000.0)
-    s.add_argument("--p-boundary", type=float, default=0.5)
-    s.add_argument("--iterations", type=int, default=1000)
-    s.add_argument("--sample-average", type=int, default=0)
-    s.add_argument("--seed", type=int, default=0)
+    _config_flags(s, "order alpha0 alpha1 p_boundary iterations sample_average seed")
     s.add_argument("--delimiter", default="")
     s.set_defaults(func=cmd_baseline_dpseg)
 
@@ -621,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("pipeline", help="run the full toy pipeline from a config file")
     s.add_argument("--config", required=True)
-    s.add_argument("--out-dir")
+    _config_flags(s, "out_dir")
     s.set_defaults(func=cmd_pipeline)
 
     return p
@@ -635,7 +635,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, bl.BaselineError, al.AlignerConfigError, aud_mod.AudConfigError) as e:
+    except CONFIG_ERRORS as e:
         print("config error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
     except (cp.CorpusError, mt.MetricsError, sg.SegmenterError, aud_mod.AudError,

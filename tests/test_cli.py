@@ -1,10 +1,13 @@
+import argparse
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from attnseg import aud as aud_mod, cli
+from attnseg import aligner as al, aud as aud_mod, baselines as bl, cli
 from attnseg.aligner import AlignerConfig, AlignerModel, AttentionMatrix
 from attnseg.cli import (
     ConfigError,
@@ -122,6 +125,23 @@ class TestManifest:
         assert ha == hb
 
 
+CONFIG_FIELDS = sorted({f.name for cls in (SynthConfig, AlignerConfig, bl.DpsegConfig)
+                        for f in dataclasses.fields(cls)} | {"runs", "out_dir"})
+JUNK = st.text(st.sampled_from("abz_09 .-%()[]=:;#é\t"), max_size=8)
+INI_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "-3", "2.5", "1e400", "nan", "yes", "off", "bigram",
+                     "float64", "%(seed)s", ""]),
+    st.integers(-5, 300).map(str), JUNK)
+INI_SECTION = st.tuples(
+    st.sampled_from(["pipeline", "synth", "aligner", "dpseg", "DEFAULT", "aligne"]),
+    st.lists(st.tuples(st.sampled_from(CONFIG_FIELDS) | JUNK, INI_VALUES).map(" = ".join),
+             max_size=4),
+).map(lambda sec: ["[%s]" % sec[0]] + sec[1])
+# well-formed sections of field names and junk keys and values, or lines of junk
+INI_LINES = st.lists(INI_SECTION, max_size=4).map(lambda secs: sum(secs, [])) | st.lists(
+    JUNK | INI_SECTION.map("\n".join), max_size=6)
+
+
 class TestConfigFile:
     def test_load_and_coerce(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -180,6 +200,125 @@ class TestConfigFile:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "not a boolean" in err or "unknown config key" in err
         assert not (tmp_path / "out").exists()  # rejected before any work
+
+    @settings(max_examples=100, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(INI_LINES)
+    def test_any_ini_gives_configs_or_config_error(self, tmp_path, monkeypatch, lines):
+        monkeypatch.chdir(tmp_path)  # so a relative out_dir would land here
+        (tmp_path / "c.ini").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            configs = cli.pipeline_configs("c.ini", {})
+        except cli.CONFIG_ERRORS:
+            pass
+        else:
+            assert [type(c) for c in configs[:3]] == [
+                cli.PipelineConfig, SynthConfig, AlignerConfig]
+            assert configs[3] is None or isinstance(configs[3], bl.DpsegConfig)
+        assert os.listdir(tmp_path) == ["c.ini"]  # the config step writes nothing
+
+
+# Each subcommand's flags, as read from the parser before its config flags were
+# derived from the config dataclasses; no flag may be renamed or lost.
+PARSER_FLAGS = {
+    "synth": ["--alphabet-size", "--del-rate", "--ins-rate", "--lexicon-size", "--out-dir",
+              "--seed", "--sent-len-max", "--sent-len-min", "--size", "--sub-rate",
+              "--word-len-max", "--word-len-min"],
+    "mfcc": ["--out", "--wav-list"],
+    "aud-train": ["--features", "--gamma", "--iterations", "--mix", "--out", "--quiet",
+                  "--seed", "--states", "--units"],
+    "aud-decode": ["--features", "--model", "--out"],
+    "train-aligner": ["--batch-size", "--cell-size", "--dev-fraction", "--dropout",
+                      "--learning-rate", "--max-epochs", "--out", "--patience", "--quiet",
+                      "--seed", "--split-seed", "--temperature", "--ul", "--wrl"],
+    "force-align": ["--model", "--out", "--ul", "--wrl"],
+    "segment": ["--delimiter", "--matrices", "--no-smooth", "--out", "--ul", "--wrl"],
+    "baseline-proportional": ["--delimiter", "--out", "--ul", "--wrl"],
+    "baseline-dpseg": ["--alpha0", "--alpha1", "--delimiter", "--iterations", "--order",
+                       "--out", "--p-boundary", "--sample-average", "--seed", "--ul", "--wrl"],
+    "evaluate": ["--delimiter", "--gold", "--hyp", "--out", "--ul", "--wrl"],
+    "plot": ["--matrices", "--out", "--ul", "--utt", "--wrl"],
+    "pipeline": ["--config", "--out-dir"],
+}
+
+# subcommand: (config class, every config flag with a non-default value, the config
+# those flags built before the flags were derived from the dataclasses)
+FLAG_CONFIGS = {
+    "synth": (SynthConfig,
+              ["--lexicon-size", "9", "--word-len-min", "3", "--word-len-max", "4",
+               "--sent-len-min", "1", "--sent-len-max", "3", "--size", "40",
+               "--alphabet-size", "10", "--sub-rate", "0.05", "--del-rate", "0.02",
+               "--ins-rate", "0.01", "--seed", "7"],
+              SynthConfig(lexicon_size=9, word_len_min=3, word_len_max=4, sent_len_min=1,
+                          sent_len_max=3, corpus_size=40, alphabet_size=10, sub_rate=0.05,
+                          del_rate=0.02, ins_rate=0.01, seed=7)),
+    "aud-train": (aud_mod.AudConfig,
+                  ["--units", "5", "--states", "2", "--mix", "1", "--gamma", "0.7",
+                   "--iterations", "2", "--seed", "3"],
+                  aud_mod.AudConfig(num_units=5, states_per_unit=2, mix_components=1,
+                                    gamma=0.7, iterations=2, seed=3)),
+    "train-aligner": (AlignerConfig,
+                      ["--cell-size", "8", "--temperature", "5", "--dropout", "0.1",
+                       "--batch-size", "16", "--learning-rate", "2e-2", "--max-epochs", "1",
+                       "--patience", "3", "--seed", "2"],
+                      AlignerConfig(cell_size=8, temperature=5.0, dropout=0.1, batch_size=16,
+                                    learning_rate=0.02, max_epochs=1, patience=3, seed=2)),
+    "baseline-dpseg": (bl.DpsegConfig,
+                       ["--order", "unigram", "--alpha0", "20", "--alpha1", "100",
+                        "--p-boundary", "0.4", "--iterations", "3", "--sample-average", "2",
+                        "--seed", "5"],
+                       bl.DpsegConfig(order="unigram", alpha0=20.0, alpha1=100.0,
+                                      p_boundary=0.4, iterations=3, sample_average=2, seed=5)),
+}
+
+
+class _Built(Exception):
+    """Raised in place of a stage, carrying the config its command built."""
+
+
+class TestConfigFlags:
+    def test_flags_of_every_subcommand(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {name: sorted(o for a in p._actions for o in a.option_strings
+                              if o not in ("-h", "--help"))
+                 for name, p in sub.choices.items()}
+        assert flags == PARSER_FLAGS
+
+    @pytest.fixture()
+    def built_config(self, tmp_path, monkeypatch):
+        """Run a subcommand up to its stage; return the config handed to the stage."""
+        d = str(tmp_path / "corpus")
+        write_synth_corpus(synth_corpus(SynthConfig(corpus_size=10, seed=1)), d)
+
+        def stage(*args, **kwargs):
+            raise _Built(args)
+
+        for owner, name in [(cli, "synth_corpus"), (aud_mod, "train_phone_loop"),
+                            (al, "train"), (bl, "dpseg_segment_corpus")]:
+            monkeypatch.setattr(owner, name, stage)
+        monkeypatch.setattr(aud_mod, "load_features", lambda path: [])
+        required = {"synth": ["--out-dir", str(tmp_path / "out")],
+                    "aud-train": ["--features", "f.npz", "--out", str(tmp_path / "m")]}
+        corpus = ["--ul", d + "/ul.txt", "--wrl", d + "/wrl.txt", "--out", str(tmp_path / "o")]
+
+        def run(command, flags, cls):
+            with pytest.raises(_Built) as e:
+                main([command] + required.get(command, corpus) + flags)
+            return next(a for a in e.value.args[0] if isinstance(a, cls))
+        return run
+
+    @pytest.mark.parametrize("command", sorted(FLAG_CONFIGS))
+    def test_no_flags_give_the_defaults(self, built_config, command):
+        cls, _, _ = FLAG_CONFIGS[command]
+        assert built_config(command, [], cls) == cls()
+
+    @pytest.mark.parametrize("command", sorted(FLAG_CONFIGS))
+    def test_every_flag_gives_the_same_config(self, built_config, command):
+        cls, flags, expected = FLAG_CONFIGS[command]
+        cfg = built_config(command, flags, cls)
+        # the manifest records asdict(cfg): 5 and 5.0 must not trade places
+        assert json.dumps(dataclasses.asdict(cfg)) == json.dumps(dataclasses.asdict(expected))
 
 
 class TestExitCodes:
@@ -252,6 +391,18 @@ BAD_MATRIX_FILES = {
 }
 
 
+# sidecar config values of the wrong JSON type: (key, value), or (None, whole config)
+SIDECAR_VALUES = {
+    "cell_size_string": ("cell_size", "8"),
+    "seed_bool": ("seed", True),
+    "temperature_string": ("temperature", "10"),
+    "dropout_null": ("dropout", None),
+    "embed_dim_float": ("embed_dim", 8.5),
+    "eos_row_string": ("include_eos_row", "no"),
+    "config_not_object": (None, [4]),
+}
+
+
 class TestBadInputs:
     @pytest.fixture()
     def corpus_dir(self, tmp_path):
@@ -276,7 +427,7 @@ class TestBadInputs:
     @pytest.mark.parametrize("edit", [None, "unknown_key", "no_vocabulary", "bad_dtype",
                                       "cell_mismatch", "npz_nine_bytes", "npz_truncated",
                                       "npz_no_version", "npz_wrong_version",
-                                      "npz_missing_param"])
+                                      "npz_missing_param", *SIDECAR_VALUES])
     def test_bad_aligner_sidecar_is_data_error(self, corpus_dir, tmp_path, capsys, edit):
         corpus = load_parallel_corpus(corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt")
         ckpt = str(tmp_path / "model.npz")
@@ -307,6 +458,12 @@ class TestBadInputs:
         elif edit == "npz_missing_param":
             del arrays["param/src_embed"]
             np.savez(ckpt, **arrays)
+        elif edit in SIDECAR_VALUES:
+            key, value = SIDECAR_VALUES[edit]
+            if key is None:
+                sidecar["config"] = value
+            else:
+                sidecar["config"][key] = value
         open(ckpt + ".json", "w").write(json.dumps(sidecar))
         rc = main(["force-align", "--model", ckpt, "--ul", corpus_dir + "/ul.txt",
                    "--wrl", corpus_dir + "/wrl.txt", "--out", str(tmp_path / "attn.txt")])
@@ -427,9 +584,15 @@ class TestAudCli:
         feats = str(tmp_path / "feats.npz")
         assert main(["mfcc", "--wav-list", lst, "--out", feats]) == cli.EXIT_OK
         model = str(tmp_path / "aud.npz")
+        capsys.readouterr()
         assert main(["aud-train", "--features", feats, "--out", model,
                      "--units", "4", "--states", "2", "--mix", "1",
                      "--iterations", "2", "--quiet"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == ""
+        log = json.loads(open(model + ".log.json").read())
+        assert len(log["objectives"]) == 2 and log["active_units"] <= 4
+        manifest = json.loads(open(model + ".manifest.json").read())
+        assert list(manifest["outputs"]) == [model]
         units = str(tmp_path / "units.txt")
         assert main(["aud-decode", "--model", model, "--features", feats,
                      "--out", units]) == cli.EXIT_OK
@@ -485,7 +648,29 @@ class TestAudBadInputs:
         assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+TINY_STAGES = ("[synth]\ncorpus_size = 6\nlexicon_size = 3\n"
+               "[aligner]\ncell_size = 4\nbatch_size = 4\nmax_epochs = 1\npatience = 1\n")
+
+
 class TestPipelineCommand:
+    @pytest.mark.parametrize("extra", ["runs = 1\nrun = 1\n", "runs = 0\n",
+                                       "runs = 1\n[aligne]\ncell_size = 4\n"])
+    def test_bad_pipeline_setting_is_config_error(self, tmp_path, capsys, extra):
+        ini = tmp_path / "p.ini"
+        ini.write_text(TINY_STAGES + "[pipeline]\nout_dir = %s\n%s" % (tmp_path / "out", extra))
+        assert main(["pipeline", "--config", str(ini)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()  # rejected before any work
+
+    def test_out_dir_flag_overrides_config(self, tmp_path, capsys):
+        ini = tmp_path / "p.ini"
+        ini.write_text(TINY_STAGES + "[pipeline]\nruns = 1\nout_dir = %s\n" % (tmp_path / "ini"))
+        assert main(["pipeline", "--config", str(ini),
+                     "--out-dir", str(tmp_path / "flag")]) == cli.EXIT_OK
+        assert (tmp_path / "flag" / "eval_attentional.txt").exists()
+        assert not (tmp_path / "ini").exists()
+
     def test_small_end_to_end(self, tmp_path, capsys):
         ini = tmp_path / "p.ini"
         ini.write_text(
