@@ -10,13 +10,13 @@ All likelihood computations run in the log domain.
 from __future__ import annotations
 
 import math
+import time
 import wave
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.fftpack import dct
-from scipy.special import logsumexp
 
 from .numerics import ARCHIVE_ERRORS
 
@@ -170,6 +170,18 @@ class AudModel:
     means: np.ndarray        # (U, S, M, D)
     variances: np.ndarray    # (U, S, M, D) diagonal
 
+    def __post_init__(self):
+        if self.means.ndim != 4:
+            raise AudError("means have shape %s, expected (U, S, M, D)" % (self.means.shape,))
+        U, S, M, _ = self.means.shape
+        for name, shape in (("log_pi", (U,)), ("stay", (U, S)), ("mix_weights", (U, S, M)),
+                            ("variances", self.means.shape)):
+            if getattr(self, name).shape != shape:
+                raise AudError("%s has shape %s, expected %s"
+                               % (name, getattr(self, name).shape, shape))
+        if not np.all(np.isfinite(self.variances) & (self.variances > 0)):
+            raise AudError("variances must be finite and positive")
+
     @property
     def num_units(self) -> int:
         return self.log_pi.shape[0]
@@ -185,14 +197,14 @@ class AudModel:
 
     def emission_loglik(self, feats: np.ndarray) -> np.ndarray:
         """(F, U*S) log p(x_t | state) under diagonal GMMs."""
-        return logsumexp(_weighted_component_loglik(self, feats), axis=-1).reshape(
+        return _logsumexp_last(_weighted_component_loglik(self, feats)).reshape(
             feats.shape[0], -1)
 
     def component_log_post(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Log responsibilities (F, U, S, M) of the mixture components within a
         state, and the state log densities (F, U, S) they normalise by."""
         ll = _weighted_component_loglik(self, feats)
-        log_b = logsumexp(ll, axis=-1)
+        log_b = _logsumexp_last(ll)
         return ll - log_b[..., None], log_b
 
     def log_transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -240,15 +252,8 @@ def init_model(feats_list: list[FeatureSequence], config: AudConfig) -> AudModel
     D = X.shape[1]
     U, S, M = config.num_units, config.states_per_unit, config.mix_components
     k = min(U, X.shape[0])
-    centroids = X[rng.choice(X.shape[0], size=k, replace=False)]
     # a few Lloyd iterations are enough for initialization
-    for _ in range(5):
-        d2 = ((X[:, None, :] - centroids[None]) ** 2).sum(axis=-1)
-        assign = d2.argmin(axis=1)
-        for j in range(k):
-            sel = X[assign == j]
-            if len(sel):
-                centroids[j] = sel.mean(axis=0)
+    centroids, _ = _lloyd(X, X[rng.choice(X.shape[0], size=k, replace=False)], 5)
     if k < U:
         centroids = np.concatenate(
             [centroids, centroids[rng.integers(0, k, U - k)]], axis=0
@@ -267,17 +272,59 @@ def init_model(feats_list: list[FeatureSequence], config: AudConfig) -> AudModel
     )
 
 
+def _lloyd(X: np.ndarray, centroids: np.ndarray,
+           iterations: int) -> tuple[np.ndarray, np.ndarray]:
+    """k-means from `centroids`, which it updates in place; returns them and
+    the last assignment of the rows of X. A centroid that no row chooses stays.
+    The squared distances leave out |x|^2, which is the same for every centroid."""
+    for _ in range(iterations):
+        d2 = (centroids * centroids).sum(axis=1) - 2.0 * (X @ centroids.T)
+        assign = d2.argmin(axis=1)
+        counts = np.bincount(assign, minlength=len(centroids))
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, X)
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
+    return centroids, assign
+
+
 def _weighted_component_loglik(model: AudModel, feats: np.ndarray) -> np.ndarray:
-    """(F, U, S, M) log mix_weight + log N(x_t; mean, diag variance)."""
-    D = model.means.shape[-1]
-    diff = feats[:, None, None, None, :] - model.means[None]
-    ll = -0.5 * (
-        np.sum(diff * diff / model.variances[None], axis=-1)
-        + np.sum(np.log(model.variances), axis=-1)[None]
-        + D * math.log(2 * math.pi)
-    )
+    """(F, U, S, M) log mix_weight + log N(x_t; mean, diag variance).
+
+    The diagonal-GMM expansion of Kaldi's DiagGmm: per-component constants g
+    plus x (mean/var)^T - 1/2 (x*x) (1/var)^T, two matrix products over the
+    frames. The constants cost O(U*S*M*D) and are rebuilt on every call,
+    because the M-step rewrites the means and variances in place.
+    """
+    U, S, M, D = model.means.shape
+    means = model.means.reshape(-1, D)
+    variances = model.variances.reshape(-1, D)
+    inv_vars = 1.0 / variances
+    means_invvars = means * inv_vars
     with np.errstate(divide="ignore"):
-        return ll + np.log(model.mix_weights)[None]
+        g = np.log(model.mix_weights).reshape(-1) - 0.5 * (
+            (means * means_invvars).sum(axis=1) + np.log(variances).sum(axis=1)
+            + D * math.log(2 * math.pi))
+    ll = feats @ means_invvars.T
+    ll -= 0.5 * ((feats * feats) @ inv_vars.T)
+    ll += g
+    return ll.reshape(feats.shape[0], U, S, M)
+
+
+def _logsumexp_last(a: np.ndarray) -> np.ndarray:
+    """logsumexp over the short last axis (the mixture components) in
+    whole-array passes, one per component, because numpy's reductions along a
+    short last axis are slow and scipy adds its own per-call overhead. A slice
+    that is all -inf gives -inf."""
+    m = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(m, a[..., j], out=m)
+    m[m == -np.inf] = 0.0
+    s = np.zeros_like(m)
+    for j in range(a.shape[-1]):
+        s += np.exp(a[..., j] - m)
+    with np.errstate(divide="ignore"):
+        return np.log(s) + m
 
 
 # The phone loop's arcs, which `log_transitions` spells out as a dense matrix:
@@ -388,11 +435,12 @@ def _estep_utterance(model: AudModel, feats: np.ndarray, stats: _Stats) -> None:
         alpha[:-1] + _self_arc(model, log_stay, log_move) + log_b[1:] + beta[1:] - ll
     ).sum(axis=0)
     stats.stay_den += gamma.sum(axis=0)
-    # mixture-component stats
+    # mixture-component stats, one (U*S*M, F) x (F, D) product each
     resp = gamma[..., None] * np.exp(log_resp)
     stats.comp_occ += resp.sum(axis=0)
-    stats.comp_sum += np.einsum("fusm,fd->usmd", resp, feats)
-    stats.comp_sqsum += np.einsum("fusm,fd->usmd", resp, feats * feats)
+    resp = resp.reshape(feats.shape[0], -1).T
+    stats.comp_sum += (resp @ feats).reshape(stats.comp_sum.shape)
+    stats.comp_sqsum += (resp @ (feats * feats)).reshape(stats.comp_sqsum.shape)
 
 
 def map_objective(model: AudModel, loglik: float) -> float:
@@ -412,11 +460,12 @@ def map_objective(model: AudModel, loglik: float) -> float:
 def train_phone_loop(
     feats_list: list[FeatureSequence], config: AudConfig,
     model: Optional[AudModel] = None,
-) -> tuple[AudModel, list[float]]:
+) -> tuple[AudModel, list[dict]]:
     """MAP-EM (Baum-Welch with Dirichlet MAP update for the unit weights).
 
-    Returns the trained model with zero-weight units pruned, plus the
-    per-iteration MAP objective values (non-decreasing).
+    Returns the trained model with zero-weight units pruned, plus one log
+    entry per iteration: the MAP objective of the model it started from
+    (non-decreasing), the units active after its M-step and its seconds.
     """
     if not feats_list:
         raise AudError("empty feature corpus")
@@ -425,12 +474,13 @@ def train_phone_loop(
     U, S, M, D = model.means.shape
     X = np.concatenate([f.features for f in feats_list], axis=0)
     var_floor = np.maximum(X.var(axis=0) * config.var_floor_frac, 1e-10)
-    objectives = []
-    for _ in range(config.iterations):
+    log = []
+    for iteration in range(1, config.iterations + 1):
+        t0 = time.perf_counter()
         stats = _Stats.zeros(U, S, M, D)
         for f in feats_list:
             _estep_utterance(model, f.features, stats)
-        objectives.append(map_objective(model, stats.loglik))
+        objective = map_objective(model, stats.loglik)
         # M-step: MAP unit weights
         raw = np.maximum(0.0, stats.unit_entries + config.gamma - 1.0)
         raw[~np.isfinite(model.log_pi)] = 0.0
@@ -455,7 +505,10 @@ def train_phone_loop(
         model.mix_weights = np.where(state_occ > 1e-8, w, model.mix_weights)
         model.means[used] = mu[used]
         model.variances[used] = np.maximum(var[used], var_floor)
-    return prune_model(model), objectives
+        log.append({"iteration": iteration, "objective": objective,
+                    "active_units": len(model.active_units()),
+                    "seconds": time.perf_counter() - t0})
+    return prune_model(model), log
 
 
 def prune_model(model: AudModel) -> AudModel:
@@ -464,7 +517,7 @@ def prune_model(model: AudModel) -> AudModel:
     if len(keep) == 0:
         raise AudError("no active units to keep")
     log_pi = model.log_pi[keep]
-    log_pi = log_pi - logsumexp(log_pi)
+    log_pi = log_pi - _lse(log_pi)
     return AudModel(
         config=model.config,
         log_pi=log_pi,

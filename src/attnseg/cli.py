@@ -70,6 +70,20 @@ class SynthConfig:
         for r in (self.sub_rate, self.del_rate, self.ins_rate):
             if not 0.0 <= r < 1.0:
                 raise ConfigError("noise rates must be in [0, 1)")
+        # synth_corpus draws until it has lexicon_size distinct UL words; count
+        # them only until there are that many, so long words cost nothing
+        if self.alphabet_size == 1:
+            words = self.word_len_max - self.word_len_min + 1
+        else:
+            words, n = 0, self.word_len_min
+            while words < self.lexicon_size and n <= self.word_len_max:
+                # a ** n exceeds lexicon_size once n reaches its bit length
+                words += self.alphabet_size ** min(n, self.lexicon_size.bit_length())
+                n += 1
+        if words < self.lexicon_size:
+            raise ConfigError("lexicon_size %d exceeds the %d distinct UL words of %d symbols"
+                              " and lengths %d-%d" % (self.lexicon_size, words, self.alphabet_size,
+                                                      self.word_len_min, self.word_len_max))
 
 
 def _noisy_word(word: tuple[str, ...], alphabet: list[str], cfg: SynthConfig,
@@ -227,6 +241,9 @@ def load_aligner_bundle(ckpt_path: str) -> al.AlignerModel:
                 sidecar[k] for k in ("config", "wrl_tokens", "ul_tokens"))
             if not isinstance(config, dict):
                 raise TypeError("config is not an object")
+            for name, tokens in (("wrl_tokens", wrl_tokens), ("ul_tokens", ul_tokens)):
+                if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+                    raise TypeError("%s is not a list of strings" % name)
         except (ValueError, KeyError, TypeError) as e:
             raise cp.CorpusError("%s: not an aligner sidecar (%s: %s)"
                                  % (sidecar_path, type(e).__name__, e)) from None
@@ -368,15 +385,14 @@ def cmd_mfcc(args) -> int:
 def cmd_aud_train(args) -> int:
     cfg = _coerce(aud_mod.AudConfig, _flag_values(args))
     feats = aud_mod.load_features(args.features)
-    model, objectives = aud_mod.train_phone_loop(feats, cfg)
+    model, log = aud_mod.train_phone_loop(feats, cfg)
     aud_mod.save_aud_model(args.out, model)
-    _write_json(args.out + ".log.json",
-                {"active_units": model.num_units, "objectives": objectives})
+    _write_json(args.out + ".log.json", {"active_units": model.num_units, "iterations": log})
     write_manifest(args.out, "aud-train", [args.features],
                    dataclasses.asdict(cfg), [args.out])
     if not args.quiet:
         print("trained phone loop: %d active units, final objective %.4f"
-              % (model.num_units, objectives[-1]))
+              % (model.num_units, log[-1]["objective"]))
     return EXIT_OK
 
 

@@ -390,7 +390,8 @@ def test_acceptance_7_aud_correctness():
     feats, truth = three_unit_corpus(15, seed=7)
     cfg = AudConfig(num_units=8, states_per_unit=2, mix_components=1,
                     iterations=8, seed=7)
-    model, objectives = train_phone_loop(feats, cfg)
+    model, log = train_phone_loop(feats, cfg)
+    objectives = [entry["objective"] for entry in log]
     diffs = np.diff(objectives)
     monotone_ok = bool(np.all(diffs > -1e-6 * np.abs(np.array(objectives[:-1]))))
     # synthetic 3-unit recovery

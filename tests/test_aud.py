@@ -29,7 +29,10 @@ from attnseg.aud import (
     viterbi_score,
     write_timed_units,
     _estep_utterance,
+    _lloyd,
+    _logsumexp_last,
     _Stats,
+    _weighted_component_loglik,
 )
 from attnseg.corpus import load_timed_units
 
@@ -255,6 +258,108 @@ def random_model(units, states, mix, dim=2, seed=0, dead_unit=None):
     )
 
 
+# The broadcast density and the Lloyd loop that `attnseg.aud` replaced with
+# matrix products, kept here as their oracles.
+
+def reference_component_loglik(model, feats):
+    """(F, U, S, M) log mix_weight + log N(x_t; mean, diag variance), through an
+    (F, U, S, M, D) difference array."""
+    D = model.means.shape[-1]
+    diff = feats[:, None, None, None, :] - model.means[None]
+    ll = -0.5 * (
+        np.sum(diff * diff / model.variances[None], axis=-1)
+        + np.sum(np.log(model.variances), axis=-1)[None]
+        + D * math.log(2 * math.pi)
+    )
+    with np.errstate(divide="ignore"):
+        return ll + np.log(model.mix_weights)[None]
+
+
+def reference_kmeans(X, centroids, iterations):
+    """Lloyd iterations on exact squared distances, one centroid at a time."""
+    centroids = centroids.copy()
+    for _ in range(iterations):
+        d2 = ((X[:, None, :] - centroids[None]) ** 2).sum(axis=-1)
+        assign = d2.argmin(axis=1)
+        for j in range(len(centroids)):
+            sel = X[assign == j]
+            if len(sel):
+                centroids[j] = sel.mean(axis=0)
+    return centroids, assign
+
+
+def floor_scale_model(seed, units=6, states=3, mix=2, dim=39):
+    """Random means around per-dimension offsets, with variances at the scale of
+    the EM variance floor (var_floor_frac times the data variance) and one
+    mixture component of zero weight."""
+    rng = np.random.default_rng(seed)
+    data_var = rng.uniform(0.5, 30.0, dim)
+    offset = rng.uniform(-20.0, 20.0, dim)
+    means = offset + 2.0 * np.sqrt(data_var) * rng.standard_normal((units, states, mix, dim))
+    variances = (AudConfig.var_floor_frac * data_var
+                 * rng.uniform(1.0, 3.0, (units, states, mix, dim)))
+    weights = rng.dirichlet(np.ones(mix), (units, states))
+    weights[0, 0] = np.eye(mix)[-1]
+    m = random_model(units, states, mix, dim, seed)
+    m.means, m.variances, m.mix_weights = means, variances, weights
+    return m
+
+
+class TestDensityOracle:
+    """The matrix-product density and k-means against the references above."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_density_matches_reference_at_floor_variances(self, seed):
+        m = floor_scale_model(seed)
+        rng = np.random.default_rng(100 + seed)
+        K, D = m.means[..., 0].size, m.dim
+        pick = rng.integers(0, K, 30)
+        sd = np.sqrt(m.variances.reshape(K, D)[pick])
+        x = np.concatenate([
+            m.means.reshape(K, D)[pick],                                   # at a mean
+            m.means.reshape(K, D)[pick] + 1e-3 * sd * rng.standard_normal((30, D)),
+            m.means.reshape(K, D)[pick] + sd * rng.standard_normal((30, D)),
+            50.0 * rng.standard_normal((30, D)),                           # far away
+        ])
+        got = _weighted_component_loglik(m, x)
+        want = reference_component_loglik(m, x)
+        assert np.all(want[:, 0, 0, 0] == -np.inf)  # the zero-weight component
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("states,mix", [(S, M) for S in (1, 2, 3) for M in (1, 2)])
+    def test_density_matches_reference_on_random_models(self, states, mix):
+        m = random_model(5, states, mix, dim=4, seed=states * mix, dead_unit=3)
+        x = np.random.default_rng(states + mix).standard_normal((20, 4)) * 3.0
+        np.testing.assert_allclose(_weighted_component_loglik(m, x),
+                                   reference_component_loglik(m, x), rtol=1e-9, atol=0)
+
+    def test_mixture_logsumexp_matches_scipy(self):
+        rng = np.random.default_rng(0)
+        a = rng.normal(-50.0, 20.0, (40, 6, 3))
+        a[rng.random(a.shape) < 0.3] = -np.inf
+        a[0, 0] = -np.inf  # a state whose components are all -inf
+        want = logsumexp(a, axis=-1)
+        got = _logsumexp_last(a)
+        assert got[0, 0] == -np.inf
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        # one component: the log-sum-exp is the component itself
+        np.testing.assert_array_equal(_logsumexp_last(a[..., :1]), a[..., 0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kmeans_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        centres = rng.uniform(-10.0, 10.0, (8, 6))
+        X = centres[rng.integers(0, 8, 400)] + rng.standard_normal((400, 6))
+        X[350:] = X[0]  # duplicate frames
+        start = X[rng.choice(400, 12, replace=False)]
+        start[1] = 1e3  # a centroid that no frame chooses, which must stay
+        want, want_assign = reference_kmeans(X, start, 5)
+        got, got_assign = _lloyd(X, start.copy(), 5)
+        np.testing.assert_array_equal(got_assign, want_assign)
+        assert 1 not in got_assign and np.all(got[1] == 1e3)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 class TestPhoneLoopStructure:
     def test_config_validation(self):
         with pytest.raises(AudError):
@@ -369,7 +474,8 @@ class TestTraining:
         feats, _ = synth_unit_corpus(8, seed=1)
         cfg = AudConfig(num_units=6, states_per_unit=2, mix_components=1,
                         iterations=5, seed=1)
-        _, objectives = train_phone_loop(feats, cfg)
+        _, log = train_phone_loop(feats, cfg)
+        objectives = [entry["objective"] for entry in log]
         assert len(objectives) == 5
         diffs = np.diff(objectives)
         assert np.all(diffs > -1e-6 * np.abs(np.array(objectives[:-1])))

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -64,6 +65,20 @@ class TestSynth:
             SynthConfig(sub_rate=1.0)
         with pytest.raises(ConfigError):
             SynthConfig(alphabet_size=40)
+
+    def test_lexicon_may_use_every_possible_word(self):
+        # 2 symbols and words of length 2 allow exactly 4 distinct UL words
+        c = synth_corpus(SynthConfig(corpus_size=30, lexicon_size=4, alphabet_size=2,
+                                     word_len_min=2, word_len_max=2, seed=0))
+        assert {tuple(w) for u in c for w in u.gold_boundaries.words(list(u.ul_symbols))} \
+            <= {(a, b) for a in "ab" for b in "ab"}
+        with pytest.raises(ConfigError):
+            SynthConfig(lexicon_size=5, alphabet_size=2, word_len_min=2, word_len_max=2)
+        # the count stops once it reaches lexicon_size, however long words may be
+        SynthConfig(alphabet_size=2, word_len_min=10 ** 9, word_len_max=10 ** 18)
+        SynthConfig(lexicon_size=10 ** 9, alphabet_size=1, word_len_max=10 ** 9 + 1)
+        with pytest.raises(ConfigError):
+            SynthConfig(lexicon_size=10 ** 9, alphabet_size=1, word_len_max=10 ** 9)
 
     def test_write_and_reload(self, tmp_path):
         c = synth_corpus(SynthConfig(corpus_size=10, seed=3))
@@ -369,6 +384,15 @@ class TestExitCodes:
                      "--out", str(tmp_path / "m.npz")]) == cli.EXIT_DATA
         assert capsys.readouterr().err == "data error: empty training corpus\n"
 
+    def test_lexicon_larger_than_word_space_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert main(["synth", "--out-dir", str(out), "--lexicon-size", "5",
+                     "--alphabet-size", "2", "--word-len-min", "2",
+                     "--word-len-max", "2"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_subcommand(self, capsys):
         rc = main(["frobnicate"])
         assert rc == cli.EXIT_CONFIG
@@ -388,6 +412,15 @@ BAD_MATRIX_FILES = {
     "row_sum": "utt00001 2 2\n0.5 0.5\n0.9 0.9\n",
     "non_finite": "utt00001 2 2\n0.5 0.5\nnan 1.0\n",
     "duplicate_id": "utt00001 1 2\n0.5 0.5\nutt00001 1 2\n1.0 0.0\n",
+}
+
+
+# sidecar vocabularies that are not lists of strings: (key, value)
+SIDECAR_TOKENS = {
+    "wrl_tokens_number": ("wrl_tokens", 5),
+    "wrl_tokens_string": ("wrl_tokens", "abc"),
+    "ul_tokens_numbers": ("ul_tokens", [1, 2]),
+    "ul_tokens_object": ("ul_tokens", {"a": 1}),
 }
 
 
@@ -427,7 +460,8 @@ class TestBadInputs:
     @pytest.mark.parametrize("edit", [None, "unknown_key", "no_vocabulary", "bad_dtype",
                                       "cell_mismatch", "npz_nine_bytes", "npz_truncated",
                                       "npz_no_version", "npz_wrong_version",
-                                      "npz_missing_param", *SIDECAR_VALUES])
+                                      "npz_missing_param", *SIDECAR_VALUES,
+                                      *SIDECAR_TOKENS])
     def test_bad_aligner_sidecar_is_data_error(self, corpus_dir, tmp_path, capsys, edit):
         corpus = load_parallel_corpus(corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt")
         ckpt = str(tmp_path / "model.npz")
@@ -458,6 +492,9 @@ class TestBadInputs:
         elif edit == "npz_missing_param":
             del arrays["param/src_embed"]
             np.savez(ckpt, **arrays)
+        elif edit in SIDECAR_TOKENS:
+            key, value = SIDECAR_TOKENS[edit]
+            sidecar[key] = value
         elif edit in SIDECAR_VALUES:
             key, value = SIDECAR_VALUES[edit]
             if key is None:
@@ -590,7 +627,10 @@ class TestAudCli:
                      "--iterations", "2", "--quiet"]) == cli.EXIT_OK
         assert capsys.readouterr().out == ""
         log = json.loads(open(model + ".log.json").read())
-        assert len(log["objectives"]) == 2 and log["active_units"] <= 4
+        assert [entry["iteration"] for entry in log["iterations"]] == [1, 2]
+        assert log["iterations"][-1]["active_units"] == log["active_units"] <= 4
+        assert all(entry["seconds"] > 0 and math.isfinite(entry["objective"])
+                   for entry in log["iterations"])
         manifest = json.loads(open(model + ".manifest.json").read())
         assert list(manifest["outputs"]) == [model]
         units = str(tmp_path / "units.txt")
@@ -615,7 +655,8 @@ class TestAudBadInputs:
 
     @pytest.mark.parametrize("case", ["wav_list_one_field", "wav_list_three_fields",
                                       "model_not_an_archive", "model_is_feature_archive",
-                                      "features_without_matrices"])
+                                      "features_without_matrices", "model_stay_cut",
+                                      "model_negative_variance"])
     def test_bad_aud_input_is_data_error(self, aud_files, tmp_path, capsys, case):
         bad = str(tmp_path / "bad")
         decode = ["aud-decode", "--model", aud_files["model"], "--features", aud_files["feats"],
@@ -629,6 +670,15 @@ class TestAudBadInputs:
             args = decode[:2] + [bad] + decode[3:]
         elif case == "model_is_feature_archive":
             args = decode[:2] + [aud_files["feats"]] + decode[3:]
+        elif case.startswith("model_"):  # arrays that disagree, or a variance <= 0
+            with np.load(aud_files["model"]) as z:
+                arrays = {k: z[k] for k in z.files}
+            if case == "model_stay_cut":
+                arrays["stay"] = arrays["stay"][:1]
+            else:
+                arrays["variances"][0, 0, 0, 0] = -1.0
+            np.savez(bad + ".npz", **arrays)
+            args = decode[:2] + [bad + ".npz"] + decode[3:]
         else:
             np.savez(bad + ".npz", other=np.zeros(2))
             args = decode[:4] + [bad + ".npz"] + decode[5:]
