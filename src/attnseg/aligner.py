@@ -666,8 +666,8 @@ def write_attention_matrices(path: str, matrices: dict[str, AttentionMatrix]) ->
         for utt_id in sorted(matrices):
             m = matrices[utt_id]
             f.write("%s %d %d\n" % (utt_id, m.num_symbols, m.num_words))
-            for row in m.weights:
-                f.write(" ".join("%.10e" % v for v in row) + "\n")
+            row_format = " ".join(["%.10e"] * m.num_words) + "\n"
+            f.writelines(row_format % tuple(row) for row in m.weights.tolist())
 
 
 def read_attention_matrices(path: str) -> dict[str, AttentionMatrix]:

@@ -458,8 +458,10 @@ def cmd_baseline_proportional(args) -> int:
 def cmd_baseline_dpseg(args) -> int:
     cfg = _coerce(bl.DpsegConfig, _flag_values(args))
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
-    segs = bl.dpseg_segment_corpus(corpus, cfg)
+    log: list[dict] = []
+    segs = bl.dpseg_segment_corpus(corpus, cfg, log)
     cp.write_segmentations(corpus, segs, args.out, delimiter=args.delimiter or None)
+    _write_json(args.out + ".log.json", {"sweeps": log})
     write_manifest(args.out, "baseline-dpseg", [args.ul, args.wrl],
                    dataclasses.asdict(cfg), [args.out])
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Tape ops and graphs that only the tests use.
+"""Tape ops, graphs and slow paths that only the tests use.
 
 The aligner runs its encoder and decoder on arrays with hand-derived
 backward passes, so these primitives have no caller in the package.
@@ -8,16 +8,24 @@ one position at a time on the tape, `tape_attend` and
 `reference_decode_step` build the decoder one step at a time, one node
 per primitive, and `reference_forward_batch` runs them over a whole
 batch as the oracle for `AlignerModel.forward_batch`.
+
+`reference_resample_site` is the dpseg site step that scores each
+hypothesis by adding its chain to the counts and removing it again, the
+oracle for the read-only `DpsegSampler._resample_site`.
+`reference_write_attention_matrices` formats one value at a time, the
+oracle for `write_attention_matrices`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
 
 from attnseg import numerics as nm
 from attnseg.aligner import AlignerError
+from attnseg.baselines import UTT_EDGE, _break_after, _break_before
 from attnseg.numerics import NumericsError, Tensor, check_finite
 
 
@@ -442,3 +450,83 @@ def reference_forward_batch(model, src_ids, tgt_ids, tgt_mask, rng=None, train=F
     masked = mul(stack(step_losses, axis=0), Tensor(tgt_mask.T.astype(dt)))
     per_utt = sum_axis(masked, axis=0)
     return mean_all(per_utt), per_utt.data, np.stack([a.data for a in alphas])
+
+
+# ---------------------------------------------------------------------------
+# dpseg site step and attention-matrix writer, one value at a time
+
+
+def _log_smoothed(n: int, alpha: float, log_prior: float, total: int) -> float:
+    """log((n + alpha * prior) / (total + alpha)); finite however small the prior is."""
+    num = math.log(n + alpha * math.exp(log_prior)) if n else math.log(alpha) + log_prior
+    return num - math.log(total + alpha)
+
+
+def _bump(counts: dict, key, k: int):
+    n = counts.get(key, 0) + k
+    if n:
+        counts[key] = n
+    else:
+        del counts[key]
+
+
+def _update(st, chain: list, k: int, score: bool = False) -> float:
+    """Add (k = 1) or remove (k = -1) the chain [l_ctx, w1, ..., r_ctx] of word tuples.
+
+    The counts of `st` are keyed by its word ids. With `score`, returns
+    the chain's log probability: each word after l_ctx scored under the
+    counts of the words before it (unigrams score the inner words only).
+    """
+    lp = 0.0
+    last = len(chain) - 1
+    for i in range(1, len(chain)):
+        prev, word = chain[i - 1], chain[i]
+        p, w = st.ids[prev], st.ids[word]
+        inner = i < last
+        if score and (inner or st.bigram_order):
+            lw = _log_smoothed(st.unigram.get(w, 0), st.cfg.alpha0, st.log_base(word), st.total)
+            if st.bigram_order:
+                lw = _log_smoothed(st.bigram.get((p, w), 0), st.cfg.alpha1, lw,
+                                   st.context.get(p, 0))
+            lp += lw
+        if st.bigram_order:
+            _bump(st.bigram, (p, w), k)
+            _bump(st.context, p, k)
+        if inner:
+            _bump(st.unigram, w, k)
+            st.total += k
+    return lp
+
+
+def reference_resample_site(sampler, ui: int, pos: int, temperature: float) -> float:
+    """`DpsegSampler._resample_site` by adding and removing each hypothesis chain."""
+    st = sampler.state
+    seq = sampler.sequences[ui]
+    flags = sampler.flags[ui]
+    left, right = _break_before(flags, pos), _break_after(flags, pos)
+    w1, w2 = tuple(seq[left:pos]), tuple(seq[pos:right])
+    l_ctx = tuple(seq[_break_before(flags, left):left]) if left > 0 else UTT_EDGE
+    r_ctx = tuple(seq[right:_break_after(flags, right)]) if right < len(seq) else UTT_EDGE
+    split = [l_ctx, w1, w2, r_ctx]
+    merge = [l_ctx, w1 + w2, r_ctx]
+    _update(st, split if flags[pos - 1] else merge, -1)
+    lp_merge = _update(st, merge, 1, score=True)
+    _update(st, merge, -1)
+    lp_split = _update(st, split, 1, score=True)
+    log_odds = (lp_merge - lp_split) / temperature
+    boundary = sampler.rng.random() < 1.0 / (1.0 + math.exp(min(log_odds, 700.0)))
+    if not boundary:
+        _update(st, split, -1)
+        _update(st, merge, 1)
+    flags[pos - 1] = boundary
+    return log_odds
+
+
+def reference_write_attention_matrices(path: str, matrices: dict) -> None:
+    """`write_attention_matrices` with one `%` operation per value."""
+    with open(path, "w", encoding="utf-8") as f:
+        for utt_id in sorted(matrices):
+            m = matrices[utt_id]
+            f.write("%s %d %d\n" % (utt_id, m.num_symbols, m.num_words))
+            for row in m.weights:
+                f.write(" ".join("%.10e" % v for v in row) + "\n")

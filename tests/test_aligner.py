@@ -463,6 +463,37 @@ class TestForcedDecode:
                        corpus.ul_vocab)
 
 
+class TestMatrixWriter:
+    """The row-format writer against the one-value-at-a-time reference, byte for byte."""
+
+    def check(self, tmp_path, matrices):
+        fast, slow = str(tmp_path / "fast.txt"), str(tmp_path / "slow.txt")
+        write_attention_matrices(fast, matrices)
+        ref.reference_write_attention_matrices(slow, matrices)
+        with open(fast, "rb") as f, open(slow, "rb") as g:
+            assert f.read() == g.read()
+
+    def test_edge_values(self, tmp_path):
+        tenth = [0.1, np.nextafter(0.1, 0.0), np.nextafter(0.1, 1.0), 0.1 + 1e-17, 0.09999999999]
+        rows = [[0.0, 1.0, 1e-300], [5e-324, 2.2e-310, 1.0 - 2.2e-16], tenth[:3], tenth[2:]]
+        matrices = {"edge": AttentionMatrix("edge", np.array(rows)),
+                    "column": AttentionMatrix("column", np.array([[1.0], [0.0], [1e-300]])),
+                    "single": AttentionMatrix("single", np.array([[0.1]]))}
+        self.check(tmp_path, matrices)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_random_rows(self, tmp_path, dtype):
+        rng = np.random.default_rng(3)
+        matrices = {}
+        for k in range(5):
+            w = rng.dirichlet(np.full(k + 1, 0.3), size=7).astype(dtype)
+            matrices["u%d" % k] = AttentionMatrix("u%d" % k, w)
+        self.check(tmp_path, matrices)
+
+    def test_decoded_matrices(self, trained, corpus, tmp_path):
+        self.check(tmp_path, forced_decode_corpus(trained, corpus))
+
+
 class TestAttentionMatrixValidation:
     def test_bad_row_sum(self):
         m = AttentionMatrix("u", np.array([[0.5, 0.4]]))

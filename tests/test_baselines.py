@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from attnseg import baselines
 from attnseg.baselines import (
     BaselineError,
     DpsegConfig,
@@ -15,6 +16,7 @@ from attnseg.baselines import (
 )
 from attnseg.corpus import ParallelUtterance, Segmentation
 from attnseg.metrics import PRF
+from reference_ops import reference_resample_site
 
 
 def utt(ul, wrl):
@@ -90,6 +92,16 @@ class TestDpsegConfig:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(BaselineError):
             DpsegConfig(alpha0=0.0)
+
+    def test_rejects_more_samples_to_average_than_sweeps(self):
+        # a majority of 10 votes cannot come from 2 sweeps: no boundary could win
+        with pytest.raises(BaselineError):
+            DpsegConfig(iterations=2, sample_average=10)
+        assert DpsegConfig(iterations=2, sample_average=2).sample_average == 2
+
+    def test_rejects_negative_sample_average(self):
+        with pytest.raises(BaselineError):
+            DpsegConfig(sample_average=-3)
 
 
 class TestSamplerInternals:
@@ -243,6 +255,59 @@ class TestLogOddsOracle:
         # would turn every boundary into a coin flip
         seqs, flags = new_word_corpus(word_len, seed=word_len)
         self.check(seqs, flags, [(0, word_len), (2, word_len)], order)
+
+
+def two_symbol_sequences(n, seed):
+    rng = random.Random(seed)
+    return [tuple(rng.choice("ab") for _ in range(rng.randint(2, 9))) for _ in range(n)]
+
+
+ORACLE_CORPORA = {
+    "synth": lambda: [q for _, q in sorted(synth_sequences(25, 11)[0].items())],
+    # every chain is a self-loop: l_ctx, w1, w2 and r_ctx are often one word
+    "aaaa": lambda: [tuple("aaaa")] * 30,
+    "two_symbols": lambda: two_symbol_sequences(30, 2),
+}
+
+
+class TestSiteStepOracle:
+    """The read-only site step against the add-score-remove reference, float for float."""
+
+    @pytest.mark.parametrize("order", ["unigram", "bigram"])
+    @pytest.mark.parametrize("corpus", sorted(ORACLE_CORPORA))
+    def test_same_log_odds_flags_and_rng(self, order, corpus):
+        seqs = ORACLE_CORPORA[corpus]()
+        cfg = DpsegConfig(order=order, alpha0=20.0 if order == "unigram" else 100.0,
+                          iterations=5, seed=3)
+        fast, slow = DpsegSampler(seqs, cfg), DpsegSampler(seqs, cfg)
+        for sweep in range(cfg.iterations):
+            temperature = fast._temperature(sweep)
+            for ui, seq in enumerate(seqs):
+                for pos in range(1, len(seq)):
+                    assert (fast._resample_site(ui, pos, temperature)
+                            == reference_resample_site(slow, ui, pos, temperature))
+        assert fast.flags == slow.flags
+        assert fast.rng.getstate() == slow.rng.getstate()
+        assert fast.counts_consistent() and slow.counts_consistent()
+
+    def test_new_word_id_table_changes_nothing(self, monkeypatch):
+        seqs = ORACLE_CORPORA["synth"]()
+        cfg = DpsegConfig(iterations=4, seed=5)
+        kept = DpsegSampler(seqs, cfg)
+        kept.run()
+        monkeypatch.setattr(baselines, "WORD_IDS_REBUILD", 0)
+        rebuilt = DpsegSampler(seqs, cfg)
+        fresh = 0
+        for sweep in range(cfg.iterations):
+            rebuilt.sweep(rebuilt._temperature(sweep))
+            live = len(rebuilt.state.unigram)
+            assert len(rebuilt.state.ids) <= 4 * live
+            # a new table holds only the live words and the utterance edge
+            fresh += len(rebuilt.state.ids) == live + 1
+            assert rebuilt.counts_consistent()
+        assert fresh > 0
+        assert rebuilt.flags == kept.flags
+        assert rebuilt.rng.getstate() == kept.rng.getstate()
 
 
 class TestDpsegQuality:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from attnseg import aligner as al, aud as aud_mod, baselines as bl, cli
+from attnseg import aligner as al, aud as aud_mod, baselines as bl, cli, corpus as cp
 from attnseg.aligner import AlignerConfig, AlignerModel, AttentionMatrix
 from attnseg.cli import (
     ConfigError,
@@ -351,6 +351,16 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o.txt"), "--p-boundary", "2.0"])
         assert rc == cli.EXIT_CONFIG
 
+    def test_more_samples_to_average_than_sweeps(self, tmp_path, capsys):
+        (tmp_path / "ul.txt").write_text("a b\n")
+        (tmp_path / "wrl.txt").write_text("x\n")
+        rc = main(["baseline-dpseg", "--ul", str(tmp_path / "ul.txt"),
+                   "--wrl", str(tmp_path / "wrl.txt"), "--out", str(tmp_path / "o.txt"),
+                   "--iterations", "2", "--sample-average", "10"])
+        assert rc == cli.EXIT_CONFIG
+        assert "sample_average" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["ul.txt", "wrl.txt"]
+
     def test_bad_aligner_setting_is_config_error(self, tmp_path, capsys):
         ini = tmp_path / "p.ini"
         ini.write_text("[pipeline]\nout_dir = %s\n[synth]\ncorpus_size = 5\n"
@@ -554,6 +564,28 @@ class TestCommandRoundtrips:
                      "--iterations", "20"]) == cli.EXIT_OK
         lines = open(hyp).read().splitlines()
         assert len(lines) == 30
+
+    def test_dpseg_sweep_log(self, corpus_dir, tmp_path):
+        hyp = str(tmp_path / "dp.txt")
+        assert main(["baseline-dpseg", "--ul", corpus_dir + "/ul.txt",
+                     "--wrl", corpus_dir + "/wrl.txt", "--out", hyp,
+                     "--iterations", "10", "--seed", "2"]) == cli.EXIT_OK
+        sweeps = json.loads(open(hyp + ".log.json").read())["sweeps"]
+        assert [e["sweep"] for e in sweeps] == list(range(1, 11))
+        assert all(set(e) == {"sweep", "temperature", "boundaries", "seconds"}
+                   for e in sweeps)
+        # the annealing schedule: from 10 down to 1 over 90% of the sweeps, then 1
+        assert [e["temperature"] for e in sweeps] == pytest.approx(
+            [10.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
+        manifest = json.loads(open(hyp + ".manifest.json").read())
+        assert list(manifest["outputs"]) == [hyp]
+        # the log leaves the segmentation as the library writes it without one
+        corpus = load_parallel_corpus(corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt")
+        segs = bl.dpseg_segment_corpus(corpus, bl.DpsegConfig(iterations=10, seed=2))
+        plain = str(tmp_path / "plain.txt")
+        cp.write_segmentations(corpus, segs, plain)
+        assert open(hyp, "rb").read() == open(plain, "rb").read()
+        assert sweeps[-1]["boundaries"] == sum(len(s.boundaries) for s in segs.values())
 
     def test_align_segment_plot_chain(self, corpus_dir, tmp_path, capsys):
         ckpt = str(tmp_path / "model.npz")
