@@ -698,7 +698,7 @@ def read_attention_matrices(path: str) -> dict[str, AttentionMatrix]:
             if len(fields) != A:
                 raise CorpusError("%s:%d: %d weights, expected %d" % (path, k, len(fields), A))
         try:
-            w = np.array([[float(v) for v in fields] for _, fields in body])
+            w = np.array([fields for _, fields in body], dtype=float)
         except ValueError:
             raise CorpusError("%s: %s has a non-numeric weight" % (path, utt_id)) from None
         m = AttentionMatrix(utt_id, w)

@@ -4,11 +4,14 @@ The phone loop chooses among unit sub-HMMs (left-to-right, diagonal
 Gaussian mixture emissions) at every unit transition; unit weights
 carry a symmetric Dirichlet prior whose MAP update drives unused units
 to zero weight, so the model explains the data with a small unit set.
-All likelihood computations run in the log domain.
+Training's E-step runs forward-backward on scaled probabilities over
+whole groups of utterances at once, and falls back to the log domain for
+an utterance that would underflow; everything else runs in the log domain.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import wave
@@ -77,8 +80,10 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=None)
 def mel_filterbank(num_filters: int, nfft: int, rate: int) -> np.ndarray:
-    """Triangular filters on the mel scale covering [0, rate/2]."""
+    """Triangular filters on the mel scale covering [0, rate/2]. Built once per
+    (num_filters, nfft, rate) and returned read-only, because it is shared."""
     pts = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(rate / 2.0), num_filters + 2))
     bins = np.floor((nfft + 1) * pts / rate).astype(int)
     fb = np.zeros((num_filters, nfft // 2 + 1))
@@ -90,6 +95,7 @@ def mel_filterbank(num_filters: int, nfft: int, rate: int) -> np.ndarray:
         for k in range(mid, hi):
             if hi > mid:
                 fb[i, k] = (hi - k) / (hi - mid)
+    fb.flags.writeable = False
     return fb
 
 
@@ -125,7 +131,7 @@ def extract_mfcc(signal: np.ndarray, rate: int, config: MfccConfig = MfccConfig(
         nfft *= 2
     window_fn = np.hamming(win)
     fb = mel_filterbank(config.num_filters, nfft, rate)
-    frames = np.stack([emph[i * step: i * step + win] * window_fn for i in range(n_frames)])
+    frames = np.lib.stride_tricks.sliding_window_view(emph, win)[::step][:n_frames] * window_fn
     spec = np.abs(np.fft.rfft(frames, nfft)) ** 2 / nfft
     energies = np.maximum(spec @ fb.T, 1e-30)
     ceps = dct(np.log(energies), type=2, axis=1, norm="ortho")[:, : config.num_ceps]
@@ -181,6 +187,15 @@ class AudModel:
                                % (name, getattr(self, name).shape, shape))
         if not np.all(np.isfinite(self.variances) & (self.variances > 0)):
             raise AudError("variances must be finite and positive")
+        if not np.all(np.isfinite(self.means)):
+            raise AudError("means must be finite")
+        if not np.all((self.stay >= 0) & (self.stay <= 1)):
+            raise AudError("stay probabilities must lie in [0, 1]")
+        if not (np.all(self.mix_weights >= 0)
+                and np.all(np.abs(self.mix_weights.sum(axis=-1) - 1.0) <= 1e-6)):
+            raise AudError("mix_weights must be non-negative and sum to 1 in each state")
+        if np.any(np.isnan(self.log_pi) | (self.log_pi == np.inf)):
+            raise AudError("log_pi must not hold NaN or +inf")
 
     @property
     def num_units(self) -> int:
@@ -288,27 +303,38 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray,
     return centroids, assign
 
 
-def _weighted_component_loglik(model: AudModel, feats: np.ndarray) -> np.ndarray:
-    """(F, U, S, M) log mix_weight + log N(x_t; mean, diag variance).
-
-    The diagonal-GMM expansion of Kaldi's DiagGmm: per-component constants g
-    plus x (mean/var)^T - 1/2 (x*x) (1/var)^T, two matrix products over the
-    frames. The constants cost O(U*S*M*D) and are rebuilt on every call,
-    because the M-step rewrites the means and variances in place.
-    """
-    U, S, M, D = model.means.shape
-    means = model.means.reshape(-1, D)
-    variances = model.variances.reshape(-1, D)
+def _gmm_consts(means: np.ndarray, variances: np.ndarray,
+                mix_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal-GMM expansion of Kaldi's DiagGmm for K components, given
+    as (..., D) means and variances and (...) weights: a (2D, K) matrix W that
+    stacks mean/var over -1/(2 var), and (K,) per-component constants g, so
+    that log weight + log N(x; mean, diag var) = [x, x*x] W + g. They cost
+    O(K*D) and are rebuilt on every call, because the M-step rewrites the
+    means and variances in place."""
+    D = means.shape[-1]
+    means = means.reshape(-1, D)
+    variances = variances.reshape(-1, D)
     inv_vars = 1.0 / variances
     means_invvars = means * inv_vars
     with np.errstate(divide="ignore"):
-        g = np.log(model.mix_weights).reshape(-1) - 0.5 * (
+        g = np.log(mix_weights).reshape(-1) - 0.5 * (
             (means * means_invvars).sum(axis=1) + np.log(variances).sum(axis=1)
             + D * math.log(2 * math.pi))
-    ll = feats @ means_invvars.T
-    ll -= 0.5 * ((feats * feats) @ inv_vars.T)
+    return np.concatenate([means_invvars, -0.5 * inv_vars], axis=1).T, g
+
+
+def _component_loglik(feats: np.ndarray, consts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(F, K) weighted component log densities, one matrix product over the frames."""
+    W, g = consts
+    ll = np.concatenate([feats, feats * feats], axis=1) @ W
     ll += g
-    return ll.reshape(feats.shape[0], U, S, M)
+    return ll
+
+
+def _weighted_component_loglik(model: AudModel, feats: np.ndarray) -> np.ndarray:
+    """(F, U, S, M) log mix_weight + log N(x_t; mean, diag variance)."""
+    consts = _gmm_consts(model.means, model.variances, model.mix_weights)
+    return _component_loglik(feats, consts).reshape(feats.shape[0], *model.means.shape[:3])
 
 
 def _logsumexp_last(a: np.ndarray) -> np.ndarray:
@@ -443,6 +469,192 @@ def _estep_utterance(model: AudModel, feats: np.ndarray, stats: _Stats) -> None:
     stats.comp_sqsum += (resp @ (feats * feats)).reshape(stats.comp_sqsum.shape)
 
 
+# The whole-corpus E-step runs forward-backward in the scaled probability
+# domain (Rabiner 1989): each frame's forward vector is normalised by its sum
+# c_t, and the backward pass reuses the same c_t, so a multiply and an add
+# replace every log-add. Utterances are sorted by length and left-aligned in
+# (frame, utterance, state, unit) arrays, so one numpy call per frame covers a
+# group of them; a group's two such arrays hold at most _STATE_FRAME_BUDGET
+# values each, unless one utterance alone is longer. The per-component
+# densities are recomputed per utterance for the counts rather than held for
+# the group, to keep memory down. An utterance whose normalisers underflow (a
+# c_t or its final exit mass at or below _SCALE_FLOOR) or whose counts come out
+# non-finite takes its counts from the log-domain `_estep_utterance` instead.
+_STATE_FRAME_BUDGET = 1 << 17
+_SCALE_FLOOR = 1e-250
+_LOG_RATIO_FLOOR = -700.0   # exp(-700) = 1e-304
+
+
+def _estep_corpus(model: AudModel, feats_list: list[np.ndarray], stats: _Stats) -> None:
+    """Add the E-step counts and log likelihood of every feature matrix to `stats`."""
+    U, S, M, _ = model.means.shape
+    # density constants with columns in (m, s, u) order: a density matrix then
+    # reshapes to (F, M, S, U), and every state slice keeps its units contiguous
+    consts = _gmm_consts(model.means.transpose(2, 1, 0, 3), model.variances.transpose(2, 1, 0, 3),
+                         model.mix_weights.T)
+    with np.errstate(divide="ignore"):
+        pi = np.exp(model.log_pi)
+    stay = model.stay.T.copy()
+    order = sorted(range(len(feats_list)), key=lambda i: -feats_list[i].shape[0])
+    fallback = []
+    while order:
+        # the longest utterance left sets how many fit; the groups come out even
+        fit = max(1, _STATE_FRAME_BUDGET // (feats_list[order[0]].shape[0] * S * U))
+        groups = -(-len(order) // fit)
+        G = -(-len(order) // groups)
+        fallback += _estep_group([feats_list[i] for i in order[:G]], consts,
+                                 pi, stay, 1.0 - stay, stats)
+        order = order[G:]
+    for feats in fallback:
+        _estep_utterance(model, feats, stats)
+
+
+def _scaled_densities(feats: np.ndarray, consts: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(F, K) component densities divided by each frame's largest one, exp(ll - m_t),
+    and the (F,) log maxima m_t. Ratios below exp(_LOG_RATIO_FLOOR) are set to 0
+    without calling exp on them, because an exp that underflows is about 20 times
+    slower; they are too small to move any count of an utterance that passes
+    the _SCALE_FLOOR test."""
+    e = _component_loglik(feats, consts)
+    m = e.max(axis=1)
+    e -= m[:, None]
+    keep = e > _LOG_RATIO_FLOOR
+    np.maximum(e, _LOG_RATIO_FLOOR, out=e)
+    np.exp(e, out=e)
+    e *= keep
+    return e, m
+
+
+def _estep_group(group: list[np.ndarray], consts: tuple, pi: np.ndarray, stay: np.ndarray,
+                 move: np.ndarray, stats: _Stats) -> list[np.ndarray]:
+    """Scaled forward-backward over feature matrices of non-increasing length,
+    given the (U,) unit weights and (S, U) stay and move probabilities. Adds
+    the counts of those that did not underflow to `stats` and returns the others."""
+    lengths = np.array([x.shape[0] for x in group])
+    b, log_scale = _state_densities(group, consts, *stay.shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        alpha, c, exits = _scaled_forward(b, pi, stay, move)
+        c_end = exits[lengths - 1, np.arange(len(group))]
+        norms = np.vstack([np.where(np.arange(len(c))[:, None] < lengths, c, 1.0), c_end])
+        bad = ~np.all((norms > _SCALE_FLOOR) & np.isfinite(norms), axis=0)
+        stay_num = _scaled_backward(alpha, b, c, lengths, c_end, pi, stay, move)
+        bad |= ~np.all(np.isfinite(stay_num), axis=(1, 2))
+        fallback = []
+        for g, x in enumerate(group):
+            F = len(x)
+            if bad[g] or not _add_counts(
+                    stats, x, consts, alpha[:F, g], b[:F, g], stay_num[g],
+                    np.log(c[:F, g]).sum() + log_scale[g] + math.log(c_end[g])):
+                fallback.append(x)
+    return fallback
+
+
+def _scaled_forward(b: np.ndarray, pi: np.ndarray, stay: np.ndarray,
+                    move: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward pass over (T, G, S, U) scaled state densities. Returns the forward
+    vectors normalised to sum 1, their (T, G) normalisers c_t, and the (T, G)
+    mass of each normalised vector that leaves through the final states."""
+    T, G, S, U = b.shape
+    alpha = np.empty_like(b)
+    c = np.empty((T, G))
+    exits = np.empty((T, G))
+    pre = np.zeros((G, S, U))
+    pre[:, 0] = pi
+    ones = np.ones(S * U)
+    for t in range(T):
+        a = alpha[t]
+        if t:
+            prev = alpha[t - 1]
+            np.multiply(prev, stay, out=pre)
+            pre[:, 1:] += prev[:, :-1] * move[:-1]
+            pre[:, 0] += exits[t - 1][:, None] * pi
+        np.multiply(pre, b[t], out=a)
+        c[t] = a.reshape(G, -1) @ ones
+        a /= c[t][:, None, None]
+        exits[t] = a[:, -1] @ move[-1]
+    return alpha, c, exits
+
+
+def _scaled_backward(alpha: np.ndarray, b: np.ndarray, c: np.ndarray, lengths: np.ndarray,
+                     c_end: np.ndarray, pi: np.ndarray, stay: np.ndarray,
+                     move: np.ndarray) -> np.ndarray:
+    """Backward pass with the forward pass's normalisers; each utterance starts
+    at its own last frame from the final exit weights over c_end. Turns `alpha`
+    into the state occupancies gamma in place and returns the (G, S, U)
+    expected self-loop counts."""
+    T, G, S, U = b.shape
+    ends = {t: lengths == t + 1 for t in set(lengths - 1)}
+    inv_c = (1.0 / c)[:, :, None, None]
+    beta = np.zeros((G, S, U))
+    stay_num = np.zeros((G, S, U))
+    for t in range(T - 1, -1, -1):
+        if t < T - 1:
+            nxt = b[t + 1] * beta
+            nxt *= inv_c[t + 1]
+            stay_num += alpha[t] * nxt
+            np.multiply(nxt, stay, out=beta)
+            beta[:, :-1] += nxt[:, 1:] * move[:-1]
+            beta[:, -1] += (nxt[:, 0] @ pi)[:, None] * move[-1]
+        if t in ends:
+            beta[ends[t]] = 0.0
+            beta[ends[t], -1] = move[-1] / c_end[ends[t], None]
+        alpha[t] *= beta
+    # the self arc's weight; with one state per unit it also carries the
+    # unit's exit and re-entry into itself
+    stay_num *= stay + move * pi if S == 1 else stay
+    return stay_num
+
+
+def _state_densities(group: list[np.ndarray], consts: tuple, S: int,
+                     U: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T, G, S, U) state densities of the left-aligned feature matrices, each
+    frame's scaled by its largest component density, and the (G,) sums of the
+    log scales. Past an utterance's end b = 1, which keeps its forward pass finite."""
+    b = np.ones((group[0].shape[0], len(group), S, U))
+    log_scale = np.empty(len(group))
+    for g, x in enumerate(group):
+        e, m = _scaled_densities(x, consts)
+        e = e.reshape(len(x), -1, S, U)
+        bg = b[: len(x), g]
+        np.copyto(bg, e[:, 0])
+        for j in range(1, e.shape[1]):   # summed in slices, not along the short axis
+            bg += e[:, j]
+        log_scale[g] = m.sum()
+    return b, log_scale
+
+
+def _add_counts(stats: _Stats, feats: np.ndarray, consts: tuple, gamma: np.ndarray,
+                b: np.ndarray, stay_num: np.ndarray, loglik: float) -> bool:
+    """Add one utterance's counts to `stats`, given its (F, S, U) state
+    occupancies and scaled state densities and its (S, U) self-loop counts; if
+    they are not finite, add nothing and return False."""
+    F, S, U = gamma.shape
+    occupancy = gamma.sum(axis=0)
+    # each component's share of its state's occupancy; where a state's scaled
+    # density underflowed to 0, so did its occupancy
+    share = np.zeros_like(gamma)
+    np.divide(gamma, b, out=share, where=b > 0)
+    resp, _ = _scaled_densities(feats, consts)
+    resp = resp.reshape(F, -1, S, U)
+    resp *= share[:, None]
+    occ = resp.sum(axis=0)
+    if not (np.all(np.isfinite(occ)) and np.all(np.isfinite(occupancy))):
+        return False
+    resp = resp.reshape(F, -1).T
+    # the counts in (M, S, U) layout, added through transposed views of `stats`
+    comp_occ = stats.comp_occ.transpose(2, 1, 0)
+    comp_occ += occ
+    comp_sum = stats.comp_sum.transpose(2, 1, 0, 3)
+    comp_sum += (resp @ feats).reshape(comp_sum.shape)
+    comp_sqsum = stats.comp_sqsum.transpose(2, 1, 0, 3)
+    comp_sqsum += (resp @ (feats * feats)).reshape(comp_sum.shape)
+    stats.unit_entries += occupancy[0]
+    stats.stay_den += occupancy.T
+    stats.stay_num += stay_num.T
+    stats.loglik += float(loglik)
+    return True
+
+
 def map_objective(model: AudModel, loglik: float) -> float:
     """Data log likelihood plus symmetric-Dirichlet log prior on unit weights.
 
@@ -478,8 +690,7 @@ def train_phone_loop(
     for iteration in range(1, config.iterations + 1):
         t0 = time.perf_counter()
         stats = _Stats.zeros(U, S, M, D)
-        for f in feats_list:
-            _estep_utterance(model, f.features, stats)
+        _estep_corpus(model, [f.features for f in feats_list], stats)
         objective = map_objective(model, stats.loglik)
         # M-step: MAP unit weights
         raw = np.maximum(0.0, stats.unit_entries + config.gamma - 1.0)

@@ -494,6 +494,43 @@ class TestMatrixWriter:
         self.check(tmp_path, forced_decode_corpus(trained, corpus))
 
 
+class TestMatrixReader:
+    """The numpy row parser against Python's float(), value for value, and its errors."""
+
+    def test_values_match_python_float(self, tmp_path):
+        rng = np.random.default_rng(4)
+        rows = [[0.0, 1.0, 1e-300], [5e-324, 2.2e-310, 1.0 - 2.2e-16],
+                [0.1, np.nextafter(0.1, 0.0), 1.0 - 0.1 - np.nextafter(0.1, 0.0)]]
+        matrices = {"edge": AttentionMatrix("edge", np.array(rows))}
+        for k in range(4):
+            w = rng.dirichlet(np.full(k + 1, 0.3), size=6)
+            matrices["u%d" % k] = AttentionMatrix("u%d" % k, w)
+        path = str(tmp_path / "attn.txt")
+        write_attention_matrices(path, matrices)
+        back = read_attention_matrices(path)
+        with open(path) as f:
+            lines = [l.split() for l in f]
+        i = 0
+        while i < len(lines):
+            utt_id, T = lines[i][0], int(lines[i][1])
+            want = np.array([[float(v) for v in row] for row in lines[i + 1: i + 1 + T]])
+            assert back[utt_id].weights.tobytes() == want.tobytes()
+            i += 1 + T
+
+    @pytest.mark.parametrize("text, message", [
+        ("u1 2 3\n0.2 0.3 0.5\n0.5 0.5\n", "{path}:3: 2 weights, expected 3"),
+        ("u1 2 2\n0.5 0.5\n0.5 x\n", "{path}: u1 has a non-numeric weight"),
+        ("u1 2 2\n0.5 0.5\n", "{path}: u1 is truncated, 1 of 2 rows"),
+        ("u1 1 2\n0.5 0.5\nu1 1 2\n1.0 0.0\n", "{path}:3: utterance u1 appears twice"),
+    ])
+    def test_error_messages(self, tmp_path, text, message):
+        path = tmp_path / "attn.txt"
+        path.write_text(text)
+        with pytest.raises(CorpusError) as e:
+            read_attention_matrices(str(path))
+        assert str(e.value) == message.format(path=path)
+
+
 class TestAttentionMatrixValidation:
     def test_bad_row_sum(self):
         m = AttentionMatrix("u", np.array([[0.5, 0.4]]))

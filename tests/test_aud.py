@@ -4,8 +4,10 @@ import wave
 
 import numpy as np
 import pytest
+from scipy.fftpack import dct
 from scipy.special import logsumexp
 
+from attnseg import aud as aud_mod
 from attnseg.aud import (
     AudConfig,
     AudError,
@@ -28,6 +30,7 @@ from attnseg.aud import (
     train_phone_loop,
     viterbi_score,
     write_timed_units,
+    _estep_corpus,
     _estep_utterance,
     _lloyd,
     _logsumexp_last,
@@ -39,6 +42,28 @@ from attnseg.corpus import load_timed_units
 
 # ---------------------------------------------------------------------------
 # MFCC
+
+def reference_mfcc(signal, rate, config):
+    """`extract_mfcc` with frames cut as a list of slices and a filterbank
+    built afresh, as before the sliding window and the cached filterbank."""
+    win = int(round(config.frame_len_s * rate))
+    step = int(round(config.frame_step_s * rate))
+    n_frames = 1 + (len(signal) - win) // step
+    emph = np.append(signal[0], signal[1:] - config.preemphasis * signal[:-1])
+    nfft = 1
+    while nfft < win:
+        nfft *= 2
+    window_fn = np.hamming(win)
+    fb = mel_filterbank.__wrapped__(config.num_filters, nfft, rate)
+    frames = np.stack([emph[i * step: i * step + win] * window_fn for i in range(n_frames)])
+    spec = np.abs(np.fft.rfft(frames, nfft)) ** 2 / nfft
+    energies = np.maximum(spec @ fb.T, 1e-30)
+    ceps = dct(np.log(energies), type=2, axis=1, norm="ortho")[:, : config.num_ceps]
+    ceps = ceps - ceps.mean(axis=0, keepdims=True)
+    d1 = delta(ceps, config.delta_window)
+    d2 = delta(d1, config.delta_window)
+    return np.concatenate([ceps, d1, d2], axis=1)
+
 
 class TestMfcc:
     def test_frame_count_one_second(self):
@@ -84,6 +109,24 @@ class TestMfcc:
         assert np.all(fb >= 0)
         # every filter has support
         assert np.all(fb.sum(axis=1) > 0)
+
+    def test_filterbank_is_shared_and_read_only(self):
+        fb = mel_filterbank(26, 512, 16000)
+        assert mel_filterbank(26, 512, 16000) is fb
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
+
+    # exactly one window (400 samples at 16 kHz, 200 at 8 kHz), one sample
+    # more, one sample short of a second frame, two frames, and longer signals
+    @pytest.mark.parametrize("samples,rate", [(400, 16000), (401, 16000), (559, 16000),
+                                              (560, 16000), (16000, 16000), (200, 8000),
+                                              (8000, 8000)])
+    def test_matches_reference_framing(self, samples, rate):
+        config = MfccConfig()
+        signal = np.random.default_rng(samples + rate).standard_normal(samples) * 0.2
+        got = extract_mfcc(signal, rate, config).features
+        want = reference_mfcc(signal, rate, config)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_wav_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -409,6 +452,18 @@ class TestForwardAlgorithm:
             brute_force_loglik(m, x), abs=1e-10)
 
 
+STAT_FIELDS = ("unit_entries", "stay_num", "stay_den", "comp_occ", "comp_sum", "comp_sqsum")
+
+
+def assert_stats_close(got, want, rtol=1e-9, atol=1e-290):
+    """Counts and log likelihood to rtol; the default atol only absorbs the
+    dense oracle's exp(-700) floor on counts that are 0."""
+    assert got.loglik == pytest.approx(want.loglik, rel=rtol)
+    for name in STAT_FIELDS:
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                   rtol=rtol, atol=atol, err_msg=name)
+
+
 class TestStructuredRecursions:
     """The O(U*S)-per-frame recursions against the dense oracles above."""
 
@@ -427,13 +482,7 @@ class TestStructuredRecursions:
         U, S, M, D = m.means.shape
         got = _Stats.zeros(U, S, M, D)
         _estep_utterance(m, x, got)
-        want = dense_estep(m, x)
-        assert got.loglik == pytest.approx(want.loglik, rel=1e-9)
-        for name in ("unit_entries", "stay_num", "stay_den", "comp_occ", "comp_sum",
-                     "comp_sqsum"):
-            # atol only absorbs the oracle's exp(-700) floor on counts that are 0
-            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
-                                       rtol=1e-9, atol=1e-290, err_msg=name)
+        assert_stats_close(got, dense_estep(m, x))
 
     @pytest.mark.parametrize("states,mix", CASES)
     def test_viterbi_matches_dense(self, states, mix):
@@ -467,6 +516,97 @@ class TestStructuredRecursions:
             units = frame_units(decode_units(m, FeatureSequence("u", 0.01, 0.025, x)))
             assert units == dense_viterbi_units(m, x), seed
             assert 2 not in units
+
+
+class TestScaledEstep:
+    """The whole-corpus scaled-probability E-step against the dense oracle and
+    its own log-domain fallback."""
+
+    @pytest.mark.parametrize("states,mix", TestStructuredRecursions.CASES)
+    def test_matches_dense_over_unequal_lengths(self, states, mix):
+        m = random_model(4, states, mix, seed=30 * states + mix, dead_unit=1)
+        rng = np.random.default_rng(states + 10 * mix)
+        # an utterance needs at least one frame per state to reach the exit
+        xs = [rng.standard_normal((F, 2)) * 2.0 for F in (1, 2, 9, 17) if F >= states]
+        U, S, M, D = m.means.shape
+        got = _Stats.zeros(U, S, M, D)
+        _estep_corpus(m, xs, got)
+        want = _Stats.zeros(U, S, M, D)
+        for x in xs:
+            one = dense_estep(m, x)
+            want.loglik += one.loglik
+            for name in STAT_FIELDS:
+                getattr(want, name)[...] += getattr(one, name)
+        assert_stats_close(got, want)
+
+    @staticmethod
+    def underflow_model():
+        """Unit 0 has log weight -700 and the only density near the data, so
+        every path starts at a probability of about 1e-304."""
+        means = np.array([[[[0.0, 0.0]]], [[[100.0, 0.0]]], [[[0.0, 100.0]]]]).repeat(2, axis=1)
+        return AudModel(
+            config=AudConfig(num_units=3, states_per_unit=2, mix_components=1),
+            log_pi=np.array([-700.0, math.log(0.5), math.log(0.5)]),
+            stay=np.full((3, 2), 0.5),
+            mix_weights=np.ones((3, 2, 1)),
+            means=means,
+            variances=np.ones((3, 2, 1, 2)),
+        )
+
+    def test_underflow_takes_the_log_domain_fallback(self, monkeypatch):
+        m = self.underflow_model()
+        x = np.random.default_rng(0).standard_normal((6, 2)) * 0.5
+        calls = []
+        monkeypatch.setattr(aud_mod, "_estep_utterance",
+                            lambda *a: calls.append(a[1]) or _estep_utterance(*a))
+        got, want = _Stats.zeros(3, 2, 1, 2), _Stats.zeros(3, 2, 1, 2)
+        _estep_corpus(m, [x], got)
+        _estep_utterance(m, x, want)
+        assert len(calls) == 1 and calls[0] is x
+        assert got.loglik == want.loglik and -800 < got.loglik < -700
+        for name in STAT_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_only_the_underflowing_utterance_falls_back(self, monkeypatch):
+        m = self.underflow_model()
+        rng = np.random.default_rng(1)
+        near = rng.standard_normal((6, 2)) * 0.5
+        # frames at unit 1's density: likely paths avoid unit 0 altogether
+        far = rng.standard_normal((7, 2)) * 0.5 + [100.0, 0.0]
+        calls = []
+        monkeypatch.setattr(aud_mod, "_estep_utterance",
+                            lambda *a: calls.append(a[1]) or _estep_utterance(*a))
+        got = _Stats.zeros(3, 2, 1, 2)
+        _estep_corpus(m, [far, near, far[:4]], got)
+        assert len(calls) == 1 and calls[0] is near
+        want = _Stats.zeros(3, 2, 1, 2)
+        for x in (far, near, far[:4]):
+            _estep_utterance(m, x, want)
+        assert_stats_close(got, want)
+
+    def test_utterance_shorter_than_a_unit_is_an_error(self):
+        m = random_model(4, 3, 1, seed=5)
+        U, S, M, D = m.means.shape
+        with pytest.raises(AudError):
+            _estep_corpus(m, [np.zeros((9, 2)), np.zeros((2, 2))], _Stats.zeros(U, S, M, D))
+
+    @pytest.mark.parametrize("states,mix", [(1, 2), (3, 2)])
+    def test_groups_under_a_small_budget_match_one_group(self, monkeypatch, states, mix):
+        m = random_model(5, states, mix, seed=states, dead_unit=3)
+        rng = np.random.default_rng(states)
+        xs = [rng.standard_normal((int(F), 2)) * 2.0 for F in rng.integers(3, 30, 11)]
+        U, S, M, D = m.means.shape
+        one = _Stats.zeros(U, S, M, D)
+        _estep_corpus(m, xs, one)
+        groups = []
+        group = aud_mod._estep_group
+        monkeypatch.setattr(aud_mod, "_estep_group",
+                            lambda g, *a: groups.append(len(g)) or group(g, *a))
+        monkeypatch.setattr(aud_mod, "_STATE_FRAME_BUDGET", 3 * 30 * S * U)
+        split = _Stats.zeros(U, S, M, D)
+        _estep_corpus(m, xs, split)
+        assert sum(groups) == len(xs) and len(groups) >= 3
+        assert_stats_close(split, one, rtol=1e-12, atol=0)
 
 
 class TestTraining:

@@ -721,6 +721,27 @@ class TestAudBadInputs:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert bad in err or aud_files["feats"] in err  # the message names the file
 
+    @pytest.mark.parametrize("field, index, value", [
+        ("stay", (0, 0), 1.5), ("stay", (1, 0), -0.25), ("stay", (0, 0), np.nan),
+        ("mix_weights", (0, 0, 0), -0.5), ("mix_weights", (1, 0, 0), np.nan),
+        ("mix_weights", (0, 0, 0), 0.9),  # a row that sums to 0.9
+        ("log_pi", (0,), np.nan), ("log_pi", (1,), np.inf),
+        ("means", (0, 0, 0, 1), np.inf), ("means", (1, 0, 0, 2), np.nan)])
+    def test_model_that_is_not_probabilities_is_data_error(self, aud_files, tmp_path, capsys,
+                                                           field, index, value):
+        with np.load(aud_files["model"]) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays[field][index] = value
+        bad = str(tmp_path / "bad.npz")
+        np.savez(bad, **arrays)
+        units = tmp_path / "units.txt"
+        assert main(["aud-decode", "--model", bad, "--features", aud_files["feats"],
+                     "--out", str(units)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert bad in err and field in err
+        assert not units.exists()
+
     @pytest.mark.parametrize("flag, value", [("--iterations", "0"), ("--units", "1")])
     def test_out_of_range_aud_setting_is_config_error(self, aud_files, tmp_path, capsys,
                                                       flag, value):
