@@ -16,7 +16,6 @@ import math
 import time
 import wave
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.fftpack import dct
@@ -35,15 +34,12 @@ class AudConfigError(AudError):
 # ---------------------------------------------------------------------------
 # MFCC front-end
 
-@dataclass
-class MfccConfig:
-    frame_len_s: float = 0.025
-    frame_step_s: float = 0.010
-    num_filters: int = 26
-    num_ceps: int = 13
-    preemphasis: float = 0.97
-    delta_window: int = 2
-    cmn: bool = True
+FRAME_LEN_S = 0.025
+FRAME_STEP_S = 0.010
+NUM_FILTERS = 26
+NUM_CEPS = 13
+PREEMPHASIS = 0.97
+DELTA_WINDOW = 2
 
 
 @dataclass
@@ -110,8 +106,7 @@ def delta(feat: np.ndarray, window: int = 2) -> np.ndarray:
     return out / denom
 
 
-def extract_mfcc(signal: np.ndarray, rate: int, config: MfccConfig = MfccConfig(),
-                 utt_id: str = "utt") -> FeatureSequence:
+def extract_mfcc(signal: np.ndarray, rate: int, utt_id: str = "utt") -> FeatureSequence:
     """MFCC + deltas + delta-deltas (13 + 13 + 13 dims).
 
     Pre-emphasis, Hamming window, power spectrum, mel filterbank, log,
@@ -120,27 +115,26 @@ def extract_mfcc(signal: np.ndarray, rate: int, config: MfccConfig = MfccConfig(
     """
     if rate < 8000:
         raise AudError("sample rate %d below 8 kHz" % rate)
-    win = int(round(config.frame_len_s * rate))
-    step = int(round(config.frame_step_s * rate))
+    win = int(round(FRAME_LEN_S * rate))
+    step = int(round(FRAME_STEP_S * rate))
     if len(signal) < win:
         raise AudError("audio shorter than one analysis window")
     n_frames = 1 + (len(signal) - win) // step
-    emph = np.append(signal[0], signal[1:] - config.preemphasis * signal[:-1])
+    emph = np.append(signal[0], signal[1:] - PREEMPHASIS * signal[:-1])
     nfft = 1
     while nfft < win:
         nfft *= 2
     window_fn = np.hamming(win)
-    fb = mel_filterbank(config.num_filters, nfft, rate)
+    fb = mel_filterbank(NUM_FILTERS, nfft, rate)
     frames = np.lib.stride_tricks.sliding_window_view(emph, win)[::step][:n_frames] * window_fn
     spec = np.abs(np.fft.rfft(frames, nfft)) ** 2 / nfft
     energies = np.maximum(spec @ fb.T, 1e-30)
-    ceps = dct(np.log(energies), type=2, axis=1, norm="ortho")[:, : config.num_ceps]
-    if config.cmn:
-        ceps = ceps - ceps.mean(axis=0, keepdims=True)
-    d1 = delta(ceps, config.delta_window)
-    d2 = delta(d1, config.delta_window)
+    ceps = dct(np.log(energies), type=2, axis=1, norm="ortho")[:, :NUM_CEPS]
+    ceps = ceps - ceps.mean(axis=0, keepdims=True)
+    d1 = delta(ceps, DELTA_WINDOW)
+    d2 = delta(d1, DELTA_WINDOW)
     feats = np.concatenate([ceps, d1, d2], axis=1)
-    return FeatureSequence(utt_id, config.frame_step_s, config.frame_len_s, feats)
+    return FeatureSequence(utt_id, FRAME_STEP_S, FRAME_LEN_S, feats)
 
 
 # ---------------------------------------------------------------------------
@@ -337,18 +331,34 @@ def _weighted_component_loglik(model: AudModel, feats: np.ndarray) -> np.ndarray
     return _component_loglik(feats, consts).reshape(feats.shape[0], *model.means.shape[:3])
 
 
+_LOG_RATIO_FLOOR = -700.0   # exp(-700) = 1e-304
+
+
+def _exp_ratios(r: np.ndarray) -> np.ndarray:
+    """exp(r) in place for log ratios r <= 0 to a largest value. Ratios at or
+    below _LOG_RATIO_FLOOR are set to 0 without calling exp on them, because
+    an exp that underflows is about 20 times slower."""
+    keep = r > _LOG_RATIO_FLOOR
+    np.maximum(r, _LOG_RATIO_FLOOR, out=r)
+    np.exp(r, out=r)
+    r *= keep
+    return r
+
+
 def _logsumexp_last(a: np.ndarray) -> np.ndarray:
     """logsumexp over the short last axis (the mixture components) in
     whole-array passes, one per component, because numpy's reductions along a
     short last axis are slow and scipy adds its own per-call overhead. A slice
-    that is all -inf gives -inf."""
+    that is all -inf gives -inf. The terms that `_exp_ratios` drops cannot move
+    the sum, which holds the largest term, exp(0) = 1."""
     m = a[..., 0].copy()
     for j in range(1, a.shape[-1]):
         np.maximum(m, a[..., j], out=m)
     m[m == -np.inf] = 0.0
     s = np.zeros_like(m)
+    r = np.empty_like(m)
     for j in range(a.shape[-1]):
-        s += np.exp(a[..., j] - m)
+        s += _exp_ratios(np.subtract(a[..., j], m, out=r))
     with np.errstate(divide="ignore"):
         return np.log(s) + m
 
@@ -482,7 +492,6 @@ def _estep_utterance(model: AudModel, feats: np.ndarray, stats: _Stats) -> None:
 # non-finite takes its counts from the log-domain `_estep_utterance` instead.
 _STATE_FRAME_BUDGET = 1 << 17
 _SCALE_FLOOR = 1e-250
-_LOG_RATIO_FLOOR = -700.0   # exp(-700) = 1e-304
 
 
 def _estep_corpus(model: AudModel, feats_list: list[np.ndarray], stats: _Stats) -> None:
@@ -511,18 +520,12 @@ def _estep_corpus(model: AudModel, feats_list: list[np.ndarray], stats: _Stats) 
 
 def _scaled_densities(feats: np.ndarray, consts: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(F, K) component densities divided by each frame's largest one, exp(ll - m_t),
-    and the (F,) log maxima m_t. Ratios below exp(_LOG_RATIO_FLOOR) are set to 0
-    without calling exp on them, because an exp that underflows is about 20 times
-    slower; they are too small to move any count of an utterance that passes
-    the _SCALE_FLOOR test."""
+    and the (F,) log maxima m_t. The ratios that `_exp_ratios` sets to 0 are too
+    small to move any count of an utterance that passes the _SCALE_FLOOR test."""
     e = _component_loglik(feats, consts)
     m = e.max(axis=1)
     e -= m[:, None]
-    keep = e > _LOG_RATIO_FLOOR
-    np.maximum(e, _LOG_RATIO_FLOOR, out=e)
-    np.exp(e, out=e)
-    e *= keep
-    return e, m
+    return _exp_ratios(e), m
 
 
 def _estep_group(group: list[np.ndarray], consts: tuple, pi: np.ndarray, stay: np.ndarray,
@@ -669,11 +672,10 @@ def map_objective(model: AudModel, loglik: float) -> float:
     return loglik + float(prior)
 
 
-def train_phone_loop(
-    feats_list: list[FeatureSequence], config: AudConfig,
-    model: Optional[AudModel] = None,
-) -> tuple[AudModel, list[dict]]:
-    """MAP-EM (Baum-Welch with Dirichlet MAP update for the unit weights).
+def train_phone_loop(feats_list: list[FeatureSequence],
+                     config: AudConfig) -> tuple[AudModel, list[dict]]:
+    """MAP-EM (Baum-Welch with Dirichlet MAP update for the unit weights),
+    from the k-means start of `init_model`.
 
     Returns the trained model with zero-weight units pruned, plus one log
     entry per iteration: the MAP objective of the model it started from
@@ -681,8 +683,7 @@ def train_phone_loop(
     """
     if not feats_list:
         raise AudError("empty feature corpus")
-    if model is None:
-        model = init_model(feats_list, config)
+    model = init_model(feats_list, config)
     U, S, M, D = model.means.shape
     X = np.concatenate([f.features for f in feats_list], axis=0)
     var_floor = np.maximum(X.var(axis=0) * config.var_floor_frac, 1e-10)
@@ -743,9 +744,6 @@ def prune_model(model: AudModel) -> AudModel:
 class TimedUnitSequence:
     utt_id: str
     intervals: tuple[tuple[str, float, float], ...]  # (label, start_s, end_s)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _, _ in self.intervals)
 
 
 def decode_units(model: AudModel, feats: FeatureSequence) -> TimedUnitSequence:

@@ -368,12 +368,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_mfcc(args) -> int:
-    feats = []
+    feats, id_lines = [], {}
     with open(args.wav_list, encoding="utf-8") as f:
         entries = [(k, line.split()) for k, line in enumerate(f, 1) if line.strip()]
+    if not entries:
+        raise aud_mod.AudError("%s: no `id wav-path` lines" % args.wav_list)
     for k, fields in entries:
         if len(fields) != 2:
             raise aud_mod.AudError("%s:%d: expected `id wav-path`" % (args.wav_list, k))
+        if fields[0] in id_lines:  # the archive keeps one matrix per id
+            raise aud_mod.AudError("%s:%d: id %r already on line %d"
+                                   % (args.wav_list, k, fields[0], id_lines[fields[0]]))
+        id_lines[fields[0]] = k
         signal, rate = aud_mod.read_wav(fields[1])
         feats.append(aud_mod.extract_mfcc(signal, rate, utt_id=fields[0]))
     aud_mod.save_features(args.out, feats)

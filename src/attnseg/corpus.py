@@ -72,26 +72,12 @@ class ParallelUtterance:
     ul_symbols: tuple[str, ...]
     wrl_words: tuple[str, ...]
     gold_boundaries: Optional[Segmentation] = None
-    ul_times: Optional[tuple[tuple[float, float], ...]] = None
 
     def __post_init__(self):
         if not self.ul_symbols:
             raise CorpusError("utterance %s: empty UL side" % self.id)
         if not self.wrl_words:
             raise CorpusError("utterance %s: empty WRL side" % self.id)
-        if self.ul_times is not None:
-            if len(self.ul_times) != len(self.ul_symbols):
-                raise CorpusError(
-                    "utterance %s: %d time intervals for %d symbols"
-                    % (self.id, len(self.ul_times), len(self.ul_symbols))
-                )
-            prev_end = None
-            for s, e in self.ul_times:
-                if e < s or (prev_end is not None and s < prev_end):
-                    raise CorpusError(
-                        "utterance %s: time intervals overlap or are unordered" % self.id
-                    )
-                prev_end = e
         if (
             self.gold_boundaries is not None
             and self.gold_boundaries.length != len(self.ul_symbols)
@@ -105,20 +91,15 @@ class Vocabulary:
     """Bidirectional token <-> id mapping with reserved PAD/BOS/EOS/UNK ids."""
 
     def __init__(self, tokens: Iterable[str] = ()):
-        self._token_to_id: dict[str, int] = {t: i for i, t in enumerate(RESERVED)}
-        self._id_to_token: list[str] = list(RESERVED)
-        for t in tokens:
-            self.add(t)
+        """Ids after the reserved ones, in order of each token's first occurrence."""
+        new = dict.fromkeys(tokens)
+        if not new.keys().isdisjoint(RESERVED):
+            bad = next(t for t in new if t in RESERVED)
+            raise CorpusError("reserved token %r cannot be added" % bad)
+        self._id_to_token: list[str] = [*RESERVED, *new]
+        self._token_to_id: dict[str, int] = {t: i for i, t in enumerate(self._id_to_token)}
 
     pad_id, bos_id, eos_id, unk_id = 0, 1, 2, 3
-
-    def add(self, token: str) -> int:
-        if token in RESERVED:
-            raise CorpusError("reserved token %r cannot be added" % token)
-        if token not in self._token_to_id:
-            self._token_to_id[token] = len(self._id_to_token)
-            self._id_to_token.append(token)
-        return self._token_to_id[token]
 
     def __len__(self) -> int:
         return len(self._id_to_token)
@@ -162,13 +143,8 @@ class ParallelCorpus:
 
 
 def build_vocabularies(utterances: Sequence[ParallelUtterance]) -> tuple[Vocabulary, Vocabulary]:
-    ul, wrl = Vocabulary(), Vocabulary()
-    for u in utterances:
-        for s in u.ul_symbols:
-            ul.add(s)
-        for w in u.wrl_words:
-            wrl.add(w)
-    return ul, wrl
+    return (Vocabulary(s for u in utterances for s in u.ul_symbols),
+            Vocabulary(w for u in utterances for w in u.wrl_words))
 
 
 def load_parallel_corpus(ul_path: str, wrl_path: str) -> ParallelCorpus:
@@ -280,45 +256,3 @@ def split_train_dev(
         ParallelCorpus(train, corpus.ul_vocab, corpus.wrl_vocab),
         ParallelCorpus(dev, corpus.ul_vocab, corpus.wrl_vocab),
     )
-
-
-def load_timed_units(path: str) -> dict[str, list[tuple[str, float, float]]]:
-    """Read time-marked unit output: one `id start end label` line per interval."""
-    out: dict[str, list[tuple[str, float, float]]] = {}
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise CorpusError("%s line %d: expected 4 fields, got %d" % (path, ln, len(parts)))
-            utt, start, end, label = parts
-            out.setdefault(utt, []).append((label, float(start), float(end)))
-    return out
-
-
-def corpus_from_timed_units(
-    units: dict[str, list[tuple[str, float, float]]], wrl_path: str
-) -> ParallelCorpus:
-    """Build a parallel corpus from time-marked units plus a WRL text file."""
-    with open(wrl_path, encoding="utf-8") as f:
-        wrl_lines = [l for l in f.read().splitlines() if l.strip()]
-    ids = sorted(units)
-    if len(wrl_lines) != len(ids):
-        raise CorpusError(
-            "WRL file has %d lines, timed units cover %d utterances"
-            % (len(wrl_lines), len(ids))
-        )
-    utterances = []
-    for utt_id, wrl in zip(ids, wrl_lines):
-        intervals = units[utt_id]
-        utterances.append(
-            ParallelUtterance(
-                id=utt_id,
-                ul_symbols=tuple(lab for lab, _, _ in intervals),
-                wrl_words=tuple(wrl.split()),
-                ul_times=tuple((s, e) for _, s, e in intervals),
-            )
-        )
-    ul_vocab, wrl_vocab = build_vocabularies(utterances)
-    return ParallelCorpus(tuple(utterances), ul_vocab, wrl_vocab)

@@ -11,7 +11,7 @@ explicit flag rather than NaN.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import ParallelCorpus, Segmentation
 
@@ -47,7 +47,6 @@ class EvalReport:
     type_retrieval: float
     hyp_vocabulary_size: int
     gold_vocabulary_size: int
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         def prf(p: PRF, name: str) -> dict:
@@ -68,7 +67,6 @@ class EvalReport:
         d["type_retrieval"] = self.type_retrieval
         d["hyp_vocabulary_size"] = self.hyp_vocabulary_size
         d["gold_vocabulary_size"] = self.gold_vocabulary_size
-        d.update(self.extra)
         return d
 
 
@@ -127,7 +125,6 @@ def evaluate(
     hyp: dict[str, Segmentation],
     gold: dict[str, Segmentation],
     corpus: ParallelCorpus,
-    extra: dict | None = None,
 ) -> EvalReport:
     boundary = boundary_prf(hyp, gold)
     token, type_, retrieval = token_type_prf(hyp, gold, corpus)
@@ -138,7 +135,6 @@ def evaluate(
         type_retrieval=retrieval,
         hyp_vocabulary_size=type_.hyp_count,
         gold_vocabulary_size=type_.gold_count,
-        extra=extra or {},
     )
 
 
@@ -151,8 +147,8 @@ def gold_segmentations(corpus: ParallelCorpus) -> dict[str, Segmentation]:
     return out
 
 
-def write_report(report: EvalReport, txt_path: str, json_path: str | None = None) -> None:
-    """Flat key-value text report plus an optional JSON copy of the same keys."""
+def write_report(report: EvalReport, txt_path: str, json_path: str) -> None:
+    """Flat key-value text report plus a JSON copy of the same keys."""
     d = report.to_dict()
     with open(txt_path, "w", encoding="utf-8") as f:
         for k in sorted(d):
@@ -161,7 +157,6 @@ def write_report(report: EvalReport, txt_path: str, json_path: str | None = None
                 f.write("%s %.6f\n" % (k, v))
             else:
                 f.write("%s %s\n" % (k, v))
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as f:
-            json.dump(d, f, indent=2, sort_keys=True)
-            f.write("\n")
+    with open(json_path, "w", encoding="utf-8") as f:
+        json.dump(d, f, indent=2, sort_keys=True)
+        f.write("\n")

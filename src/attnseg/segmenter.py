@@ -8,8 +8,6 @@ wherever two consecutive symbols attach to different WRL words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .aligner import AttentionMatrix
@@ -18,13 +16,6 @@ from .corpus import Segmentation
 
 class SegmenterError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class HardAlignment:
-    """Aligned WRL word index for every UL symbol position."""
-
-    word_index: tuple[int, ...]
 
 
 def smooth_matrix(m: AttentionMatrix) -> AttentionMatrix:
@@ -66,17 +57,17 @@ def average_matrices(ms: list[AttentionMatrix]) -> AttentionMatrix:
     return AttentionMatrix(first.utt_id, mean)
 
 
-def hard_align(m: AttentionMatrix) -> HardAlignment:
-    """Per-row argmax; ties break toward the lower word index."""
-    return HardAlignment(tuple(int(i) for i in np.argmax(m.weights, axis=1)))
+def hard_align(m: AttentionMatrix) -> tuple[int, ...]:
+    """The aligned WRL word index of every UL symbol position: the per-row
+    argmax, with ties broken toward the lower word index."""
+    return tuple(int(i) for i in np.argmax(m.weights, axis=1))
 
 
-def alignment_to_segmentation(a: HardAlignment) -> Segmentation:
-    """Boundary after position t exactly when a(t) != a(t+1).
+def alignment_to_segmentation(idx: tuple[int, ...]) -> Segmentation:
+    """Boundary after position t exactly when idx[t] != idx[t+1].
 
     Word indices need not be monotone: any change opens a new word.
     """
-    idx = a.word_index
     bounds = {t + 1 for t in range(len(idx) - 1) if idx[t] != idx[t + 1]}
     return Segmentation(len(idx), frozenset(bounds))
 

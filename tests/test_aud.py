@@ -13,7 +13,6 @@ from attnseg.aud import (
     AudError,
     AudModel,
     FeatureSequence,
-    MfccConfig,
     decode_units,
     delta,
     extract_mfcc,
@@ -37,31 +36,30 @@ from attnseg.aud import (
     _Stats,
     _weighted_component_loglik,
 )
-from attnseg.corpus import load_timed_units
 
 
 # ---------------------------------------------------------------------------
 # MFCC
 
-def reference_mfcc(signal, rate, config):
+def reference_mfcc(signal, rate):
     """`extract_mfcc` with frames cut as a list of slices and a filterbank
     built afresh, as before the sliding window and the cached filterbank."""
-    win = int(round(config.frame_len_s * rate))
-    step = int(round(config.frame_step_s * rate))
+    win = int(round(aud_mod.FRAME_LEN_S * rate))
+    step = int(round(aud_mod.FRAME_STEP_S * rate))
     n_frames = 1 + (len(signal) - win) // step
-    emph = np.append(signal[0], signal[1:] - config.preemphasis * signal[:-1])
+    emph = np.append(signal[0], signal[1:] - aud_mod.PREEMPHASIS * signal[:-1])
     nfft = 1
     while nfft < win:
         nfft *= 2
     window_fn = np.hamming(win)
-    fb = mel_filterbank.__wrapped__(config.num_filters, nfft, rate)
+    fb = mel_filterbank.__wrapped__(aud_mod.NUM_FILTERS, nfft, rate)
     frames = np.stack([emph[i * step: i * step + win] * window_fn for i in range(n_frames)])
     spec = np.abs(np.fft.rfft(frames, nfft)) ** 2 / nfft
     energies = np.maximum(spec @ fb.T, 1e-30)
-    ceps = dct(np.log(energies), type=2, axis=1, norm="ortho")[:, : config.num_ceps]
+    ceps = dct(np.log(energies), type=2, axis=1, norm="ortho")[:, :aud_mod.NUM_CEPS]
     ceps = ceps - ceps.mean(axis=0, keepdims=True)
-    d1 = delta(ceps, config.delta_window)
-    d2 = delta(d1, config.delta_window)
+    d1 = delta(ceps, aud_mod.DELTA_WINDOW)
+    d2 = delta(d1, aud_mod.DELTA_WINDOW)
     return np.concatenate([ceps, d1, d2], axis=1)
 
 
@@ -122,10 +120,9 @@ class TestMfcc:
                                               (560, 16000), (16000, 16000), (200, 8000),
                                               (8000, 8000)])
     def test_matches_reference_framing(self, samples, rate):
-        config = MfccConfig()
         signal = np.random.default_rng(samples + rate).standard_normal(samples) * 0.2
-        got = extract_mfcc(signal, rate, config).features
-        want = reference_mfcc(signal, rate, config)
+        got = extract_mfcc(signal, rate).features
+        want = reference_mfcc(signal, rate)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_wav_roundtrip(self, tmp_path):
@@ -331,6 +328,19 @@ def reference_kmeans(X, centroids, iterations):
     return centroids, assign
 
 
+def reference_logsumexp_last(a):
+    """`_logsumexp_last` before its exp skipped the ratios below e^-700."""
+    m = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(m, a[..., j], out=m)
+    m[m == -np.inf] = 0.0
+    s = np.zeros_like(m)
+    for j in range(a.shape[-1]):
+        s += np.exp(a[..., j] - m)
+    with np.errstate(divide="ignore"):
+        return np.log(s) + m
+
+
 def floor_scale_model(seed, units=6, states=3, mix=2, dim=39):
     """Random means around per-dimension offsets, with variances at the scale of
     the EM variance floor (var_floor_frac times the data variance) and one
@@ -387,6 +397,26 @@ class TestDensityOracle:
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         # one component: the log-sum-exp is the component itself
         np.testing.assert_array_equal(_logsumexp_last(a[..., :1]), a[..., 0])
+
+    @pytest.mark.parametrize("mix", [1, 2, 3])
+    def test_mixture_logsumexp_is_bit_identical_to_unfloored(self, mix):
+        # each state's largest component has log ratio 0; the others' ratios give
+        # normal exps, floored but normal exps, subnormal exps, exps that
+        # underflow to 0, or -inf
+        rng = np.random.default_rng(mix)
+        shape = (60, 7, 3, mix)
+        kinds = np.stack([rng.uniform(-700.0, 0.0, shape), rng.uniform(-708.0, -700.0, shape),
+                          rng.uniform(-745.0, -708.0, shape), rng.uniform(-900.0, -745.0, shape),
+                          np.full(shape, -np.inf)])
+        r = np.take_along_axis(kinds, rng.integers(0, len(kinds), (1,) + shape), axis=0)[0]
+        np.put_along_axis(r, rng.integers(0, mix, shape[:3] + (1,)), 0.0, axis=-1)
+        if mix > 1:
+            assert np.any((r > -745.0) & (r < -708.0)) and np.any(r < -745.0)
+        a = r + rng.choice([-3e4, -50.0, 0.0, 400.0], shape[:3])[..., None]
+        a[5, :, 1] = -np.inf  # states whose components are all -inf
+        got = _logsumexp_last(a)
+        assert np.all(got[5, :, 1] == -np.inf)
+        assert got.tobytes() == reference_logsumexp_last(a).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_kmeans_matches_reference(self, seed):
@@ -737,10 +767,12 @@ class TestIo:
         seqs = [decode_units(model, f) for f in feats]
         p = str(tmp_path / "units.txt")
         write_timed_units(p, seqs)
-        back = load_timed_units(p)
-        for seq in seqs:
-            got = back[seq.utt_id]
-            assert [lab for lab, _, _ in got] == list(seq.labels())
+        with open(p, encoding="utf-8") as f:
+            back = [line.split() for line in f]
+        want = [(seq.utt_id, lab, s, e) for seq in seqs for lab, s, e in seq.intervals]
+        assert len(back) == len(want)
+        for fields, (utt_id, lab, s, e) in zip(back, want):
+            assert fields == [utt_id, "%.6f" % s, "%.6f" % e, lab]
 
     def test_model_roundtrip(self, tmp_path):
         feats, _ = synth_unit_corpus(2, seed=10)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import wave
 
 import numpy as np
 import pytest
@@ -631,8 +632,6 @@ class TestCommandRoundtrips:
 
 class TestAudCli:
     def test_mfcc_train_decode(self, tmp_path, capsys):
-        import wave
-
         rng = np.random.default_rng(0)
         wavs = []
         for i in range(2):
@@ -741,6 +740,25 @@ class TestAudBadInputs:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert bad in err and field in err
         assert not units.exists()
+
+    @pytest.mark.parametrize("lines, message", [
+        ("", "no `id wav-path` lines"), ("\n  \n", "no `id wav-path` lines"),
+        ("x {wav}\n\nx {wav}\n", ":3: id 'x' already on line 1")])
+    def test_empty_or_repeated_wav_list_is_data_error(self, tmp_path, capsys, lines, message):
+        wav = str(tmp_path / "u.wav")
+        with wave.open(wav, "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(2)
+            w.setframerate(16000)
+            w.writeframes(np.zeros(1600, dtype="<i2").tobytes())
+        wav_list = tmp_path / "wavs.txt"
+        wav_list.write_text(lines.format(wav=wav))
+        out = tmp_path / "feats.npz"
+        assert main(["mfcc", "--wav-list", str(wav_list), "--out", str(out)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: %s" % wav_list) and err.count("\n") == 1
+        assert message in err
+        assert sorted(os.listdir(tmp_path)) == ["u.wav", "wavs.txt"]  # nothing written
 
     @pytest.mark.parametrize("flag, value", [("--iterations", "0"), ("--units", "1")])
     def test_out_of_range_aud_setting_is_config_error(self, aud_files, tmp_path, capsys,

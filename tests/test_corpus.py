@@ -2,16 +2,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from attnseg.corpus import (
+    RESERVED,
     CorpusError,
     ParallelCorpus,
     ParallelUtterance,
     Segmentation,
     Vocabulary,
     build_vocabularies,
-    corpus_from_timed_units,
     load_gold_segmentation,
     load_parallel_corpus,
-    load_timed_units,
     split_train_dev,
     write_corpus,
     write_segmentations,
@@ -62,6 +61,16 @@ class TestSegmentation:
         assert Segmentation.from_words(seg.words(symbols)) == seg
 
 
+def reference_vocabulary_ids(tokens):
+    """The token -> id map of a vocabulary built by adding one token at a time."""
+    ids = {t: i for i, t in enumerate(RESERVED)}
+    for t in tokens:
+        if t in RESERVED:
+            raise CorpusError("reserved token %r cannot be added" % t)
+        ids.setdefault(t, len(ids))
+    return ids
+
+
 class TestVocabulary:
     def test_reserved_ids_distinct(self):
         v = Vocabulary()
@@ -78,6 +87,21 @@ class TestVocabulary:
         assert v.id("zzz", allow_unk=True) == v.unk_id
         with pytest.raises(CorpusError):
             v.id("zzz")
+
+    @given(st.lists(st.sampled_from(["a", "b", "ab", "x y", "é", "<pad>"]) | st.text(max_size=3)),
+           st.lists(st.tuples(st.sampled_from(RESERVED), st.integers(0, 50)), min_size=1,
+                    max_size=3))
+    def test_ids_match_adding_token_by_token(self, tokens, reserved):
+        v, want = Vocabulary(iter(tokens)), reference_vocabulary_ids(tokens)
+        assert len(v) == len(want) and {t: v.id(t) for t in want} == want
+        assert v.tokens() == list(want)[len(RESERVED):]
+        for token, at in reserved:
+            tokens.insert(min(at, len(tokens)), token)
+        with pytest.raises(CorpusError) as got:
+            Vocabulary(iter(tokens))
+        with pytest.raises(CorpusError) as ref:
+            reference_vocabulary_ids(tokens)
+        assert str(got.value) == str(ref.value)  # names the first reserved token
 
 
 class TestLoadParallelCorpus:
@@ -197,30 +221,3 @@ class TestSplit:
         with pytest.raises(CorpusError):
             split_train_dev(c, 1.5, seed=0)
 
-
-class TestTimedUnits:
-    def test_roundtrip(self, tmp_path):
-        f = tmp_path / "units.txt"
-        f.write_text(
-            "utt1 0.000000 0.120000 a3\n"
-            "utt1 0.120000 0.300000 a7\n"
-            "utt2 0.000000 0.500000 a3\n"
-        )
-        units = load_timed_units(str(f))
-        assert units["utt1"] == [("a3", 0.0, 0.12), ("a7", 0.12, 0.3)]
-        wrl = tmp_path / "wrl.txt"
-        wrl.write_text("un deux\ntrois\n")
-        c = corpus_from_timed_units(units, str(wrl))
-        assert c.by_id("utt1").ul_symbols == ("a3", "a7")
-        assert c.by_id("utt1").ul_times == ((0.0, 0.12), (0.12, 0.3))
-
-    def test_malformed_line(self, tmp_path):
-        f = tmp_path / "units.txt"
-        f.write_text("utt1 0.0 0.1\n")
-        with pytest.raises(CorpusError, match="line 1"):
-            load_timed_units(str(f))
-
-    def test_overlapping_times_rejected(self):
-        with pytest.raises(CorpusError):
-            ParallelUtterance("u", ("a", "b"), ("x",),
-                              ul_times=((0.0, 0.5), (0.4, 0.8)))

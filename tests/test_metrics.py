@@ -186,14 +186,13 @@ class TestEvaluateAndReport:
 
         corpus = make_corpus([list("abcd")], golds=[Segmentation(4, {2})])
         hyp = {"u0": Segmentation(4, {2})}
-        report = evaluate(hyp, gold_segmentations(corpus), corpus, extra={"runs": 5})
+        report = evaluate(hyp, gold_segmentations(corpus), corpus)
         txt = tmp_path / "r.txt"
         js = tmp_path / "r.json"
         write_report(report, str(txt), str(js))
         d = json.loads(js.read_text())
         assert d["boundary_fscore"] == 1.0
         assert d["token_fscore"] == 1.0
-        assert d["runs"] == 5
         assert "boundary_fscore 1.000000" in txt.read_text()
 
     @given(st.integers(0, 10_000))
