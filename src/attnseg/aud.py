@@ -12,6 +12,7 @@ an utterance that would underflow; everything else runs in the log domain.
 from __future__ import annotations
 
 import functools
+import io
 import math
 import time
 import wave
@@ -56,9 +57,14 @@ class FeatureSequence:
             raise AudError("%s: non-finite feature values" % self.utt_id)
 
 
-def read_wav(path: str) -> tuple[np.ndarray, int]:
-    """Load 16-bit mono PCM; returns (float samples in [-1, 1], sample rate)."""
-    with wave.open(path, "rb") as w:
+def read_wav(path: str, digest=None) -> tuple[np.ndarray, int]:
+    """Load 16-bit mono PCM; returns (float samples in [-1, 1], sample rate).
+    `digest`, a hashlib object, is updated with the bytes of the file as read."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if digest is not None:
+        digest.update(data)
+    with wave.open(io.BytesIO(data), "rb") as w:
         if w.getnchannels() != 1:
             raise AudError("%s: expected mono audio" % path)
         if w.getsampwidth() != 2:

@@ -2,9 +2,10 @@
 
 Subcommands cover every stage: synthetic corpus generation, MFCC
 extraction, AUD training/decoding, aligner training, forced decoding,
-segmentation, baselines, evaluation and heatmap export. Every artifact
-gets a sidecar manifest (inputs, effective config, seed) sufficient to
-re-run its producing stage bit-identically.
+segmentation, baselines, evaluation, heatmap export, and `pipeline`, which
+runs the text stages in turn. Every artifact gets a sidecar manifest
+(inputs, effective config, seed) sufficient to re-run its producing stage
+bit-identically.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -13,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -208,11 +211,12 @@ def _write_json(path: str, obj, sort_keys: bool = False) -> None:
 
 
 def write_manifest(artifact: str, stage: str, inputs: list[str], config: dict,
-                   outputs: list[str]) -> None:
+                   outputs: list[str], input_hashes: dict[str, str] | None = None) -> None:
+    """`input_hashes`: the sha256 of further inputs, hashed as the stage read them."""
     cfg_json = json.dumps(config, sort_keys=True)
     _write_json(artifact + ".manifest.json", {
         "stage": stage,
-        "inputs": {p: _sha256(p) for p in inputs if os.path.exists(p)},
+        "inputs": {**{p: _sha256(p) for p in inputs if os.path.exists(p)}, **(input_hashes or {})},
         "config": config,
         "config_hash": hashlib.sha256(cfg_json.encode()).hexdigest(),
         "outputs": {p: _sha256(p) for p in outputs if os.path.exists(p)},
@@ -368,7 +372,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_mfcc(args) -> int:
-    feats, id_lines = [], {}
+    feats, id_lines, wav_hashes = [], {}, {}
     with open(args.wav_list, encoding="utf-8") as f:
         entries = [(k, line.split()) for k, line in enumerate(f, 1) if line.strip()]
     if not entries:
@@ -380,10 +384,12 @@ def cmd_mfcc(args) -> int:
             raise aud_mod.AudError("%s:%d: id %r already on line %d"
                                    % (args.wav_list, k, fields[0], id_lines[fields[0]]))
         id_lines[fields[0]] = k
-        signal, rate = aud_mod.read_wav(fields[1])
+        digest = hashlib.sha256()  # of the bytes decoded, so each file is read once
+        signal, rate = aud_mod.read_wav(fields[1], digest)
+        wav_hashes[fields[1]] = digest.hexdigest()
         feats.append(aud_mod.extract_mfcc(signal, rate, utt_id=fields[0]))
     aud_mod.save_features(args.out, feats)
-    write_manifest(args.out, "mfcc", [args.wav_list], {}, [args.out])
+    write_manifest(args.out, "mfcc", [args.wav_list], {}, [args.out], wav_hashes)
     print("extracted features for %d utterances" % len(feats))
     return EXIT_OK
 
@@ -414,6 +420,8 @@ def cmd_aud_decode(args) -> int:
 
 def cmd_train_aligner(args) -> int:
     config = _coerce(al.AlignerConfig, _flag_values(args))
+    if not 0.0 < args.dev_fraction < 1.0:
+        raise ConfigError("dev fraction must be in (0, 1), got %r" % args.dev_fraction)
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
     train, dev = cp.split_train_dev(corpus, args.dev_fraction, args.split_seed)
     model, log = al.train(train, dev, config)
@@ -444,9 +452,12 @@ def cmd_segment(args) -> int:
     runs = [al.read_attention_matrices(p) for p in args.matrices]
     segs = sg.segment_corpus(runs, smooth=not args.no_smooth)
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
+    unmatched = segs.keys() ^ {u.id for u in corpus}
+    if unmatched:  # checked before anything is written
+        odd = min(unmatched)
+        raise cp.CorpusError("utterance %r is in %s but not in %s" % (
+            odd, *(("the matrices", args.ul) if odd in segs else (args.ul, "the matrices"))))
     cp.write_segmentations(corpus, segs, args.out, delimiter=args.delimiter or None)
-    _write_json(args.out + ".boundaries.json",
-                {utt_id: sorted(s.boundaries) for utt_id, s in segs.items()}, sort_keys=True)
     write_manifest(args.out, "segment", list(args.matrices) + [args.ul, args.wrl],
                    {"smooth": not args.no_smooth, "runs": len(runs)}, [args.out])
     print("segmented %d utterances" % len(segs))
@@ -504,56 +515,54 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+def _run_stage(argv: list[str], ini_section: dict[str, str] | None = None) -> None:
+    """Run `attnseg <argv>` without its printout. The keys of an INI section that
+    `pipeline_configs` has checked act as the config flags that argv leaves out."""
+    args = build_parser().parse_args(argv)
+    for key, value in (ini_section or {}).items():
+        vars(args).setdefault("config." + key, value)
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        args.func(args)
+
+
 def cmd_pipeline(args) -> int:
-    """Full toy pipeline from an INI config: synth -> k trainings -> average
-    -> segment -> baselines -> evaluate."""
-    pipe_cfg, synth_cfg, aligner_cfg, dp_cfg = pipeline_configs(args.config,
-                                                                _flag_values(args))
-    out_dir = pipe_cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-
-    corpus = synth_corpus(synth_cfg)
-    paths = write_synth_corpus(corpus, out_dir)
-    write_manifest(paths["ul"], "synth", [], dataclasses.asdict(synth_cfg),
-                   list(paths.values()))
-
-    corpus = cp.load_parallel_corpus(paths["ul"], paths["wrl"])
-    corpus = cp.load_gold_segmentation(corpus, paths["gold"])
-    matrices_paths = []
-    for run in range(pipe_cfg.runs):
-        # split resampling across runs, as in the multi-run averaging protocol
-        train, dev = cp.split_train_dev(corpus, 0.1, seed=synth_cfg.seed + run)
-        run_cfg = dataclasses.replace(aligner_cfg, seed=aligner_cfg.seed + run)
-        model, _log = al.train(train, dev, run_cfg)
-        matrices = al.forced_decode_corpus(model, corpus)
-        mpath = os.path.join(out_dir, "attention_run%d.txt" % run)
-        al.write_attention_matrices(mpath, matrices)
-        write_manifest(mpath, "force-align", [paths["ul"], paths["wrl"]],
-                       dataclasses.asdict(run_cfg), [mpath])
-        matrices_paths.append(mpath)
-
-    run_maps = [al.read_attention_matrices(p) for p in matrices_paths]
-    segs = sg.segment_corpus(run_maps, smooth=True)
-    seg_path = os.path.join(out_dir, "segmentation.txt")
-    cp.write_segmentations(corpus, segs, seg_path)
-    write_manifest(seg_path, "segment", matrices_paths, {"smooth": True}, [seg_path])
-
-    gold = mt.gold_segmentations(corpus)
-    results = {"attentional": mt.evaluate(segs, gold, corpus)}
-    results["proportional"] = mt.evaluate(
-        bl.proportional_segment_corpus(corpus), gold, corpus)
-    if dp_cfg is not None:
-        results["dpseg"] = mt.evaluate(
-            bl.dpseg_segment_corpus(corpus, dp_cfg), gold, corpus)
-    for name, report in results.items():
-        rpath = os.path.join(out_dir, "eval_%s.txt" % name)
-        mt.write_report(report, rpath, rpath + ".json")
-        print("%s: boundary F %.4f" % (name, report.boundary.fscore))
+    """Full toy pipeline from an INI config, run as the stage commands: synth ->
+    per run, train-aligner and force-align -> segment -> baselines -> evaluate."""
+    pipe_cfg, synth_cfg, aligner_cfg, _ = pipeline_configs(args.config, _flag_values(args))
+    sections = load_config_file(args.config)
+    out = functools.partial(os.path.join, pipe_cfg.out_dir)
+    corpus = ["--ul", out("ul.txt"), "--wrl", out("wrl.txt")]
+    _run_stage(["synth", "--out-dir", pipe_cfg.out_dir], sections.get("synth"))
+    matrices = [out("attention_run%d.txt" % run) for run in range(pipe_cfg.runs)]
+    for run, matrices_path in enumerate(matrices):
+        # split and seed change per run, as in the multi-run averaging protocol
+        model = out("model_run%d.npz" % run)
+        _run_stage(["train-aligner", *corpus, "--out", model,
+                    "--seed", str(aligner_cfg.seed + run),
+                    "--split-seed", str(synth_cfg.seed + run)], sections.get("aligner"))
+        _run_stage(["force-align", "--model", model, *corpus, "--out", matrices_path])
+    systems = {"attentional": out("segmentation.txt"), "proportional": out("proportional.txt")}
+    _run_stage(["segment", "--matrices", *matrices, *corpus, "--out", systems["attentional"]])
+    _run_stage(["baseline-proportional", *corpus, "--out", systems["proportional"]])
+    if "dpseg" in sections:
+        systems["dpseg"] = out("dpseg.txt")
+        _run_stage(["baseline-dpseg", *corpus, "--out", systems["dpseg"]], sections["dpseg"])
+    for name, hyp in systems.items():
+        report = out("eval_%s.txt" % name)
+        _run_stage(["evaluate", *corpus, "--gold", out("gold.txt"), "--hyp", hyp, "--out", report])
+        with open(report + ".json", encoding="utf-8") as f:
+            print("%s: boundary F %.4f" % (name, json.load(f)["boundary_fscore"]))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
+
+def _path_flags(parser: argparse.ArgumentParser, flags: str) -> None:
+    """One required flag per name, each taking a file path."""
+    for flag in flags.split():
+        parser.add_argument(flag, required=True)
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="attnseg",
@@ -572,22 +581,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_mfcc)
 
     s = sub.add_parser("aud-train", help="train the phone-loop AUD model")
-    s.add_argument("--features", required=True)
-    s.add_argument("--out", required=True)
+    _path_flags(s, "--features --out")
     _config_flags(s, "num_units states_per_unit mix_components gamma iterations seed")
     s.add_argument("--quiet", action="store_true", help="do not print the summary line")
     s.set_defaults(func=cmd_aud_train)
 
     s = sub.add_parser("aud-decode", help="Viterbi-decode features to timed units")
-    s.add_argument("--model", required=True)
-    s.add_argument("--features", required=True)
-    s.add_argument("--out", required=True)
+    _path_flags(s, "--model --features --out")
     s.set_defaults(func=cmd_aud_decode)
 
     s = sub.add_parser("train-aligner", help="train the attentional aligner")
-    s.add_argument("--ul", required=True)
-    s.add_argument("--wrl", required=True)
-    s.add_argument("--out", required=True)
+    _path_flags(s, "--ul --wrl --out")
     _config_flags(s, "cell_size temperature dropout batch_size learning_rate max_epochs "
                      "patience seed")
     s.add_argument("--dev-fraction", type=float, default=0.1)
@@ -596,51 +600,37 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_train_aligner)
 
     s = sub.add_parser("force-align", help="extract attention matrices")
-    s.add_argument("--model", required=True)
-    s.add_argument("--ul", required=True)
-    s.add_argument("--wrl", required=True)
-    s.add_argument("--out", required=True)
+    _path_flags(s, "--model --ul --wrl --out")
     s.set_defaults(func=cmd_force_align)
 
     s = sub.add_parser("segment", help="attention matrices to segmentation")
     s.add_argument("--matrices", nargs="+", required=True)
-    s.add_argument("--ul", required=True)
-    s.add_argument("--wrl", required=True)
-    s.add_argument("--out", required=True)
+    _path_flags(s, "--ul --wrl --out")
     s.add_argument("--no-smooth", action="store_true")
     s.add_argument("--delimiter", default="")
     s.set_defaults(func=cmd_segment)
 
     s = sub.add_parser("baseline-proportional", help="diagonal projection baseline")
-    s.add_argument("--ul", required=True)
-    s.add_argument("--wrl", required=True)
-    s.add_argument("--out", required=True)
+    _path_flags(s, "--ul --wrl --out")
     s.add_argument("--delimiter", default="")
     s.set_defaults(func=cmd_baseline_proportional)
 
     s = sub.add_parser("baseline-dpseg", help="Bayesian nonparametric baseline")
-    s.add_argument("--ul", required=True)
-    s.add_argument("--wrl", required=True)
-    s.add_argument("--out", required=True)
+    _path_flags(s, "--ul --wrl --out")
     _config_flags(s, "order alpha0 alpha1 p_boundary iterations sample_average seed")
     s.add_argument("--delimiter", default="")
     s.set_defaults(func=cmd_baseline_dpseg)
 
     s = sub.add_parser("evaluate", help="score a segmentation against gold")
-    s.add_argument("--ul", required=True)
-    s.add_argument("--wrl", required=True)
-    s.add_argument("--gold", required=True)
-    s.add_argument("--hyp", required=True)
-    s.add_argument("--out", required=True)
+    _path_flags(s, "--ul --wrl --gold --hyp --out")
     s.add_argument("--delimiter", default="")
     s.set_defaults(func=cmd_evaluate)
 
     s = sub.add_parser("plot", help="export an attention heatmap (textual PGM)")
-    s.add_argument("--matrices", required=True)
+    _path_flags(s, "--matrices --out")
     s.add_argument("--utt", required=True)
     s.add_argument("--ul")
     s.add_argument("--wrl")
-    s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_plot)
 
     s = sub.add_parser("pipeline", help="run the full toy pipeline from a config file")

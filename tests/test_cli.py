@@ -387,6 +387,17 @@ class TestExitCodes:
             "config error: max epochs and patience must be at least 1\n")
         assert not (tmp_path / "m.npz").exists()
 
+    @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.1", "nan"])
+    def test_dev_fraction_out_of_range_is_config_error(self, tmp_path, capsys, fraction):
+        (tmp_path / "ul.txt").write_text("a b\nb a\n")
+        (tmp_path / "wrl.txt").write_text("x\ny\n")
+        assert main(["train-aligner", "--ul", str(tmp_path / "ul.txt"),
+                     "--wrl", str(tmp_path / "wrl.txt"), "--out", str(tmp_path / "m.npz"),
+                     "--dev-fraction", fraction]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: dev fraction must be in (0, 1), got %r\n" % float(fraction))
+        assert sorted(os.listdir(tmp_path)) == ["ul.txt", "wrl.txt"]
+
     def test_empty_training_corpus_is_data_error(self, tmp_path, capsys):
         (tmp_path / "ul.txt").write_text("")
         (tmp_path / "wrl.txt").write_text("")
@@ -467,6 +478,26 @@ class TestBadInputs:
         assert main(args) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("ids, odd", [(["utt00001", "utt00003"], "utt00002"),
+                                          (["utt00001", "utt00002", "utt00003", "utt00009"],
+                                           "utt00009")])
+    def test_matrices_that_do_not_match_the_corpus_are_data_error(self, corpus_dir, tmp_path,
+                                                                   capsys, ids, odd):
+        corpus = load_parallel_corpus(corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt")
+        lengths = {u.id: (len(u.ul_symbols), len(u.wrl_words)) for u in corpus}
+        matrices = {}
+        for i in ids:
+            rows, cols = lengths.get(i, (2, 2))
+            matrices[i] = AttentionMatrix(i, np.full((rows, cols), 1.0 / cols))
+        mats = str(tmp_path / "attn.txt")
+        al.write_attention_matrices(mats, matrices)
+        out = tmp_path / "seg.txt"
+        assert main(["segment", "--matrices", mats, "--ul", corpus_dir + "/ul.txt",
+                     "--wrl", corpus_dir + "/wrl.txt", "--out", str(out)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: utterance %r is in " % odd) and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["attn.txt", "corpus"]  # nothing written
 
     @pytest.mark.parametrize("edit", [None, "unknown_key", "no_vocabulary", "bad_dtype",
                                       "cell_mismatch", "npz_nine_bytes", "npz_truncated",
@@ -630,6 +661,14 @@ class TestCommandRoundtrips:
         assert open(m1, "rb").read() == open(m2, "rb").read()
 
 
+def _write_wav(path, samples):
+    with wave.open(path, "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(16000)
+        w.writeframes(samples.tobytes())
+
+
 class TestAudCli:
     def test_mfcc_train_decode(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -670,6 +709,24 @@ class TestAudCli:
         lines = open(units).read().splitlines()
         assert lines
         assert all(len(l.split()) == 4 for l in lines)
+
+    def test_mfcc_manifest_hashes_every_wav(self, tmp_path, capsys):
+        wavs = [str(tmp_path / ("w%d.wav" % i)) for i in range(2)]
+        for i, p in enumerate(wavs):
+            _write_wav(p, np.full(1600, 1000 * (i + 1), dtype="<i2"))
+        lst = str(tmp_path / "wavs.txt")
+        open(lst, "w").write("".join("utt%d %s\n" % (i, p) for i, p in enumerate(wavs)))
+        feats = str(tmp_path / "feats.npz")
+
+        def input_hashes():
+            assert main(["mfcc", "--wav-list", lst, "--out", feats]) == cli.EXIT_OK
+            return json.loads(open(feats + ".manifest.json").read())["inputs"]
+
+        before = input_hashes()
+        assert before == {p: cli._sha256(p) for p in [lst] + wavs}
+        _write_wav(wavs[1], np.full(1600, -500, dtype="<i2"))  # re-recorded under the same path
+        after = input_hashes()
+        assert [p for p in before if before[p] != after[p]] == [wavs[1]]
 
 
 class TestAudBadInputs:
@@ -773,6 +830,14 @@ TINY_STAGES = ("[synth]\ncorpus_size = 6\nlexicon_size = 3\n"
                "[aligner]\ncell_size = 4\nbatch_size = 4\nmax_epochs = 1\npatience = 1\n")
 
 
+# a two-run pipeline with a setting other than the default in every section
+STAGES_INI = ("[pipeline]\nruns = 2\nout_dir = {out_dir}\n"
+              "[synth]\ncorpus_size = 8\nlexicon_size = 3\nseed = 2\n"
+              "[aligner]\ncell_size = 4\nbatch_size = 4\nmax_epochs = 2\npatience = 1\n"
+              "seed = 5\n{aligner_extra}"
+              "[dpseg]\niterations = 5\nseed = 1\n")
+
+
 class TestPipelineCommand:
     @pytest.mark.parametrize("extra", ["runs = 1\nrun = 1\n", "runs = 0\n",
                                        "runs = 1\n[aligne]\ncell_size = 4\n"])
@@ -791,6 +856,72 @@ class TestPipelineCommand:
                      "--out-dir", str(tmp_path / "flag")]) == cli.EXIT_OK
         assert (tmp_path / "flag" / "eval_attentional.txt").exists()
         assert not (tmp_path / "ini").exists()
+
+    def test_same_artifacts_as_the_stage_commands(self, tmp_path, capsys):
+        by_hand, pipeline = tmp_path / "by_hand", tmp_path / "pipeline"
+        ini = tmp_path / "p.ini"
+        ini.write_text(STAGES_INI.format(out_dir=pipeline, aligner_extra=""))
+        assert main(["pipeline", "--config", str(ini)]) == cli.EXIT_OK
+        # the README's stage commands, with the INI's settings as flags
+        d = str(by_hand)
+        corpus = ["--ul", d + "/ul.txt", "--wrl", d + "/wrl.txt"]
+        commands = [["synth", "--out-dir", d, "--size", "8", "--lexicon-size", "3",
+                     "--seed", "2"]]
+        for run in range(2):
+            model = "%s/model_run%d.npz" % (d, run)
+            commands += [["train-aligner", *corpus, "--out", model, "--cell-size", "4",
+                          "--batch-size", "4", "--max-epochs", "2", "--patience", "1",
+                          "--seed", str(5 + run), "--split-seed", str(2 + run)],
+                         ["force-align", "--model", model, *corpus,
+                          "--out", "%s/attention_run%d.txt" % (d, run)]]
+        commands += [["segment", "--matrices", d + "/attention_run0.txt",
+                      d + "/attention_run1.txt", *corpus, "--out", d + "/segmentation.txt"],
+                     ["baseline-proportional", *corpus, "--out", d + "/proportional.txt"],
+                     ["baseline-dpseg", *corpus, "--out", d + "/dpseg.txt",
+                      "--iterations", "5", "--seed", "1"]]
+        for name, hyp in [("attentional", "segmentation"), ("proportional", "proportional"),
+                          ("dpseg", "dpseg")]:
+            commands.append(["evaluate", *corpus, "--gold", d + "/gold.txt",
+                             "--hyp", "%s/%s.txt" % (d, hyp),
+                             "--out", "%s/eval_%s.txt" % (d, name)])
+        for argv in commands:
+            assert main(argv) == cli.EXIT_OK, argv
+        names = sorted(os.listdir(pipeline))
+        assert names == sorted(os.listdir(by_hand))
+        for name in names:
+            a, b = (pipeline / name).read_bytes(), (by_hand / name).read_bytes()
+            if name.endswith(".manifest.json"):  # the same stage and config
+                a, b = ({k: json.loads(m)[k] for k in ("stage", "config")} for m in (a, b))
+            if not name.endswith(".log.json"):  # logs hold timings
+                assert a == b, name
+
+    def test_every_artifact_is_the_output_of_one_manifest(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        ini = tmp_path / "p.ini"
+        ini.write_text(STAGES_INI.format(out_dir=out, aligner_extra="embed_dim = 6\n"))
+        assert main(["pipeline", "--config", str(ini)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "%s: boundary F %.4f" % (name, json.loads(
+                (out / ("eval_%s.txt.json" % name)).read_text())["boundary_fscore"])
+            for name in ("attentional", "proportional", "dpseg")]
+        manifests = [json.loads((out / n).read_text())
+                     for n in os.listdir(out) if n.endswith(".manifest.json")]
+        outputs = [item for m in manifests for item in m["outputs"].items()]
+        artifacts = sorted(n for n in os.listdir(out)
+                           if not n.endswith((".manifest.json", ".log.json")))
+        assert artifacts == sorted(
+            ["ul.txt", "wrl.txt", "gold.txt", "segmentation.txt", "proportional.txt",
+             "dpseg.txt"] + ["model_run%d.npz%s" % (k, e) for k in (0, 1) for e in ("", ".json")]
+            + ["attention_run%d.txt" % k for k in (0, 1)]
+            + ["eval_%s.txt%s" % (s, e) for s in ("attentional", "proportional", "dpseg")
+               for e in ("", ".json")])
+        assert sorted(os.path.basename(p) for p, _ in outputs) == artifacts
+        assert all(cli._sha256(p) == digest for p, digest in outputs)
+        assert all(os.path.exists(p) for m in manifests for p in m["inputs"])
+        # a key with no flag still reaches the stage, and force-align names its model
+        assert json.loads((out / "model_run1.npz.json").read_text())["config"]["embed_dim"] == 6
+        force_align = json.loads((out / "attention_run1.txt.manifest.json").read_text())
+        assert str(out / "model_run1.npz") in force_align["inputs"]
 
     def test_small_end_to_end(self, tmp_path, capsys):
         ini = tmp_path / "p.ini"
