@@ -64,13 +64,20 @@ def read_wav(path: str, digest=None) -> tuple[np.ndarray, int]:
         data = f.read()
     if digest is not None:
         digest.update(data)
-    with wave.open(io.BytesIO(data), "rb") as w:
-        if w.getnchannels() != 1:
-            raise AudError("%s: expected mono audio" % path)
-        if w.getsampwidth() != 2:
-            raise AudError("%s: expected 16-bit PCM" % path)
-        rate = w.getframerate()
-        data = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
+    try:
+        with wave.open(io.BytesIO(data), "rb") as w:
+            if w.getnchannels() != 1:
+                raise AudError("%s: expected mono audio" % path)
+            if w.getsampwidth() != 2:
+                raise AudError("%s: expected 16-bit PCM" % path)
+            rate, frames = w.getframerate(), w.getnframes()
+            data = w.readframes(frames)
+    except (wave.Error, EOFError) as e:  # EOFError: the header ends early
+        raise AudError("%s: not a wav file (%s)" % (path, str(e) or "file ends early")) from None
+    if len(data) != 2 * frames:
+        raise AudError("%s: truncated wav file, %d of %d frames"
+                       % (path, len(data) // 2, frames))
+    data = np.frombuffer(data, dtype="<i2")
     return data.astype(np.float64) / 32768.0, rate
 
 
@@ -832,20 +839,12 @@ def write_timed_units(path: str, sequences: list[TimedUnitSequence]) -> None:
 
 
 def save_aud_model(path: str, model: AudModel) -> None:
-    np.savez(
-        path,
-        log_pi=model.log_pi,
-        stay=model.stay,
-        mix_weights=model.mix_weights,
-        means=model.means,
-        variances=model.variances,
-        config=np.array([
-            model.config.num_units, model.config.states_per_unit,
-            model.config.mix_components, model.config.gamma,
-            model.config.iterations, model.config.var_floor_frac,
-            model.config.seed,
-        ]),
-    )
+    c = model.config
+    with open(path, "wb") as f:  # at `path` exactly: np.savez appends .npz to a name
+        np.savez(f, log_pi=model.log_pi, stay=model.stay, mix_weights=model.mix_weights,
+                 means=model.means, variances=model.variances,
+                 config=np.array([c.num_units, c.states_per_unit, c.mix_components, c.gamma,
+                                  c.iterations, c.var_floor_frac, c.seed]))
 
 
 def load_aud_model(path: str) -> AudModel:
@@ -875,7 +874,8 @@ def save_features(path: str, feats_list: list) -> None:
     for f in feats_list:
         arrays["feat/" + f.utt_id] = f.features
         arrays["time/" + f.utt_id] = np.array([f.frame_step_s, f.frame_len_s])
-    np.savez(path, **arrays)
+    with open(path, "wb") as out:  # at `path` exactly: np.savez appends .npz to a name
+        np.savez(out, **arrays)
 
 
 def load_features(path: str) -> list:

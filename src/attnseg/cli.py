@@ -106,12 +106,14 @@ def _noisy_word(word: tuple[str, ...], alphabet: list[str], cfg: SynthConfig,
     return tuple(out)
 
 
-def synth_corpus(cfg: SynthConfig) -> cp.ParallelCorpus:
+def synth_corpus(cfg: SynthConfig,
+                 gold: dict[str, cp.Segmentation] | None = None) -> cp.ParallelCorpus:
     """Toy parallel corpus: random UL lexicon paired 1:1 with WRL words.
 
-    The UL side is emitted unsegmented with gold boundaries kept; an
-    optional per-symbol noise channel (substitution/deletion/insertion)
-    emulates AUD errors. Deterministic for a fixed seed.
+    The UL side is emitted unsegmented; `gold`, when given, receives each
+    utterance's word segmentation under its id. An optional per-symbol
+    noise channel (substitution/deletion/insertion) emulates AUD errors.
+    Deterministic for a fixed seed.
     """
     rng = random.Random(cfg.seed)
     alphabet = [chr(ord("a") + i) for i in range(cfg.alphabet_size)]
@@ -132,19 +134,17 @@ def synth_corpus(cfg: SynthConfig) -> cp.ParallelCorpus:
         k = rng.randint(cfg.sent_len_min, cfg.sent_len_max)
         picks = [lexicon[rng.randrange(len(lexicon))] for _ in range(k)]
         ul_words = [_noisy_word(ul, alphabet, cfg, rng) for ul, _ in picks]
-        utterances.append(
-            cp.ParallelUtterance(
-                id="utt%05d" % (i + 1),
-                ul_symbols=tuple(s for w in ul_words for s in w),
-                wrl_words=tuple(w for _, w in picks),
-                gold_boundaries=cp.Segmentation.from_words(ul_words),
-            )
-        )
+        utt_id = "utt%05d" % (i + 1)
+        utterances.append(cp.ParallelUtterance(utt_id, tuple(s for w in ul_words for s in w),
+                                               tuple(w for _, w in picks)))
+        if gold is not None:
+            gold[utt_id] = cp.Segmentation.from_words(ul_words)
     ul_vocab, wrl_vocab = cp.build_vocabularies(utterances)
     return cp.ParallelCorpus(tuple(utterances), ul_vocab, wrl_vocab)
 
 
-def write_synth_corpus(corpus: cp.ParallelCorpus, out_dir: str) -> dict[str, str]:
+def write_synth_corpus(corpus: cp.ParallelCorpus, gold: dict[str, cp.Segmentation],
+                       out_dir: str) -> dict[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "ul": os.path.join(out_dir, "ul.txt"),
@@ -152,7 +152,6 @@ def write_synth_corpus(corpus: cp.ParallelCorpus, out_dir: str) -> dict[str, str
         "gold": os.path.join(out_dir, "gold.txt"),
     }
     cp.write_corpus(corpus, paths["ul"], paths["wrl"])
-    gold = {u.id: u.gold_boundaries for u in corpus}
     cp.write_segmentations(corpus, gold, paths["gold"])
     return paths
 
@@ -216,10 +215,10 @@ def write_manifest(artifact: str, stage: str, inputs: list[str], config: dict,
     cfg_json = json.dumps(config, sort_keys=True)
     _write_json(artifact + ".manifest.json", {
         "stage": stage,
-        "inputs": {**{p: _sha256(p) for p in inputs if os.path.exists(p)}, **(input_hashes or {})},
+        "inputs": {**{p: _sha256(p) for p in inputs}, **(input_hashes or {})},
         "config": config,
         "config_hash": hashlib.sha256(cfg_json.encode()).hexdigest(),
-        "outputs": {p: _sha256(p) for p in outputs if os.path.exists(p)},
+        "outputs": {p: _sha256(p) for p in outputs},
     }, sort_keys=True)
 
 
@@ -364,8 +363,9 @@ def pipeline_configs(path: str, flags: dict[str, str]):
 
 def cmd_synth(args) -> int:
     cfg = _coerce(SynthConfig, _flag_values(args))
-    corpus = synth_corpus(cfg)
-    paths = write_synth_corpus(corpus, args.out_dir)
+    gold: dict[str, cp.Segmentation] = {}
+    corpus = synth_corpus(cfg, gold)
+    paths = write_synth_corpus(corpus, gold, args.out_dir)
     write_manifest(paths["ul"], "synth", [], dataclasses.asdict(cfg), list(paths.values()))
     print("wrote %d utterances to %s" % (len(corpus), args.out_dir))
     return EXIT_OK
@@ -457,7 +457,7 @@ def cmd_segment(args) -> int:
         odd = min(unmatched)
         raise cp.CorpusError("utterance %r is in %s but not in %s" % (
             odd, *(("the matrices", args.ul) if odd in segs else (args.ul, "the matrices"))))
-    cp.write_segmentations(corpus, segs, args.out, delimiter=args.delimiter or None)
+    cp.write_segmentations(corpus, segs, args.out)
     write_manifest(args.out, "segment", list(args.matrices) + [args.ul, args.wrl],
                    {"smooth": not args.no_smooth, "runs": len(runs)}, [args.out])
     print("segmented %d utterances" % len(segs))
@@ -467,7 +467,7 @@ def cmd_segment(args) -> int:
 def cmd_baseline_proportional(args) -> int:
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
     segs = bl.proportional_segment_corpus(corpus)
-    cp.write_segmentations(corpus, segs, args.out, delimiter=args.delimiter or None)
+    cp.write_segmentations(corpus, segs, args.out)
     write_manifest(args.out, "baseline-proportional", [args.ul, args.wrl], {}, [args.out])
     return EXIT_OK
 
@@ -477,7 +477,7 @@ def cmd_baseline_dpseg(args) -> int:
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
     log: list[dict] = []
     segs = bl.dpseg_segment_corpus(corpus, cfg, log)
-    cp.write_segmentations(corpus, segs, args.out, delimiter=args.delimiter or None)
+    cp.write_segmentations(corpus, segs, args.out)
     _write_json(args.out + ".log.json", {"sweeps": log})
     write_manifest(args.out, "baseline-dpseg", [args.ul, args.wrl],
                    dataclasses.asdict(cfg), [args.out])
@@ -486,13 +486,8 @@ def cmd_baseline_dpseg(args) -> int:
 
 def cmd_evaluate(args) -> int:
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
-    if not os.path.exists(args.gold):
-        raise cp.CorpusError("gold file %s does not exist" % args.gold)
-    corpus = cp.load_gold_segmentation(corpus, args.gold, delimiter=args.delimiter or None)
-    hyp = {u.id: u.gold_boundaries
-           for u in cp.load_gold_segmentation(corpus, args.hyp,
-                                              delimiter=args.delimiter or None)}
-    gold = mt.gold_segmentations(corpus)
+    gold = cp.load_gold_segmentation(corpus, args.gold)
+    hyp = cp.load_gold_segmentation(corpus, args.hyp)
     report = mt.evaluate(hyp, gold, corpus)
     mt.write_report(report, args.out, args.out + ".json")
     write_manifest(args.out, "evaluate", [args.ul, args.wrl, args.gold, args.hyp],
@@ -506,12 +501,13 @@ def cmd_plot(args) -> int:
     matrices = al.read_attention_matrices(args.matrices)
     if args.utt not in matrices:
         raise cp.CorpusError("utterance %r not in %s" % (args.utt, args.matrices))
-    utt = None
+    utt, inputs = None, [args.matrices]
     if args.ul and args.wrl:
         corpus = cp.load_parallel_corpus(args.ul, args.wrl)
         utt = corpus.by_id(args.utt)
+        inputs += [args.ul, args.wrl]
     plot_attention(matrices[args.utt], utt, args.out)
-    write_manifest(args.out, "plot", [args.matrices], {"utt": args.utt}, [args.out])
+    write_manifest(args.out, "plot", inputs, {"utt": args.utt}, [args.out, args.out + ".txt"])
     return EXIT_OK
 
 
@@ -607,23 +603,19 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--matrices", nargs="+", required=True)
     _path_flags(s, "--ul --wrl --out")
     s.add_argument("--no-smooth", action="store_true")
-    s.add_argument("--delimiter", default="")
     s.set_defaults(func=cmd_segment)
 
     s = sub.add_parser("baseline-proportional", help="diagonal projection baseline")
     _path_flags(s, "--ul --wrl --out")
-    s.add_argument("--delimiter", default="")
     s.set_defaults(func=cmd_baseline_proportional)
 
     s = sub.add_parser("baseline-dpseg", help="Bayesian nonparametric baseline")
     _path_flags(s, "--ul --wrl --out")
     _config_flags(s, "order alpha0 alpha1 p_boundary iterations sample_average seed")
-    s.add_argument("--delimiter", default="")
     s.set_defaults(func=cmd_baseline_dpseg)
 
     s = sub.add_parser("evaluate", help="score a segmentation against gold")
     _path_flags(s, "--ul --wrl --gold --hyp --out")
-    s.add_argument("--delimiter", default="")
     s.set_defaults(func=cmd_evaluate)
 
     s = sub.add_parser("plot", help="export an attention heatmap (textual PGM)")

@@ -4,14 +4,15 @@ The unwritten-language (UL) side is a sequence of symbols (true phones
 or discovered pseudo-phones), the well-resourced-language (WRL) side a
 sequence of words. Word segmentations are stored as sets of internal
 boundary positions: a boundary at position b means a word break after
-the first b symbols. Utterance edges are never stored.
+the first b symbols. Utterance edges are never stored. A segmentation of
+a corpus, gold or hypothesis, is a dict from utterance id to Segmentation.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 PAD, BOS, EOS, UNK = "<PAD>", "<BOS>", "<EOS>", "<UNK>"
 RESERVED = (PAD, BOS, EOS, UNK)
@@ -71,20 +72,12 @@ class ParallelUtterance:
     id: str
     ul_symbols: tuple[str, ...]
     wrl_words: tuple[str, ...]
-    gold_boundaries: Optional[Segmentation] = None
 
     def __post_init__(self):
         if not self.ul_symbols:
             raise CorpusError("utterance %s: empty UL side" % self.id)
         if not self.wrl_words:
             raise CorpusError("utterance %s: empty WRL side" % self.id)
-        if (
-            self.gold_boundaries is not None
-            and self.gold_boundaries.length != len(self.ul_symbols)
-        ):
-            raise CorpusError(
-                "utterance %s: gold segmentation length mismatch" % self.id
-            )
 
 
 class Vocabulary:
@@ -184,59 +177,60 @@ def write_corpus(corpus: ParallelCorpus, ul_path: str, wrl_path: str) -> None:
             f.write(" ".join(u.wrl_words) + "\n")
 
 
-def parse_segmented_line(line: str, delimiter: Optional[str]) -> list[tuple[str, ...]]:
-    """Split a segmented utterance line into words of symbol tuples.
+def _spell(word: str, symbols: Sequence[str], start: int) -> int:
+    """End of the symbols from `start` whose concatenation is `word`, or -1.
 
-    delimiter=None treats every character of a word as one symbol
-    (single-character symbol inventories); otherwise symbols within a
-    word are joined by the delimiter (multi-character AUD labels).
+    Symbols are non-empty, so each one more lengthens the concatenation
+    and at most one run of them can spell the word.
     """
-    words = []
-    for w in line.split():
-        syms = tuple(w.split(delimiter)) if delimiter else tuple(w)
-        words.append(syms)
-    return words
+    pos, end = 0, start
+    while pos < len(word) and end < len(symbols) and word.startswith(symbols[end], pos):
+        pos += len(symbols[end])
+        end += 1
+    return end if pos == len(word) else -1
 
 
-def load_gold_segmentation(
-    corpus: ParallelCorpus, gold_path: str, delimiter: Optional[str] = None
-) -> ParallelCorpus:
-    """Attach gold boundaries from a segmented text file; symbol identity enforced."""
-    with open(gold_path, encoding="utf-8") as f:
+def load_gold_segmentation(corpus: ParallelCorpus, path: str) -> dict[str, Segmentation]:
+    """Read a segmentation file, gold or hypothesis, against the corpus.
+
+    One line per utterance; each word is the concatenation of its symbols
+    and is read back by spelling it out of the utterance's own symbols,
+    so multi-character symbols need no delimiter.
+    """
+    with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if len(lines) != len(corpus):
         raise CorpusError(
-            "gold file %s has %d lines, corpus has %d utterances"
-            % (gold_path, len(lines), len(corpus))
+            "segmentation file %s has %d lines, corpus has %d utterances"
+            % (path, len(lines), len(corpus))
         )
-    out = []
+    out = {}
     for i, (u, line) in enumerate(zip(corpus, lines), start=1):
-        words = parse_segmented_line(line, delimiter)
-        flat = tuple(s for w in words for s in w)
-        if flat != u.ul_symbols:
-            raise CorpusError(
-                "%s line %d: gold symbols %r do not match corpus symbols %r"
-                % (gold_path, i, flat, u.ul_symbols)
-            )
-        out.append(replace(u, gold_boundaries=Segmentation.from_words(words)))
-    return ParallelCorpus(tuple(out), corpus.ul_vocab, corpus.wrl_vocab)
+        cuts = [0]
+        for k, word in enumerate(line.split(), start=1):
+            end = _spell(word, u.ul_symbols, cuts[-1])
+            if end < 0:
+                raise CorpusError("%s line %d: word %d %r does not spell the next symbols %r"
+                                  % (path, i, k, word,
+                                     " ".join(u.ul_symbols[cuts[-1]:cuts[-1] + len(word)])))
+            cuts.append(end)
+        if cuts[-1] != len(u.ul_symbols):
+            raise CorpusError("%s line %d: the words spell %d of the %d symbols"
+                              % (path, i, cuts[-1], len(u.ul_symbols)))
+        out[u.id] = Segmentation(cuts[-1], frozenset(cuts[1:-1]))
+    return out
 
 
 def write_segmentations(
-    corpus: ParallelCorpus,
-    segs: dict[str, Segmentation],
-    out_path: str,
-    delimiter: Optional[str] = None,
+    corpus: ParallelCorpus, segs: dict[str, Segmentation], out_path: str
 ) -> None:
-    """Write one segmented line per utterance, same format as gold input."""
-    joiner = delimiter or ""
+    """One line per utterance, each word written as the concatenation of its symbols."""
     with open(out_path, "w", encoding="utf-8") as f:
         for u in corpus:
-            seg = segs[u.id]
-            words = seg.words(u.ul_symbols)
-            f.write(" ".join(joiner.join(w) for w in words) + "\n")
+            words = segs[u.id].words(u.ul_symbols)
+            f.write(" ".join("".join(w) for w in words) + "\n")
 
 
 def split_train_dev(

@@ -138,15 +138,6 @@ def evaluate(
     )
 
 
-def gold_segmentations(corpus: ParallelCorpus) -> dict[str, Segmentation]:
-    out = {}
-    for u in corpus:
-        if u.gold_boundaries is None:
-            raise MetricsError("utterance %s has no gold segmentation" % u.id)
-        out[u.id] = u.gold_boundaries
-    return out
-
-
 def write_report(report: EvalReport, txt_path: str, json_path: str) -> None:
     """Flat key-value text report plus a JSON copy of the same keys."""
     d = report.to_dict()

@@ -266,7 +266,8 @@ def save_checkpoint(path: str, params: dict[str, Tensor], meta: Optional[dict] =
     arrays["__version__"] = np.asarray(CHECKPOINT_VERSION)
     for k, v in (meta or {}).items():
         arrays["meta/" + k] = np.asarray(v)
-    np.savez(path, **arrays)
+    with open(path, "wb") as f:  # at `path` exactly: np.savez appends .npz to a name
+        np.savez(f, **arrays)
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:

@@ -49,7 +49,6 @@ from attnseg.metrics import (
     PRF,
     boundary_prf,
     evaluate,
-    gold_segmentations,
     token_type_prf,
 )
 from attnseg.segmenter import average_matrices, hard_align, segment_corpus, smooth_matrix
@@ -78,14 +77,20 @@ def verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
 # ---------------------------------------------------------------------------
 # Shared end-to-end fixtures
 
-@pytest.fixture(scope="module")
-def clean_corpus():
-    return synth_corpus(SynthConfig(seed=TOY_SEED))
+def toy_corpus(sub_rate: float) -> tuple[ParallelCorpus, dict[str, Segmentation]]:
+    """The acceptance toy corpus and its gold segmentation."""
+    gold: dict[str, Segmentation] = {}
+    return synth_corpus(SynthConfig(seed=TOY_SEED, sub_rate=sub_rate), gold), gold
 
 
 @pytest.fixture(scope="module")
-def noisy_corpus():
-    return synth_corpus(SynthConfig(seed=TOY_SEED, sub_rate=0.15))
+def clean():
+    return toy_corpus(0.0)
+
+
+@pytest.fixture(scope="module")
+def noisy():
+    return toy_corpus(0.15)
 
 
 def run_aligner(corpus, run: int):
@@ -97,15 +102,15 @@ def run_aligner(corpus, run: int):
 
 
 @pytest.fixture(scope="module")
-def toy_training(clean_corpus):
+def toy_training(clean):
     t0 = time.time()
-    runs = [run_aligner(clean_corpus, r) for r in range(N_RUNS)]
+    runs = [run_aligner(clean[0], r) for r in range(N_RUNS)]
     return {"runs": runs, "elapsed": time.time() - t0}
 
 
 @pytest.fixture(scope="module")
-def noisy_training(noisy_corpus):
-    return run_aligner(noisy_corpus, 0)
+def noisy_training(noisy):
+    return run_aligner(noisy[0], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +243,7 @@ def test_acceptance_3_metric_oracle():
 # ---------------------------------------------------------------------------
 # 2. Attention stochasticity
 
-def test_acceptance_2_attention_stochasticity(clean_corpus, toy_training):
+def test_acceptance_2_attention_stochasticity(toy_training):
     worst = 0.0
     for mats in toy_training["runs"]:
         for m in mats.values():
@@ -257,8 +262,8 @@ def test_acceptance_2_attention_stochasticity(clean_corpus, toy_training):
 # ---------------------------------------------------------------------------
 # 4. End-to-end toy recovery
 
-def test_acceptance_4_end_to_end_recovery(clean_corpus, toy_training):
-    gold = gold_segmentations(clean_corpus)
+def test_acceptance_4_end_to_end_recovery(clean, toy_training):
+    clean_corpus, gold = clean
     segs = segment_corpus(toy_training["runs"], smooth=False)
     attn_f = boundary_prf(segs, gold).fscore
     prop_f = boundary_prf(proportional_segment_corpus(clean_corpus), gold).fscore
@@ -273,10 +278,8 @@ def test_acceptance_4_end_to_end_recovery(clean_corpus, toy_training):
 # ---------------------------------------------------------------------------
 # 5. Noise robustness ordering
 
-def test_acceptance_5_noise_robustness(clean_corpus, noisy_corpus,
-                                       toy_training, noisy_training):
-    gold_c = gold_segmentations(clean_corpus)
-    gold_n = gold_segmentations(noisy_corpus)
+def test_acceptance_5_noise_robustness(clean, noisy, toy_training, noisy_training):
+    (clean_corpus, gold_c), (noisy_corpus, gold_n) = clean, noisy
     attn_clean = boundary_prf(
         segment_corpus([toy_training["runs"][0]], smooth=False), gold_c).fscore
     attn_noisy = boundary_prf(
@@ -295,8 +298,8 @@ def test_acceptance_5_noise_robustness(clean_corpus, noisy_corpus,
 # ---------------------------------------------------------------------------
 # 6. Matrix-averaging benefit (soft check, logged only)
 
-def test_acceptance_6_averaging_benefit(clean_corpus, toy_training):
-    gold = gold_segmentations(clean_corpus)
+def test_acceptance_6_averaging_benefit(clean, toy_training):
+    gold = clean[1]
     run_fs = [
         boundary_prf(segment_corpus([mats], smooth=False), gold).fscore
         for mats in toy_training["runs"]

@@ -25,11 +25,18 @@ from attnseg.cli import (
 from attnseg.corpus import load_parallel_corpus
 
 
+def synth_with_gold(cfg):
+    gold = {}
+    return synth_corpus(cfg, gold), gold
+
+
 class TestSynth:
     def test_deterministic(self):
-        a = synth_corpus(SynthConfig(corpus_size=20, seed=5))
-        b = synth_corpus(SynthConfig(corpus_size=20, seed=5))
-        assert a.utterances == b.utterances
+        a = synth_with_gold(SynthConfig(corpus_size=20, seed=5))
+        b = synth_with_gold(SynthConfig(corpus_size=20, seed=5))
+        assert a[0].utterances == b[0].utterances and a[1] == b[1]
+        # asking for the gold leaves the corpus as it is
+        assert synth_corpus(SynthConfig(corpus_size=20, seed=5)).utterances == a[0].utterances
 
     def test_seed_changes_corpus(self):
         a = synth_corpus(SynthConfig(corpus_size=20, seed=5))
@@ -37,25 +44,26 @@ class TestSynth:
         assert a.utterances != b.utterances
 
     def test_structure(self):
-        c = synth_corpus(SynthConfig(corpus_size=30, lexicon_size=8,
-                                     sent_len_min=2, sent_len_max=4, seed=0))
-        assert len(c) == 30
+        c, gold = synth_with_gold(SynthConfig(corpus_size=30, lexicon_size=8,
+                                              sent_len_min=2, sent_len_max=4, seed=0))
+        assert len(c) == 30 and list(gold) == [u.id for u in c]
         for u in c:
             assert 2 <= len(u.wrl_words) <= 4
-            assert u.gold_boundaries.num_words == len(u.wrl_words)
-            assert u.gold_boundaries.length == len(u.ul_symbols)
+            assert gold[u.id].num_words == len(u.wrl_words)
+            assert gold[u.id].length == len(u.ul_symbols)
 
     def test_noise_preserves_word_count(self):
         cfg = SynthConfig(corpus_size=30, sub_rate=0.2, del_rate=0.1,
                           ins_rate=0.1, seed=1)
-        for u in synth_corpus(cfg):
-            assert u.gold_boundaries.num_words == len(u.wrl_words)
+        c, gold = synth_with_gold(cfg)
+        for u in c:
+            assert gold[u.id].num_words == len(u.wrl_words)
 
     def test_clean_corpus_has_consistent_lexicon(self):
-        c = synth_corpus(SynthConfig(corpus_size=40, lexicon_size=6, seed=2))
+        c, gold = synth_with_gold(SynthConfig(corpus_size=40, lexicon_size=6, seed=2))
         mapping = {}
         for u in c:
-            words = u.gold_boundaries.words(list(u.ul_symbols))
+            words = gold[u.id].words(list(u.ul_symbols))
             for wrl, ul in zip(u.wrl_words, words):
                 assert mapping.setdefault(wrl, ul) == ul
 
@@ -69,9 +77,9 @@ class TestSynth:
 
     def test_lexicon_may_use_every_possible_word(self):
         # 2 symbols and words of length 2 allow exactly 4 distinct UL words
-        c = synth_corpus(SynthConfig(corpus_size=30, lexicon_size=4, alphabet_size=2,
-                                     word_len_min=2, word_len_max=2, seed=0))
-        assert {tuple(w) for u in c for w in u.gold_boundaries.words(list(u.ul_symbols))} \
+        c, gold = synth_with_gold(SynthConfig(corpus_size=30, lexicon_size=4, alphabet_size=2,
+                                              word_len_min=2, word_len_max=2, seed=0))
+        assert {tuple(w) for u in c for w in gold[u.id].words(list(u.ul_symbols))} \
             <= {(a, b) for a in "ab" for b in "ab"}
         with pytest.raises(ConfigError):
             SynthConfig(lexicon_size=5, alphabet_size=2, word_len_min=2, word_len_max=2)
@@ -82,11 +90,12 @@ class TestSynth:
             SynthConfig(lexicon_size=10 ** 9, alphabet_size=1, word_len_max=10 ** 9)
 
     def test_write_and_reload(self, tmp_path):
-        c = synth_corpus(SynthConfig(corpus_size=10, seed=3))
-        paths = write_synth_corpus(c, str(tmp_path))
+        c, gold = synth_with_gold(SynthConfig(corpus_size=10, seed=3))
+        paths = write_synth_corpus(c, gold, str(tmp_path))
         back = load_parallel_corpus(paths["ul"], paths["wrl"])
         assert len(back) == 10
         assert back.utterances[0].ul_symbols == c.utterances[0].ul_symbols
+        assert cp.load_gold_segmentation(back, paths["gold"]) == gold
 
 
 class TestPlot:
@@ -248,11 +257,11 @@ PARSER_FLAGS = {
                       "--learning-rate", "--max-epochs", "--out", "--patience", "--quiet",
                       "--seed", "--split-seed", "--temperature", "--ul", "--wrl"],
     "force-align": ["--model", "--out", "--ul", "--wrl"],
-    "segment": ["--delimiter", "--matrices", "--no-smooth", "--out", "--ul", "--wrl"],
-    "baseline-proportional": ["--delimiter", "--out", "--ul", "--wrl"],
-    "baseline-dpseg": ["--alpha0", "--alpha1", "--delimiter", "--iterations", "--order",
-                       "--out", "--p-boundary", "--sample-average", "--seed", "--ul", "--wrl"],
-    "evaluate": ["--delimiter", "--gold", "--hyp", "--out", "--ul", "--wrl"],
+    "segment": ["--matrices", "--no-smooth", "--out", "--ul", "--wrl"],
+    "baseline-proportional": ["--out", "--ul", "--wrl"],
+    "baseline-dpseg": ["--alpha0", "--alpha1", "--iterations", "--order", "--out",
+                       "--p-boundary", "--sample-average", "--seed", "--ul", "--wrl"],
+    "evaluate": ["--gold", "--hyp", "--out", "--ul", "--wrl"],
     "plot": ["--matrices", "--out", "--ul", "--utt", "--wrl"],
     "pipeline": ["--config", "--out-dir"],
 }
@@ -305,7 +314,7 @@ class TestConfigFlags:
     def built_config(self, tmp_path, monkeypatch):
         """Run a subcommand up to its stage; return the config handed to the stage."""
         d = str(tmp_path / "corpus")
-        write_synth_corpus(synth_corpus(SynthConfig(corpus_size=10, seed=1)), d)
+        write_synth_corpus(*synth_with_gold(SynthConfig(corpus_size=10, seed=1)), d)
 
         def stage(*args, **kwargs):
             raise _Built(args)
@@ -462,7 +471,7 @@ class TestBadInputs:
     @pytest.fixture()
     def corpus_dir(self, tmp_path):
         d = str(tmp_path / "corpus")
-        write_synth_corpus(synth_corpus(SynthConfig(corpus_size=3, seed=1)), d)
+        write_synth_corpus(*synth_with_gold(SynthConfig(corpus_size=3, seed=1)), d)
         return d
 
     @pytest.mark.parametrize("command", ["segment", "plot"])
@@ -644,6 +653,44 @@ class TestCommandRoundtrips:
                      "--out", pgm]) == cli.EXIT_OK
         img = read_pgm(pgm)
         assert img.min() >= 0 and img.max() <= 255
+        manifest = json.loads(open(pgm + ".manifest.json").read())
+        assert sorted(manifest["inputs"]) == sorted([mats, corpus_dir + "/ul.txt",
+                                                     corpus_dir + "/wrl.txt"])
+        assert sorted(manifest["outputs"]) == [pgm, pgm + ".txt"]
+
+    def test_out_path_is_written_exactly(self, corpus_dir, tmp_path, capsys):
+        ckpt = str(tmp_path / "model")  # no .npz suffix
+        assert main(["train-aligner", "--ul", corpus_dir + "/ul.txt",
+                     "--wrl", corpus_dir + "/wrl.txt", "--out", ckpt, "--cell-size", "4",
+                     "--max-epochs", "1", "--quiet"]) == cli.EXIT_OK
+        assert sorted(os.listdir(tmp_path)) == [
+            "corpus", "model", "model.json", "model.log.json", "model.manifest.json"]
+        manifest = json.loads(open(ckpt + ".manifest.json").read())
+        assert manifest["outputs"] == {p: cli._sha256(p) for p in (ckpt, ckpt + ".json")}
+        assert main(["force-align", "--model", ckpt, "--ul", corpus_dir + "/ul.txt",
+                     "--wrl", corpus_dir + "/wrl.txt",
+                     "--out", str(tmp_path / "attn.txt")]) == cli.EXIT_OK
+
+    def test_multichar_symbols_need_no_delimiter(self, tmp_path, capsys):
+        d = tmp_path
+        (d / "ul.txt").write_text("a1 a2 a3 a4\nb1 b2 a1\n")
+        (d / "wrl.txt").write_text("x y\nz\n")
+        (d / "gold.txt").write_text("a1a2 a3a4\nb1b2a1\n")
+        corpus = ["--ul", str(d / "ul.txt"), "--wrl", str(d / "wrl.txt")]
+        assert main(["baseline-proportional", *corpus, "--out", str(d / "prop.txt")]) == cli.EXIT_OK
+        assert (d / "prop.txt").read_text() == "a1a2 a3a4\nb1b2a1\n"
+        assert main(["evaluate", *corpus, "--gold", str(d / "gold.txt"),
+                     "--hyp", str(d / "prop.txt"), "--out", str(d / "r.txt")]) == cli.EXIT_OK
+        assert json.loads((d / "r.txt.json").read_text())["token_fscore"] == 1.0
+        capsys.readouterr()
+        for hyp, message in [("a1a2 a3a\nb1b2a1\n", "line 1: word 2 'a3a' does not spell"),
+                             ("a1a2 a3a4\nb1b2\n", "line 2: the words spell 2 of the 3")]:
+            (d / "bad.txt").write_text(hyp)
+            assert main(["evaluate", *corpus, "--gold", str(d / "gold.txt"),
+                         "--hyp", str(d / "bad.txt"), "--out", str(d / "r.txt")]) == cli.EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.startswith("data error: %s %s" % (d / "bad.txt", message))
+            assert err.count("\n") == 1
 
     def test_force_align_bit_identical(self, corpus_dir, tmp_path, capsys):
         ckpt = str(tmp_path / "model.npz")
@@ -797,6 +844,21 @@ class TestAudBadInputs:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert bad in err and field in err
         assert not units.exists()
+
+    @pytest.mark.parametrize("case", ["not_riff", "header_cut", "data_cut"])
+    def test_bad_wav_file_is_data_error(self, tmp_path, capsys, case):
+        wav = str(tmp_path / "u.wav")
+        _write_wav(wav, np.zeros(1600, dtype="<i2"))
+        data = open(wav, "rb").read()
+        open(wav, "wb").write({"not_riff": b"not a wav", "header_cut": data[:30],
+                               "data_cut": data[:1001]}[case])
+        wav_list = tmp_path / "wavs.txt"
+        wav_list.write_text("u %s\n" % wav)
+        assert main(["mfcc", "--wav-list", str(wav_list),
+                     "--out", str(tmp_path / "feats.npz")]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: %s: " % wav) and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["u.wav", "wavs.txt"]  # nothing written
 
     @pytest.mark.parametrize("lines, message", [
         ("", "no `id wav-path` lines"), ("\n  \n", "no `id wav-path` lines"),

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from attnseg.corpus import (
     RESERVED,
@@ -139,37 +139,39 @@ class TestLoadParallelCorpus:
 
 
 class TestGoldSegmentation:
-    def test_single_break(self, tmp_path):
-        write_lines(tmp_path / "u", ["a b c d"])
-        write_lines(tmp_path / "w", ["x"])
-        write_lines(tmp_path / "g", ["ab cd"])
+    def load(self, tmp_path, ul, seg):
+        write_lines(tmp_path / "u", ul)
+        write_lines(tmp_path / "w", ["x"] * len(ul))
+        write_lines(tmp_path / "g", seg)
         c = load_parallel_corpus(str(tmp_path / "u"), str(tmp_path / "w"))
-        c = load_gold_segmentation(c, str(tmp_path / "g"))
-        assert c.utterances[0].gold_boundaries.boundaries == {2}
+        return load_gold_segmentation(c, str(tmp_path / "g"))
+
+    def test_single_break(self, tmp_path):
+        assert self.load(tmp_path, ["a b c d"], ["ab cd"]) == {"utt00001": Segmentation(4, {2})}
 
     def test_single_word(self, tmp_path):
-        write_lines(tmp_path / "u", ["a b"])
-        write_lines(tmp_path / "w", ["x"])
-        write_lines(tmp_path / "g", ["ab"])
-        c = load_parallel_corpus(str(tmp_path / "u"), str(tmp_path / "w"))
-        c = load_gold_segmentation(c, str(tmp_path / "g"))
-        assert c.utterances[0].gold_boundaries.boundaries == frozenset()
+        assert self.load(tmp_path, ["a b"], ["ab"]) == {"utt00001": Segmentation(2)}
 
     def test_symbol_mismatch(self, tmp_path):
-        write_lines(tmp_path / "u", ["a b c d"])
-        write_lines(tmp_path / "w", ["x"])
-        write_lines(tmp_path / "g", ["ab ce"])
-        c = load_parallel_corpus(str(tmp_path / "u"), str(tmp_path / "w"))
-        with pytest.raises(CorpusError, match="line 1"):
-            load_gold_segmentation(c, str(tmp_path / "g"))
+        with pytest.raises(CorpusError, match="g line 1: word 2 'ce'"):
+            self.load(tmp_path, ["a b c d"], ["ab ce"])
 
-    def test_multichar_delimiter(self, tmp_path):
-        write_lines(tmp_path / "u", ["a12 a3 a12"])
-        write_lines(tmp_path / "w", ["x"])
-        write_lines(tmp_path / "g", ["a12.a3 a12"])
-        c = load_parallel_corpus(str(tmp_path / "u"), str(tmp_path / "w"))
-        c = load_gold_segmentation(c, str(tmp_path / "g"), delimiter=".")
-        assert c.utterances[0].gold_boundaries.boundaries == {2}
+    @pytest.mark.parametrize("seg, message", [
+        (["ab c", "a b"], "g line 1: the words spell 3 of the 4 symbols"),
+        (["", "ab"], "g line 1: the words spell 0 of the 4 symbols"),
+        (["ab cd", "a b b"], "g line 2: word 3 'b' does not spell"),
+        (["abcde", "ab"], "g line 1: word 1 'abcde' does not spell"),
+        (["ab cd"], "g has 1 lines, corpus has 2 utterances")])
+    def test_words_that_do_not_spell_the_line(self, tmp_path, seg, message):
+        with pytest.raises(CorpusError, match=message):
+            self.load(tmp_path, ["a b c d", "a b"], seg)
+
+    def test_multichar_symbols_need_no_delimiter(self, tmp_path):
+        assert self.load(tmp_path, ["a12 a3 a12"], ["a12a3 a12"]) == {
+            "utt00001": Segmentation(3, {2})}
+        # a word must end where a symbol ends
+        with pytest.raises(CorpusError, match="word 1 'a12a'"):
+            self.load(tmp_path, ["a12 a3 a12"], ["a12a 3a12"])
 
     def test_write_segmentations_roundtrip(self, tmp_path):
         write_lines(tmp_path / "u", ["a b c d", "a b"])
@@ -179,8 +181,34 @@ class TestGoldSegmentation:
         out = tmp_path / "seg.txt"
         write_segmentations(c, segs, str(out))
         assert out.read_text() == "ab cd\na b\n"
-        back = load_gold_segmentation(c, str(out))
-        assert back.utterances[0].gold_boundaries == segs["utt00001"]
+        assert load_gold_segmentation(c, str(out)) == segs
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.lists(st.text("ab1", min_size=1, max_size=3), min_size=1, max_size=6),
+                    min_size=1, max_size=4), st.data())
+    def test_any_segmentation_of_multichar_symbols_roundtrips(self, tmp_path, lines, data):
+        write_lines(tmp_path / "u", [" ".join(syms) for syms in lines])
+        write_lines(tmp_path / "w", ["x"] * len(lines))
+        c = load_parallel_corpus(str(tmp_path / "u"), str(tmp_path / "w"))
+        segs = {u.id: Segmentation(len(u.ul_symbols), data.draw(
+                    st.sets(st.integers(1, len(u.ul_symbols) - 1)) if len(u.ul_symbols) > 1
+                    else st.just(set())))
+                for u in c}
+        write_segmentations(c, segs, str(tmp_path / "seg.txt"))
+        assert load_gold_segmentation(c, str(tmp_path / "seg.txt")) == segs
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.text(st.sampled_from("ab1 \t\u00e9"), max_size=8), max_size=4))
+    def test_any_line_text_reads_or_raises_corpus_error(self, tmp_path, seg):
+        write_lines(tmp_path / "u", ["a b1 a", "b1 b"])
+        write_lines(tmp_path / "w", ["x", "y"])
+        (tmp_path / "g").write_text("\n".join(seg), encoding="utf-8")
+        c = load_parallel_corpus(str(tmp_path / "u"), str(tmp_path / "w"))
+        try:
+            segs = load_gold_segmentation(c, str(tmp_path / "g"))
+        except CorpusError:
+            return
+        assert [s.length for s in segs.values()] == [3, 2]
 
 
 class TestSplit:

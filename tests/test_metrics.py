@@ -14,19 +14,14 @@ from attnseg.metrics import (
     PRF,
     boundary_prf,
     evaluate,
-    gold_segmentations,
     token_type_prf,
     write_report,
 )
 
 
-def make_corpus(symbol_lists, golds=None):
-    utts = []
-    for i, syms in enumerate(symbol_lists):
-        gold = golds[i] if golds else None
-        utts.append(
-            ParallelUtterance("u%d" % i, tuple(syms), ("w",), gold_boundaries=gold)
-        )
+def make_corpus(symbol_lists):
+    utts = [ParallelUtterance("u%d" % i, tuple(syms), ("w",))
+            for i, syms in enumerate(symbol_lists)]
     ul, wrl = build_vocabularies(utts)
     return ParallelCorpus(tuple(utts), ul, wrl)
 
@@ -176,17 +171,12 @@ class TestOracleEquivalence:
 
 
 class TestEvaluateAndReport:
-    def test_gold_segmentations_requires_gold(self):
-        corpus = make_corpus([list("ab")])
-        with pytest.raises(MetricsError, match="u0"):
-            gold_segmentations(corpus)
-
     def test_report_roundtrip(self, tmp_path):
         import json
 
-        corpus = make_corpus([list("abcd")], golds=[Segmentation(4, {2})])
+        corpus = make_corpus([list("abcd")])
         hyp = {"u0": Segmentation(4, {2})}
-        report = evaluate(hyp, gold_segmentations(corpus), corpus)
+        report = evaluate(hyp, {"u0": Segmentation(4, {2})}, corpus)
         txt = tmp_path / "r.txt"
         js = tmp_path / "r.json"
         write_report(report, str(txt), str(js))
