@@ -19,7 +19,6 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fftpack import dct
 
 from .numerics import ARCHIVE_ERRORS
 
@@ -108,6 +107,19 @@ def mel_filterbank(num_filters: int, nfft: int, rate: int) -> np.ndarray:
     return fb
 
 
+@functools.lru_cache(maxsize=None)
+def dct_basis(num_ceps: int, n: int) -> np.ndarray:
+    """The first `num_ceps` orthonormal DCT-II basis vectors as the columns of an
+    (n, num_ceps) matrix, so `x @ dct_basis(k, n)` keeps k coefficients of each row
+    of x. Built once per (num_ceps, n) and returned read-only, because it is shared."""
+    i = np.arange(n)[:, None]
+    k = np.arange(num_ceps)[None, :]
+    basis = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * i + 1) / (2 * n))
+    basis[:, 0] = np.sqrt(1.0 / n)
+    basis.flags.writeable = False
+    return basis
+
+
 def delta(feat: np.ndarray, window: int = 2) -> np.ndarray:
     """Regression deltas over +/-window frames with edge replication."""
     padded = np.pad(feat, ((window, window), (0, 0)), mode="edge")
@@ -142,7 +154,7 @@ def extract_mfcc(signal: np.ndarray, rate: int, utt_id: str = "utt") -> FeatureS
     frames = np.lib.stride_tricks.sliding_window_view(emph, win)[::step][:n_frames] * window_fn
     spec = np.abs(np.fft.rfft(frames, nfft)) ** 2 / nfft
     energies = np.maximum(spec @ fb.T, 1e-30)
-    ceps = dct(np.log(energies), type=2, axis=1, norm="ortho")[:, :NUM_CEPS]
+    ceps = np.log(energies) @ dct_basis(NUM_CEPS, NUM_FILTERS)
     ceps = ceps - ceps.mean(axis=0, keepdims=True)
     d1 = delta(ceps, DELTA_WINDOW)
     d2 = delta(d1, DELTA_WINDOW)

@@ -13,6 +13,7 @@ from attnseg.aud import (
     AudError,
     AudModel,
     FeatureSequence,
+    dct_basis,
     decode_units,
     delta,
     extract_mfcc,
@@ -42,8 +43,11 @@ from attnseg.aud import (
 # MFCC
 
 def reference_mfcc(signal, rate):
-    """`extract_mfcc` with frames cut as a list of slices and a filterbank
-    built afresh, as before the sliding window and the cached filterbank."""
+    """`extract_mfcc` with frames cut as a list of slices and the filterbank and
+    DCT basis built afresh, as before the sliding window and the cached matrices.
+    The DCT is the basis product, not scipy's transform, so that the two agree
+    byte for byte and any difference is in the framing; `TestDctBasis` checks
+    the basis against scipy."""
     win = int(round(aud_mod.FRAME_LEN_S * rate))
     step = int(round(aud_mod.FRAME_STEP_S * rate))
     n_frames = 1 + (len(signal) - win) // step
@@ -56,11 +60,36 @@ def reference_mfcc(signal, rate):
     frames = np.stack([emph[i * step: i * step + win] * window_fn for i in range(n_frames)])
     spec = np.abs(np.fft.rfft(frames, nfft)) ** 2 / nfft
     energies = np.maximum(spec @ fb.T, 1e-30)
-    ceps = dct(np.log(energies), type=2, axis=1, norm="ortho")[:, :aud_mod.NUM_CEPS]
+    ceps = np.log(energies) @ dct_basis.__wrapped__(aud_mod.NUM_CEPS, aud_mod.NUM_FILTERS)
     ceps = ceps - ceps.mean(axis=0, keepdims=True)
     d1 = delta(ceps, aud_mod.DELTA_WINDOW)
     d2 = delta(d1, aud_mod.DELTA_WINDOW)
     return np.concatenate([ceps, d1, d2], axis=1)
+
+
+class TestDctBasis:
+    @pytest.mark.parametrize("n,k", [(13, 1), (13, 13), (26, 2), (26, 13), (26, 26),
+                                     (40, 7), (40, 13), (40, 40)])
+    def test_matches_scipy(self, n, k):
+        basis = dct_basis(k, n)
+        assert basis.shape == (n, k)
+        # the transform of the unit impulse at sample i is row i of the basis
+        np.testing.assert_allclose(basis, dct(np.eye(n), type=2, norm="ortho")[:, :k],
+                                   rtol=1e-12, atol=1e-12)
+        x = np.random.default_rng(n + k).standard_normal((5, n))
+        np.testing.assert_allclose(x @ basis, dct(x, type=2, axis=1, norm="ortho")[:, :k],
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [13, 26, 40])
+    def test_full_basis_is_orthonormal(self, n):
+        basis = dct_basis(n, n)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(n), rtol=1e-12, atol=1e-12)
+
+    def test_basis_is_shared_and_read_only(self):
+        basis = dct_basis(13, 26)
+        assert dct_basis(13, 26) is basis
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
 
 
 class TestMfcc:

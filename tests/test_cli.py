@@ -125,6 +125,20 @@ class TestPlot:
         assert "# rows: a b" in text
         assert "# cols: mot" in text
 
+    @pytest.mark.parametrize("flag", ["--ul", "--wrl"])
+    def test_one_corpus_side_alone_is_config_error(self, tmp_path, capsys, flag):
+        (tmp_path / "ul.txt").write_text("a b\n")
+        (tmp_path / "wrl.txt").write_text("mot\n")
+        mats = str(tmp_path / "attn.txt")
+        al.write_attention_matrices(mats, {"utt00001": AttentionMatrix(
+            "utt00001", np.array([[1.0], [1.0]]))})
+        assert main(["plot", "--matrices", mats, "--utt", "utt00001", "--out",
+                     str(tmp_path / "h.pgm"), flag, str(tmp_path / (flag[2:] + ".txt"))]
+                    ) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --ul and --wrl go together") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["attn.txt", "ul.txt", "wrl.txt"]  # nothing written
+
 
 class TestManifest:
     def test_contents(self, tmp_path):
@@ -309,6 +323,26 @@ class TestConfigFlags:
                               if o not in ("-h", "--help"))
                  for name, p in sub.choices.items()}
         assert flags == PARSER_FLAGS
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_stage_replaced_after_the_first_parse_is_the_one_run(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        assert main(["synth", "--out-dir", str(tmp_path / "a"), "--size", "3"]) == cli.EXIT_OK
+        seen = []
+        monkeypatch.setattr(cli, "cmd_synth", lambda args: seen.append(args) or cli.EXIT_OK)
+        assert main(["synth", "--out-dir", str(tmp_path / "b")]) == cli.EXIT_OK
+        assert [a.out_dir for a in seen] == [str(tmp_path / "b")]
+        assert not os.path.exists(tmp_path / "b")
+
+    def test_flags_of_one_call_do_not_reach_the_next(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_synth", lambda args: seen.append(
+            cli._flag_values(args)) or cli.EXIT_OK)
+        for argv in (["--size", "7", "--seed", "3"], [], ["--seed", "4"]):
+            assert main(["synth", "--out-dir", "unused", *argv]) == cli.EXIT_OK
+        assert seen == [{"corpus_size": "7", "seed": "3"}, {}, {"seed": "4"}]
 
     @pytest.fixture()
     def built_config(self, tmp_path, monkeypatch):

@@ -1,9 +1,15 @@
-"""Checks on the sources and docs themselves: no unreachable code, no stale commands."""
+"""Checks on the sources and docs themselves: no unreachable code, no stale commands,
+and no run-time dependency beyond numpy and the standard library."""
 
 import ast
+import json
 import os
 import shlex
+import subprocess
+import sys
+import wave
 
+import numpy as np
 import pytest
 
 from attnseg import cli
@@ -40,13 +46,17 @@ def public_definitions(tree: ast.Module, module: str) -> list[str]:
     return out
 
 
+def package_trees():
+    """(file name, syntax tree) of each module of the package."""
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as f:
+                yield name, ast.parse(f.read())
+
+
 def test_every_public_definition_is_referred_to_in_the_package():
     defined, referred = [], set()
-    for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(PACKAGE, name), encoding="utf-8") as f:
-            tree = ast.parse(f.read())
+    for name, tree in package_trees():
         defined += public_definitions(tree, name[:-3])
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -79,3 +89,64 @@ def test_readme_command_parses(line):
     assert argv[0] == "attnseg"
     args = cli.build_parser().parse_args(argv[1:])
     assert args.command == argv[1]
+
+
+# ---------------------------------------------------------------------------
+# The package runs on numpy and the standard library; scipy is a test oracle only.
+
+def test_no_module_of_the_package_imports_scipy():
+    found = []
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += ["%s:%d %s" % (name, node.lineno, m) for m in modules
+                      if m.split(".")[0] == "scipy"]
+    assert found == []
+
+
+# Runs the speech stages with scipy made unimportable, then names every scipy
+# module that is loaded all the same.
+SCIPY_FREE_SPEECH = """
+import json, sys
+sys.modules["scipy"] = None  # `import scipy` and `import scipy.x` now raise ImportError
+from attnseg import cli
+wav_list, out = sys.argv[1:]
+codes = [cli.main(["mfcc", "--wav-list", wav_list, "--out", out + "/feats.npz"]),
+         cli.main(["aud-train", "--features", out + "/feats.npz", "--out", out + "/aud.npz",
+                   "--units", "4", "--states", "2", "--mix", "1", "--iterations", "2",
+                   "--quiet"]),
+         cli.main(["aud-decode", "--model", out + "/aud.npz", "--features",
+                   out + "/feats.npz", "--out", out + "/units.txt"])]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m, module in sys.modules.items() if m.split(".")[0] == "scipy" and module)}))
+"""
+
+
+def test_speech_stages_run_without_scipy(tmp_path):
+    rng = np.random.default_rng(0)
+    t = np.arange(8000) / 16000.0
+    lines = []
+    for i, hz in enumerate((300, 900, 2000)):
+        path = str(tmp_path / ("u%d.wav" % i))
+        signal = 0.3 * np.sin(2 * np.pi * hz * t) + 0.01 * rng.standard_normal(len(t))
+        with wave.open(path, "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(2)
+            w.setframerate(16000)
+            w.writeframes((signal * 32767).astype("<i2").tobytes())
+        lines.append("u%d %s\n" % (i, path))
+    wav_list = tmp_path / "wavs.txt"
+    wav_list.write_text("".join(lines))
+    path = [os.path.dirname(PACKAGE), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    run = subprocess.run([sys.executable, "-c", SCIPY_FREE_SPEECH, str(wav_list),
+                          str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0], "scipy": []}
+    assert len((tmp_path / "units.txt").read_text().splitlines()) >= 3
