@@ -520,7 +520,7 @@ def _run_stage(argv: list[str], ini_section: dict[str, str] | None = None) -> No
     for key, value in (ini_section or {}).items():
         vars(args).setdefault("config." + key, value)
     with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
-        _command(args)(args)
+        args.func(args)
 
 
 def cmd_pipeline(args) -> int:
@@ -556,27 +556,13 @@ def cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
-def _command(args):
-    """The stage `args.command` names, looked up when it runs, so a `cmd_*`
-    replaced after the parser was built is the one called."""
-    return {"synth": cmd_synth, "mfcc": cmd_mfcc, "aud-train": cmd_aud_train,
-            "aud-decode": cmd_aud_decode, "train-aligner": cmd_train_aligner,
-            "force-align": cmd_force_align, "segment": cmd_segment,
-            "baseline-proportional": cmd_baseline_proportional,
-            "baseline-dpseg": cmd_baseline_dpseg, "evaluate": cmd_evaluate,
-            "plot": cmd_plot, "pipeline": cmd_pipeline}[args.command]
-
-
 def _path_flags(parser: argparse.ArgumentParser, flags: str) -> None:
     """One required flag per name, each taking a file path."""
     for flag in flags.split():
         parser.add_argument(flag, required=True)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: parsing leaves it as it is, and building
-    it costs a help formatter per flag. Stages are dispatched by `_command`."""
     p = argparse.ArgumentParser(prog="attnseg",
                                 description="attentional word segmentation pipeline")
     sub = p.add_subparsers(dest="command", required=True)
@@ -585,18 +571,22 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out-dir", required=True)
     _config_flags(s, "lexicon_size word_len_min word_len_max sent_len_min sent_len_max "
                      "corpus_size alphabet_size sub_rate del_rate ins_rate seed")
+    s.set_defaults(func=cmd_synth)
 
     s = sub.add_parser("mfcc", help="extract MFCC+delta+delta-delta features")
     s.add_argument("--wav-list", required=True, help="file with `id wav-path` lines")
     s.add_argument("--out", required=True)
+    s.set_defaults(func=cmd_mfcc)
 
     s = sub.add_parser("aud-train", help="train the phone-loop AUD model")
     _path_flags(s, "--features --out")
     _config_flags(s, "num_units states_per_unit mix_components gamma iterations seed")
     s.add_argument("--quiet", action="store_true", help="do not print the summary line")
+    s.set_defaults(func=cmd_aud_train)
 
     s = sub.add_parser("aud-decode", help="Viterbi-decode features to timed units")
     _path_flags(s, "--model --features --out")
+    s.set_defaults(func=cmd_aud_decode)
 
     s = sub.add_parser("train-aligner", help="train the attentional aligner")
     _path_flags(s, "--ul --wrl --out")
@@ -605,34 +595,42 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dev-fraction", type=float, default=0.1)
     s.add_argument("--split-seed", type=int, default=0)
     s.add_argument("--quiet", action="store_true", help="do not print the summary line")
+    s.set_defaults(func=cmd_train_aligner)
 
     s = sub.add_parser("force-align", help="extract attention matrices")
     _path_flags(s, "--model --ul --wrl --out")
+    s.set_defaults(func=cmd_force_align)
 
     s = sub.add_parser("segment", help="attention matrices to segmentation")
     s.add_argument("--matrices", nargs="+", required=True)
     _path_flags(s, "--ul --wrl --out")
     s.add_argument("--no-smooth", action="store_true")
+    s.set_defaults(func=cmd_segment)
 
     s = sub.add_parser("baseline-proportional", help="diagonal projection baseline")
     _path_flags(s, "--ul --wrl --out")
+    s.set_defaults(func=cmd_baseline_proportional)
 
     s = sub.add_parser("baseline-dpseg", help="Bayesian nonparametric baseline")
     _path_flags(s, "--ul --wrl --out")
     _config_flags(s, "order alpha0 alpha1 p_boundary iterations sample_average seed")
+    s.set_defaults(func=cmd_baseline_dpseg)
 
     s = sub.add_parser("evaluate", help="score a segmentation against gold")
     _path_flags(s, "--ul --wrl --gold --hyp --out")
+    s.set_defaults(func=cmd_evaluate)
 
     s = sub.add_parser("plot", help="export an attention heatmap (textual PGM)")
     _path_flags(s, "--matrices --out")
     s.add_argument("--utt", required=True)
     s.add_argument("--ul")
     s.add_argument("--wrl")
+    s.set_defaults(func=cmd_plot)
 
     s = sub.add_parser("pipeline", help="run the full toy pipeline from a config file")
     s.add_argument("--config", required=True)
     _config_flags(s, "out_dir")
+    s.set_defaults(func=cmd_pipeline)
 
     return p
 
@@ -644,7 +642,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
-        return _command(args)(args)
+        return args.func(args)
     except CONFIG_ERRORS as e:
         print("config error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG

@@ -324,9 +324,6 @@ class TestConfigFlags:
                  for name, p in sub.choices.items()}
         assert flags == PARSER_FLAGS
 
-    def test_parser_is_built_once(self):
-        assert cli.build_parser() is cli.build_parser()
-
     def test_stage_replaced_after_the_first_parse_is_the_one_run(self, tmp_path, monkeypatch,
                                                                  capsys):
         assert main(["synth", "--out-dir", str(tmp_path / "a"), "--size", "3"]) == cli.EXIT_OK
