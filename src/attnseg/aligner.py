@@ -53,6 +53,10 @@ class AlignerConfig:
             self.embed_dim = self.cell_size
         if self.cell_size <= 0 or self.batch_size <= 0 or self.learning_rate <= 0:
             raise AlignerConfigError("cell size, batch size and learning rate must be positive")
+        if self.embed_dim < 1 or self.maxout_pool < 1:
+            raise AlignerConfigError("embed dim and maxout pool must be at least 1")
+        if self.seed < 0:
+            raise AlignerConfigError("seed must be >= 0")
         if self.temperature <= 0:
             raise AlignerConfigError("temperature must be positive")
         if self.max_epochs < 1 or self.patience < 1:
@@ -94,7 +98,8 @@ class AttentionMatrix:
 
 
 class AlignerModel:
-    """All learned parameters plus the vocabularies they are bound to."""
+    """All learned parameters, as views of one flat array `flat` in the order of
+    `parameters()` with their gradients in `flat_grad`, and their vocabularies."""
 
     def __init__(self, config: AlignerConfig, wrl_vocab: Vocabulary, ul_vocab: Vocabulary,
                  rng: Optional[np.random.Generator] = None):
@@ -109,7 +114,7 @@ class AlignerModel:
         mix_dim = n + d + 2 * n  # s_prev + E(w_prev) + context
 
         def u(shape):
-            return Tensor(nm.uniform_init(rng, shape, dtype=dt), requires_grad=True)
+            return Tensor(nm.uniform_init(rng, shape, dtype=dt))
 
         self.src_embed = u((len(wrl_vocab), d))
         self.tgt_embed = u((len(ul_vocab), d))
@@ -117,15 +122,16 @@ class AlignerModel:
         self.enc_bwd = nm.lstm_init(rng, d, n, dtype=dt)
         self.dec = nm.lstm_init(rng, d + 2 * n, n, dtype=dt)
         self.init_W = u((2 * n, n))
-        self.init_b = Tensor(np.zeros(n, dtype=dt), requires_grad=True)
+        self.init_b = Tensor(np.zeros(n, dtype=dt))
         self.attn_W1 = u((2 * n, n))
         self.attn_W2 = u((n, n))
-        self.attn_b2 = Tensor(np.zeros(n, dtype=dt), requires_grad=True)
+        self.attn_b2 = Tensor(np.zeros(n, dtype=dt))
         self.attn_v = u((n, 1))
         self.out_W1 = u((mix_dim, pool * n))
-        self.out_b1 = Tensor(np.zeros(pool * n, dtype=dt), requires_grad=True)
+        self.out_b1 = Tensor(np.zeros(pool * n, dtype=dt))
         self.out_W2 = u((n, len(ul_vocab)))
-        self.out_b2 = Tensor(np.zeros(len(ul_vocab), dtype=dt), requires_grad=True)
+        self.out_b2 = Tensor(np.zeros(len(ul_vocab), dtype=dt))
+        self.flat, self.flat_grad = nm.share_buffers(self.parameters())
 
     def parameters(self) -> dict[str, Tensor]:
         ps = {
@@ -145,8 +151,6 @@ class AlignerModel:
         ps.update(self.enc_fwd.tensors("enc_fwd"))
         ps.update(self.enc_bwd.tensors("enc_bwd"))
         ps.update(self.dec.tensors("dec"))
-        for name, t in ps.items():
-            t.name = name  # backward() keys its gradient map on tensor names
         return ps
 
     def set_parameters(self, values: dict[str, np.ndarray]) -> None:
@@ -160,7 +164,7 @@ class AlignerModel:
                 raise AlignerError("unknown parameter %r in checkpoint" % name)
             if params[name].data.shape != arr.shape:
                 raise AlignerError("parameter %r shape mismatch" % name)
-            params[name].data = arr.astype(self.config.np_dtype)
+            params[name].data[...] = arr  # into the view of `flat`
 
     # -- forward pieces ----------------------------------------------------
 
@@ -201,8 +205,8 @@ class AlignerModel:
         """Reverse pass of `encode` from dL/dh (B, A, 2n) and dL/ds0 (B, n)."""
         n = self.config.cell_size
         dpre = ds0 * (1.0 - cache["s0"] * cache["s0"])
-        self.init_W.accumulate(cache["final"].T @ dpre)
-        self.init_b.accumulate(dpre.sum(axis=0))
+        self.init_W.grad += cache["final"].T @ dpre
+        self.init_b.grad += dpre.sum(axis=0)
         dfinal = dpre @ self.init_W.data.T
         dh = dh.transpose(1, 0, 2)  # (A, B, 2n)
         dh_fwd, dh_bwd = dh[..., :n].copy(), dh[::-1, :, n:].copy()  # in reading order
@@ -325,15 +329,15 @@ class AlignerModel:
         dlogits = cache["ex"] / cache["ex"].sum(axis=-1, keepdims=True)
         dlogits[np.arange(T * B), cache["cur_ids"].reshape(-1)] -= 1.0
         dlogits *= dnll.reshape(-1, 1)
-        self.out_W2.accumulate(cache["hidden"].T @ dlogits)
-        self.out_b2.accumulate(dlogits.sum(axis=0))
+        self.out_W2.grad += cache["hidden"].T @ dlogits
+        self.out_b2.grad += dlogits.sum(axis=0)
         # input gradients through (T, B, k) matmuls as well: the attention
         # gradients are sums over A that nearly cancel, so they would amplify
         # a change in the last bit of dL/dcontext
         dhidden = (dlogits.reshape(T, B, -1) @ self.out_W2.data.T).reshape(T * B, 1, n)
         dblocks = (cache["winner"] * dhidden).reshape(T * B, -1)
-        self.out_W1.accumulate(cache["mix"].T @ dblocks)
-        self.out_b1.accumulate(dblocks.sum(axis=0))
+        self.out_W1.grad += cache["mix"].T @ dblocks
+        self.out_b1.grad += dblocks.sum(axis=0)
         dmix = dblocks.reshape(T, B, -1) @ self.out_W1.data.T
         if masks is not None:
             dmix *= masks[1]
@@ -365,14 +369,14 @@ class AlignerModel:
             dh_proj += dpre_attn
             dsp[t] = dpre_attn.sum(axis=1)
             ds = ds_t + dsp[t] @ W2.T
-        self.attn_v.accumulate(acts.reshape(-1, n).T @ dscore.reshape(-1, 1))
-        self.attn_W2.accumulate(S[:T].reshape(-1, n).T @ dsp.reshape(-1, n))
-        self.attn_b2.accumulate(dsp.reshape(-1, n).sum(axis=0))
+        self.attn_v.grad += acts.reshape(-1, n).T @ dscore.reshape(-1, 1)
+        self.attn_W2.grad += S[:T].reshape(-1, n).T @ dsp.reshape(-1, n)
+        self.attn_b2.grad += dsp.reshape(-1, n).sum(axis=0)
         if T > 1:
             dpre, xs = dpre[:-1].reshape(-1, 4 * n), cache["xs"][:-1]
-            self.dec.W.accumulate(xs.reshape(-1, xs.shape[-1]).T @ dpre)
-            self.dec.U.accumulate(S[: T - 1].reshape(-1, n).T @ dpre)
-            self.dec.b.accumulate(dpre.sum(axis=0))
+            self.dec.W.grad += xs.reshape(-1, xs.shape[-1]).T @ dpre
+            self.dec.U.grad += S[: T - 1].reshape(-1, n).T @ dpre
+            self.dec.b.grad += dpre.sum(axis=0)
         if masks is not None:
             de_prev, de_cur = de_prev * masks[0], de_cur * masks[2]
         ids = np.concatenate([cache["prev_ids"], cache["cur_ids"]])
@@ -388,8 +392,11 @@ class AlignerModel:
         padding; tgt_mask (B, T) marks real positions. Returns the
         scalar loss (mean over utterances of summed symbol NLL), the
         per-utterance losses (B,) and the attention rows (T, B, A). The
-        loss is the batch's only tape node; its parents are all the
-        parameters.
+        loss is the batch's only Tensor. Its closure overwrites
+        `flat_grad` with the batch's gradient and returns the views by
+        name, last parameter first: `clip_global_norm` adds up the norm
+        in that order, and another order changes its last bits and so
+        the trained model.
         """
         enc, dec = {}, {}
         h, s0 = self.encode(src_ids, rng=rng, train=train, cache=enc)
@@ -400,13 +407,14 @@ class AlignerModel:
         k = 1.0 / per_utt.size
 
         def bwd(g):
+            self.flat_grad[...] = 0.0  # each view is added to once, the decoder cell's not at T = 1
             dh, dh_proj, ds0 = self._decode_backward(dec, weights * (g * k))
             n = self.config.cell_size
-            self.attn_W1.accumulate(h.reshape(-1, 2 * n).T @ dh_proj.reshape(-1, n))
+            self.attn_W1.grad += h.reshape(-1, 2 * n).T @ dh_proj.reshape(-1, n)
             self._encode_backward(enc, dh + dh_proj @ self.attn_W1.data.T, ds0)
+            return {name: p.grad for name, p in reversed(self.parameters().items())}
 
-        loss = Tensor(nm.check_finite(np.asarray(per_utt.sum()) * k, "loss"),
-                      parents=tuple(self.parameters().values()), backward=bwd)
+        loss = Tensor(nm.check_finite(np.asarray(per_utt.sum()) * k, "loss"), backward=bwd)
         return loss, per_utt, alphas
 
 
@@ -445,9 +453,9 @@ def _lstm_backward(params: nm.LSTMParams, x: np.ndarray, run, dh: np.ndarray) ->
         dpre[i] = nm.lstm_cell_grad(gates[i], C[i], dc, ds * tc[i])
         dc = dc * gates[i, :, n: 2 * n]
     flat = dpre.reshape(-1, 4 * n)
-    params.W.accumulate(x.reshape(-1, x.shape[-1]).T @ flat)
-    params.U.accumulate(H[:A].reshape(-1, n).T @ flat)
-    params.b.accumulate(flat.sum(axis=0))
+    params.W.grad += x.reshape(-1, x.shape[-1]).T @ flat
+    params.U.grad += H[:A].reshape(-1, n).T @ flat
+    params.b.grad += flat.sum(axis=0)
     return dpre @ params.W.data.T
 
 
@@ -457,7 +465,7 @@ def _accumulate_rows(table: Tensor, ids: np.ndarray, d_rows: np.ndarray) -> None
     A one-hot matmul, because np.add.at is more than ten times slower here.
     """
     onehot = (np.arange(len(table.data))[:, None] == ids.reshape(-1)).astype(d_rows.dtype)
-    table.accumulate(onehot @ d_rows.reshape(-1, table.data.shape[1]))
+    table.grad += onehot @ d_rows.reshape(-1, table.data.shape[1])
 
 
 def _first_max(blocks: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -587,10 +595,9 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
         raise CorpusError("empty training corpus")
     rng = np.random.default_rng(config.seed)
     model = AlignerModel(config, corpus_train.wrl_vocab, corpus_train.ul_vocab, rng=rng)
-    params = model.parameters()
     adam = nm.AdamState()
     log = TrainingLog()
-    best_params: dict[str, np.ndarray] = {}
+    best_params = None
     bad_epochs = 0
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
@@ -607,8 +614,8 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
                 raise AlignerError(
                     "training diverged at epoch %d (%s)" % (epoch, exc)
                 ) from exc
-            grad_norms.append(nm.clip_global_norm(grads, config.clip_norm))
-            nm.adam_update(params, grads, adam, lr=config.learning_rate)
+            grad_norms.append(nm.clip_global_norm(grads, model.flat_grad, config.clip_norm))
+            nm.adam_update(model.flat, model.flat_grad, adam, lr=config.learning_rate)
             train_nll += float(per_utt.sum())
             n_utts += len(utts)
         dev_loss, dev_ppl, dev_entropy = (
@@ -630,14 +637,14 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
         if dev_loss < log.best_dev_loss - 1e-9:
             log.best_dev_loss = dev_loss
             log.best_epoch = epoch
-            best_params = {k: v.data.copy() for k, v in params.items()}
+            best_params = model.flat.copy()
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= config.patience:
                 break
-    if best_params:
-        model.set_parameters(best_params)
+    if best_params is not None:
+        model.flat[...] = best_params
     return model, log
 
 

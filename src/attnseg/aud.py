@@ -184,6 +184,8 @@ class AudConfig:
             raise AudConfigError("gamma must be positive")
         if self.iterations < 1:
             raise AudConfigError("need at least 1 iteration")
+        if self.seed < 0:
+            raise AudConfigError("seed must be >= 0")
 
 
 @dataclass

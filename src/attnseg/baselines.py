@@ -276,17 +276,6 @@ class DpsegSampler:
             st.update([st.edge] + [st.ids[w] for w in _words_of(seq, flags)] + [st.edge], 1)
         self.state = st
 
-    def counts_consistent(self) -> bool:
-        """Bookkeeping check: incremental counts equal a from-scratch recount."""
-        cur = self.state
-        self._rebuild_counts()
-        return (
-            cur.unigram == self.state.unigram
-            and cur.total == self.state.total
-            and cur.bigram == self.state.bigram
-            and cur.context == self.state.context
-        )
-
     # -- single-site resampling -------------------------------------------
 
     def _resample_site(self, ui: int, pos: int, temperature: float) -> float:

@@ -24,8 +24,6 @@ import random
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import aligner as al
 from . import aud as aud_mod
 from . import baselines as bl
@@ -177,19 +175,6 @@ def plot_attention(matrix: al.AttentionMatrix, utt: cp.ParallelUtterance | None,
             f.write("# cols: %s\n" % " ".join(utt.wrl_words))
         for row in w:
             f.write(" ".join("%.6f" % v for v in row) + "\n")
-
-
-def read_pgm(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as f:
-        tokens = []
-        for line in f:
-            line = line.split("#", 1)[0]
-            tokens.extend(line.split())
-    if tokens[0] != "P2":
-        raise ConfigError("%s: not a textual PGM" % path)
-    w, h, _maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    vals = np.array([int(t) for t in tokens[4:]])
-    return vals.reshape(h, w)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""The LSTM cell on arrays, a minimal loss tape, the optimizer and checkpoints.
+"""The LSTM cell on arrays, flat parameter buffers, the optimizer and checkpoints.
 
 The aligner computes its forward passes on numpy arrays and derives
 their backward passes by hand (`aligner.AlignerModel.encode`, `decode`
 and their `_backward` passes), sharing the LSTM cell forward and
-gradient defined here. A training batch records one `Tensor`, its loss,
-whose backward fills the parameters' gradient buffers; `backward`
-returns them by name. Training arithmetic is float32 by default;
+gradient defined here. A model's parameters are views of one flat
+array and their gradients views of a second array of the same layout
+(`share_buffers`). A training batch makes one `Tensor`, its loss, whose
+closure overwrites the gradient buffer; `backward` runs that closure
+and returns the gradients by name. Clipping and Adam each make one
+pass over the flat buffers. Training arithmetic is float32 by default;
 gradient checks run the same code in float64.
 
 Any non-finite value produced by a forward pass raises NumericsError
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,37 +36,15 @@ def check_finite(x: np.ndarray, op: str) -> np.ndarray:
 
 
 class Tensor:
-    """Node in the computation tape: value, gradient buffer, parents."""
+    """A value and its gradient: a parameter, or a loss whose closure computes the
+    parameters' gradients and returns them by name."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "_backward")
 
-    def __init__(
-        self,
-        data,
-        requires_grad: bool = False,
-        parents: tuple = (),
-        backward: Optional[Callable[[np.ndarray], None]] = None,
-        name: Optional[str] = None,
-    ):
+    def __init__(self, data, backward: Optional[Callable[[np.ndarray], dict]] = None):
         self.data = np.asarray(data, dtype=np.result_type(np.asarray(data).dtype, np.float32))
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = parents
         self._backward = backward
-        self.name = name
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-        else:
-            self.grad += g
-
-    def __repr__(self):
-        return "Tensor(shape=%s%s)" % (self.data.shape, ", name=%r" % self.name if self.name else "")
 
 
 def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.ndarray:
@@ -72,34 +53,32 @@ def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.ndar
 
 
 def backward(loss: Tensor) -> dict[str, np.ndarray]:
-    """Reverse pass from a scalar loss; returns gradients of named tensors.
-
-    Every tensor reachable from the loss gets its .grad populated; the
-    returned map covers tensors that carry a name.
-    """
+    """Run a scalar loss's closure; returns the parameters' gradients by name."""
     if loss.data.size != 1:
         raise NumericsError("loss must be scalar, got shape %s" % (loss.data.shape,))
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            topo.append(node)
-            continue
-        if id(node) in seen or not node.requires_grad:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
-    for node in topo:
-        node.grad = None  # stale buffers from a previous backward call
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-    return {t.name: t.grad for t in topo if t.name is not None and t.grad is not None}
+    return loss._backward(loss.grad)
+
+
+def share_buffers(params: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    """Move the parameters into one flat array, in the dict's order, and give them
+    zero gradients in a second flat array of the same layout.
+
+    Each parameter's data and grad become views of the two arrays, which
+    are returned. Whatever writes a parameter later must write into its
+    view (`p.data[...] = a`), or the link is lost.
+    """
+    size = sum(p.data.size for p in params.values())
+    dtype = np.result_type(*(p.data for p in params.values()))
+    flat, flat_grad = np.empty(size, dtype=dtype), np.zeros(size, dtype=dtype)
+    start = 0
+    for p in params.values():
+        stop = start + p.data.size
+        flat[start:stop] = p.data.reshape(-1)
+        p.data = flat[start:stop].reshape(p.data.shape)
+        p.grad = flat_grad[start:stop].reshape(p.data.shape)
+        start = stop
+    return flat, flat_grad
 
 
 # ---------------------------------------------------------------------------
@@ -183,71 +162,63 @@ def lstm_init(rng: np.random.Generator, in_dim: int, n: int, dtype=np.float32,
     U = np.concatenate([orthogonal_init(rng, (n, n), dtype) for _ in range(4)], axis=1)
     b = np.zeros(4 * n, dtype=dtype)
     b[n: 2 * n] = forget_bias
-    return LSTMParams(
-        W=Tensor(uniform_init(rng, (in_dim, 4 * n), dtype=dtype), requires_grad=True),
-        U=Tensor(U, requires_grad=True),
-        b=Tensor(b, requires_grad=True),
-    )
+    return LSTMParams(W=Tensor(uniform_init(rng, (in_dim, 4 * n), dtype=dtype)),
+                      U=Tensor(U), b=Tensor(b))
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+def clip_global_norm(grads: dict[str, np.ndarray], flat_grad: np.ndarray,
+                     max_norm: float) -> float:
+    """Scale the flat gradient buffer so its global L2 norm is at most max_norm.
+
+    `grads` are the views of `flat_grad` by name. The norm adds up one
+    squared sum per view, in the order of `grads`, so it is the norm that
+    a separate array per parameter gives, to the bit.
+    """
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if max_norm > 0 and total > max_norm:
-        k = max_norm / total
-        for g in grads.values():
-            g *= k
+        flat_grad *= max_norm / total
     return total
 
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
     t: int = 0
 
 
 def adam_update(
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
+    params: np.ndarray,
+    grad: np.ndarray,
     state: AdamState,
     lr: float = 0.001,
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
 ) -> AdamState:
-    """In-place Adam step with bias correction. Missing grads are treated as zero."""
+    """In-place Adam step with bias correction, on flat parameter and gradient buffers."""
+    if not np.all(np.isfinite(grad)):
+        raise NumericsError("NaN/Inf gradient")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
     b1, b2 = betas
     state.t += 1
-    t = state.t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise NumericsError("NaN/Inf gradient for parameter %r" % name)
-        if g.shape != p.data.shape:
-            raise NumericsError(
-                "gradient shape %s != parameter shape %s for %r" % (g.shape, p.data.shape, name)
-            )
-        if name not in state.m:
-            state.m[name], state.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
-        m, v = state.m[name], state.v[name]
-        # p -= lr * mhat / (sqrt(vhat) + eps) with mhat = m / (1 - b1^t) and
-        # vhat = v / (1 - b2^t), in the textbook order but in two buffers
-        step, vhat = np.empty_like(m), np.empty_like(v)
-        m *= b1
-        m += np.multiply(g, 1 - b1, out=step)
-        v *= b2
-        np.multiply(g, 1 - b2, out=vhat)
-        vhat *= g
-        v += vhat
-        np.divide(m, 1 - b1 ** t, out=step)
-        step *= lr
-        np.divide(v, 1 - b2 ** t, out=vhat)
-        np.sqrt(vhat, out=vhat)
-        vhat += eps
-        step /= vhat
-        p.data -= step
+    m, v, t = state.m, state.v, state.t
+    # p -= lr * mhat / (sqrt(vhat) + eps) with mhat = m / (1 - b1^t) and
+    # vhat = v / (1 - b2^t), in the textbook order but in two buffers
+    step, vhat = np.empty_like(m), np.empty_like(v)
+    m *= b1
+    m += np.multiply(grad, 1 - b1, out=step)
+    v *= b2
+    np.multiply(grad, 1 - b2, out=vhat)
+    vhat *= grad
+    v += vhat
+    np.divide(m, 1 - b1 ** t, out=step)
+    step *= lr
+    np.divide(v, 1 - b2 ** t, out=vhat)
+    np.sqrt(vhat, out=vhat)
+    vhat += eps
+    step /= vhat
+    params -= step
     return state
 
 

@@ -1,9 +1,16 @@
-"""Tape ops, graphs and slow paths that only the tests use.
+"""A reverse-mode tape, its ops, graphs and slow paths that only the tests use.
 
 The aligner runs its encoder and decoder on arrays with hand-derived
-backward passes, so these primitives have no caller in the package.
-They are the building blocks of the reference graphs the array code is
-checked against: `reference_encode` builds the bidirectional encoder
+backward passes that write into flat gradient buffers, so the tape has
+no caller in the package. `Tensor` is a tape node (value, gradient,
+parents and the closure that passes its gradient on to them), and
+`backward` runs the closures of everything a scalar loss depends on in
+reverse topological order and returns the gradients of named nodes.
+`tape_model` gives a model's parameters as named leaves on the same
+arrays.
+
+The ops are the building blocks of the reference graphs the array code
+is checked against: `reference_encode` builds the bidirectional encoder
 one position at a time on the tape, `tape_attend` and
 `reference_decode_step` build the decoder one step at a time, one node
 per primitive, and `reference_forward_batch` runs them over a whole
@@ -18,15 +25,98 @@ oracle for `write_attention_matrices`.
 
 from __future__ import annotations
 
+import copy
 import math
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from attnseg import numerics as nm
 from attnseg.aligner import AlignerError
 from attnseg.baselines import UTT_EDGE, _break_after, _break_before
-from attnseg.numerics import NumericsError, Tensor, check_finite
+from attnseg.numerics import NumericsError, check_finite
+
+
+class Tensor:
+    """Node in the computation tape: value, gradient buffer, parents."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+
+    def __init__(
+        self,
+        data,
+        requires_grad: bool = False,
+        parents: tuple = (),
+        backward: Optional[Callable[[np.ndarray], None]] = None,
+        name: Optional[str] = None,
+    ):
+        self.data = np.asarray(data, dtype=np.result_type(np.asarray(data).dtype, np.float32))
+        self.grad: Optional[np.ndarray] = None
+        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self._parents = parents
+        self._backward = backward
+        self.name = name
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    def accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+        else:
+            self.grad += g
+
+
+def backward(loss: Tensor) -> dict[str, np.ndarray]:
+    """Reverse pass from a scalar loss; returns gradients of named tensors.
+
+    Every tensor reachable from the loss gets its .grad populated; the
+    returned map covers tensors that carry a name.
+    """
+    if loss.data.size != 1:
+        raise NumericsError("loss must be scalar, got shape %s" % (loss.data.shape,))
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            stack.append((p, False))
+    for node in topo:
+        node.grad = None  # stale buffers from a previous backward call
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+    return {t.name: t.grad for t in topo if t.name is not None and t.grad is not None}
+
+
+def tape_cell(params: nm.LSTMParams, prefix: str) -> nm.LSTMParams:
+    """The cell with W, U and b as leaves named `prefix`.W and so on, on the same arrays."""
+    return nm.LSTMParams(*(Tensor(getattr(params, k).data, requires_grad=True,
+                                  name="%s.%s" % (prefix, k)) for k in "WUb"))
+
+
+def tape_model(model):
+    """A shallow copy of an AlignerModel whose parameters are tape leaves on the
+    same arrays, each named as in `model.parameters()`."""
+    tm = copy.copy(model)
+    cells = ("enc_fwd", "enc_bwd", "dec")
+    for cell in cells:
+        setattr(tm, cell, tape_cell(getattr(model, cell), cell))
+    for name, p in model.parameters().items():
+        if name.split(".")[0] not in cells:  # src_embed, init.W -> init_W, ...
+            setattr(tm, name.replace(".", "_"),
+                    Tensor(p.data, requires_grad=True, name=name))
+    return tm
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -431,8 +521,10 @@ def reference_forward_batch(model, src_ids, tgt_ids, tgt_mask, rng=None, train=F
     """`AlignerModel.forward_batch` built from the per-position tape graphs.
 
     Returns, like it, (loss, per-utterance losses (B,), alphas (T, B, A));
-    only the loss is a Tensor.
+    only the loss is a Tensor. `backward(loss)` names the gradient of
+    each parameter the loss reaches as `model.parameters()` does.
     """
+    model = tape_model(model)
     B, T = tgt_ids.shape
     dt = model.config.np_dtype
     h, s0 = reference_encode(model, src_ids, rng=rng, train=train)

@@ -151,22 +151,23 @@ class TestAttendOracle:
         s_data = rng.standard_normal((B, model.config.cell_size))
         w_alpha, w_ctx = rng.standard_normal((B, A)), rng.standard_normal((B, n2))
 
+        tm = ref.tape_model(model)
+
         def run(attend):
-            model.parameters()  # names the parameters for the gradient map
             h = ref.tensor(h_data, requires_grad=True, name="h")
             alpha, ctx = attend(h, ref.tensor(s_data))
             loss = ref.add(ref.sum_all(ref.mul(alpha, ref.tensor(w_alpha))),
                            ref.sum_all(ref.mul(ctx, ref.tensor(w_ctx))))
-            grads = nm.backward(loss)
+            grads = ref.backward(loss)
             names = ("attn.W1", "attn.W2", "attn.b2", "attn.v", "h")
             return [alpha.data, ctx.data] + [grads[k] for k in names]
 
         def per_position(h, s):
             h_list = [ref.reshape(ref.narrow(h, 1, i, 1), (B, n2)) for i in range(A)]
-            return reference_attend(model, h_list, s)
+            return reference_attend(tm, h_list, s)
 
         def tape(h, s):
-            return ref.tape_attend(model, h, s)
+            return ref.tape_attend(tm, h, s)
 
         want = run(per_position)
         for got, w in zip(run(tape), want):
@@ -222,20 +223,23 @@ class TestDecoderOracle:
             cell_size=16 if start == "initial_cell_16" else 5)
         params = model.parameters()
 
-        def run(forward):
+        def run(forward, backward):
             rng = np.random.default_rng(7)
             loss, per_utt, alphas = forward(src, tgt, mask, rng=rng, train=train)
-            grads = nm.backward(loss)
-            # a parameter the loss does not reach (the decoder cell when T=1) has no entry
+            grads = backward(loss)
+            # the tape has no entry for a parameter the loss does not reach (the
+            # decoder cell when T=1); the array path reports a zero gradient for it
             return ([loss.data, per_utt, alphas]
                     + [grads.get(k, np.zeros_like(p.data)) for k, p in params.items()],
-                    (rng.random(), sorted(k for k in grads if k in params)))
+                    rng.random(), grads)
 
-        got, got_after = run(model.forward_batch)
-        want, want_after = run(lambda *a, **k: ref.reference_forward_batch(model, *a, **k))
-        # the same dropout draws in the same order, and the same parameters reached:
-        # adam_update skips a parameter without a gradient
-        assert got_after == want_after
+        got, got_after, got_grads = run(model.forward_batch, nm.backward)
+        want, want_after, want_grads = run(
+            lambda *a, **k: ref.reference_forward_batch(model, *a, **k), ref.backward)
+        assert got_after == want_after  # the same dropout draws in the same order
+        assert list(got_grads) == list(reversed(params))  # every parameter, last first
+        assert sorted(want_grads.keys() & params.keys()) == sorted(
+            k for k in params if T > 1 or not k.startswith("dec."))
         for name, g, w in zip(["loss", "per_utt", "alphas"] + list(params), got, want):
             assert g.shape == w.shape, name
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), name
@@ -281,6 +285,57 @@ class TestDecoderOracle:
             model.forward_batch(src, tgt, msk)
 
 
+def assert_views_of_flat(model):
+    for name, p in model.parameters().items():
+        assert np.shares_memory(p.data, model.flat), name
+        assert np.shares_memory(p.grad, model.flat_grad), name
+
+
+class TestFlatBuffers:
+    """Parameters and gradients stay views of the model's two flat buffers."""
+
+    def test_set_parameters_and_load_model_write_into_the_views(self, corpus, model, tmp_path):
+        m = AlignerModel(small_config(seed=3), corpus.wrl_vocab, corpus.ul_vocab)
+        m.set_parameters({k: p.data + 1.0 for k, p in model.parameters().items()})
+        assert_views_of_flat(m)
+        assert m.flat.tobytes() == (model.flat + 1.0).tobytes()
+        path = str(tmp_path / "model.npz")
+        save_model(path, m)
+        loaded = load_model(path, m.config, corpus.wrl_vocab, corpus.ul_vocab)
+        assert_views_of_flat(loaded)
+        assert loaded.flat.tobytes() == m.flat.tobytes()
+        before = {k: p.data.copy() for k, p in loaded.parameters().items()}
+        loaded.flat_grad[...] = 1.0
+        nm.adam_update(loaded.flat, loaded.flat_grad, nm.AdamState(), lr=0.01)
+        for k, p in loaded.parameters().items():
+            assert np.all(p.data != before[k]), k  # each entry moved by about -lr
+
+    def test_train_restores_the_best_epoch_into_the_views(self, corpus):
+        model, log = train(corpus, corpus, small_config(max_epochs=3, patience=3, seed=5))
+        assert_views_of_flat(model)
+        assert evaluate_loss(model, corpus)[0] == log.best_dev_loss
+
+    def test_backward_overwrites_the_gradients(self):
+        model, src, tgt, mask = oracle_case(3, 4, 2, seed=4)
+        loss, _, _ = model.forward_batch(src, tgt, mask, rng=np.random.default_rng(0),
+                                         train=True)
+        first = {k: g.copy() for k, g in nm.backward(loss).items()}
+        second = nm.backward(loss)
+        assert list(second) == list(first)
+        for k, g in first.items():
+            assert second[k].tobytes() == g.tobytes(), k
+
+    def test_gradient_map_names_every_parameter_and_zeroes_an_unread_decoder_cell(self):
+        model, src, tgt, mask = oracle_case(2, 3, 2, seed=5)
+        loss, _, _ = model.forward_batch(src, tgt, mask)
+        assert nm.backward(loss)["dec.W"].any()
+        loss, _, _ = model.forward_batch(src, tgt[:, :1], mask[:, :1])  # T = 1
+        grads = nm.backward(loss)
+        assert len(grads) == 21 and grads.keys() == model.parameters().keys()
+        for k, g in grads.items():
+            assert g.any() != k.startswith("dec."), k
+
+
 def maxout_reference(x, pool, g):
     """Blockwise max and its gradient; a tie goes to the earliest block."""
     blocks = np.split(x, pool, axis=-1)
@@ -304,7 +359,7 @@ class TestMaxoutOracle:
         g = rng.standard_normal((2, 3, 4))
         a = ref.tensor(x, requires_grad=True)
         out = ref.maxout(a, pool)
-        nm.backward(ref.sum_all(ref.mul(out, ref.tensor(g))))
+        ref.backward(ref.sum_all(ref.mul(out, ref.tensor(g))))
         want_out, want_grad = maxout_reference(x, pool, g)
         np.testing.assert_array_equal(out.data, want_out)
         np.testing.assert_array_equal(a.grad, want_grad)

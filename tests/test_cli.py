@@ -17,12 +17,23 @@ from attnseg.cli import (
     load_config_file,
     main,
     plot_attention,
-    read_pgm,
     synth_corpus,
     write_manifest,
     write_synth_corpus,
 )
 from attnseg.corpus import load_parallel_corpus
+
+
+def read_pgm(path: str) -> np.ndarray:
+    """The pixels of the textual PGM heatmap that `attnseg plot` writes."""
+    with open(path, encoding="utf-8") as f:
+        tokens = []
+        for line in f:
+            line = line.split("#", 1)[0]
+            tokens.extend(line.split())
+    assert tokens[0] == "P2", "%s: not a textual PGM" % path
+    w, h = int(tokens[1]), int(tokens[2])
+    return np.array([int(t) for t in tokens[4:]]).reshape(h, w)
 
 
 def synth_with_gold(cfg):
@@ -240,6 +251,17 @@ class TestConfigFile:
         assert "not a boolean" in err or "unknown config key" in err
         assert not (tmp_path / "out").exists()  # rejected before any work
 
+    @pytest.mark.parametrize("text", [
+        "[aligner]\nmaxout_pool = 0", "[aligner]\nmaxout_pool = -1",
+        "[aligner]\nembed_dim = 0", "[aligner]\nembed_dim = -3", "[aligner]\nseed = -1"])
+    def test_out_of_range_aligner_value_is_config_error(self, tmp_path, capsys, text):
+        p = tmp_path / "c.ini"
+        p.write_text("[pipeline]\nout_dir = %s\n%s\n" % (tmp_path / "out", text))
+        assert main(["pipeline", "--config", str(p)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()  # rejected before any work
+
     @settings(max_examples=100, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(INI_LINES)
@@ -418,6 +440,17 @@ class TestExitCodes:
             "config error: max epochs and patience must be at least 1\n")
         assert not (tmp_path / "m.npz").exists()
 
+    @pytest.mark.parametrize("command", ["train-aligner", "aud-train"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command):
+        (tmp_path / "ul.txt").write_text("a b\nb a\n")
+        (tmp_path / "wrl.txt").write_text("x\ny\n")
+        inputs = (["--ul", str(tmp_path / "ul.txt"), "--wrl", str(tmp_path / "wrl.txt")]
+                  if command == "train-aligner" else ["--features", str(tmp_path / "f.npz")])
+        assert main([command, *inputs, "--out", str(tmp_path / "m.npz"),
+                     "--seed", "-1"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+        assert sorted(os.listdir(tmp_path)) == ["ul.txt", "wrl.txt"]
+
     @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.1", "nan"])
     def test_dev_fraction_out_of_range_is_config_error(self, tmp_path, capsys, fraction):
         (tmp_path / "ul.txt").write_text("a b\nb a\n")
@@ -477,7 +510,8 @@ SIDECAR_TOKENS = {
 }
 
 
-# sidecar config values of the wrong JSON type: (key, value), or (None, whole config)
+# sidecar config values of the wrong JSON type or out of range: (key, value), or
+# (None, whole config)
 SIDECAR_VALUES = {
     "cell_size_string": ("cell_size", "8"),
     "seed_bool": ("seed", True),
@@ -486,6 +520,9 @@ SIDECAR_VALUES = {
     "embed_dim_float": ("embed_dim", 8.5),
     "eos_row_string": ("include_eos_row", "no"),
     "config_not_object": (None, [4]),
+    "maxout_pool_zero": ("maxout_pool", 0),
+    "embed_dim_negative": ("embed_dim", -3),
+    "seed_negative": ("seed", -1),
 }
 
 

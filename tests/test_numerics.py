@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -9,20 +10,22 @@ from attnseg import numerics as nm
 from attnseg.numerics import (
     AdamState,
     NumericsError,
-    Tensor,
     adam_update,
-    backward,
     clip_global_norm,
     load_checkpoint,
     lstm_init,
     save_checkpoint,
+    share_buffers,
 )
 from reference_ops import (
+    Tensor,
+    backward,
     cross_entropy,
     dropout,
     lstm_step,
     maxout,
     softmax_with_temperature,
+    tape_cell,
     tensor,
 )
 
@@ -93,7 +96,7 @@ class TestLstmStep:
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(3)
         n, d = 4, 3
-        params = lstm_init(rng, d, n, dtype=np.float64)
+        params = tape_cell(lstm_init(rng, d, n, dtype=np.float64), "lstm")
         x = rng.standard_normal((2, d))
         h0 = rng.standard_normal((2, n))
         c0 = rng.standard_normal((2, n))
@@ -105,7 +108,7 @@ class TestLstmStep:
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
-        params = lstm_init(rng, 2, 3, dtype=np.float64)
+        params = tape_cell(lstm_init(rng, 2, 3, dtype=np.float64), "lstm")
         x = tensor(np.ones((1, 2)))
         s = (tensor(np.zeros((1, 3))), tensor(np.zeros((1, 3))))
         a = lstm_step(params, x, s)[0].data
@@ -114,7 +117,7 @@ class TestLstmStep:
 
     def test_shape_mismatch_named(self):
         rng = np.random.default_rng(0)
-        params = lstm_init(rng, 2, 3)
+        params = tape_cell(lstm_init(rng, 2, 3), "lstm")
         with pytest.raises(NumericsError, match="W"):
             lstm_step(params, tensor(np.ones((1, 5))),
                       (tensor(np.zeros((1, 3))), tensor(np.zeros((1, 3)))))
@@ -157,15 +160,14 @@ class TestFusedLstmOracle:
         w_c = rng.standard_normal((B, n))
 
         def run(step):
-            ps = params.tensors("lstm")
-            for name, t in ps.items():
-                t.name = name
+            cell = tape_cell(params, "lstm")
+            ps = cell.tensors("lstm")
             x = [tensor(xs[k], requires_grad=True, name="x%d" % k) for k in range(steps)]
             h = tensor(h0, requires_grad=True, name="h0")
             c = tensor(c0, requires_grad=True, name="c0")
             terms, values = [], []
             for k in range(steps):
-                h, c = step(params, x[k], (h, c))
+                h, c = step(cell, x[k], (h, c))
                 values += [h.data, c.data]
                 if "h" in reads:
                     terms.append(ref.sum_all(ref.mul(h, tensor(w_h[k]))))
@@ -193,7 +195,7 @@ class TestFusedLstmOracle:
         counts = []
         for B, d, n in [(1, 2, 1), (5, 7, 6)]:
             rng = np.random.default_rng(B)
-            params = lstm_init(rng, d, n, dtype=np.float64)
+            params = tape_cell(lstm_init(rng, d, n, dtype=np.float64), "lstm")
             x = tensor(rng.standard_normal((B, d)))
             state = (tensor(np.zeros((B, n))), tensor(np.zeros((B, n))))
             del created[:]
@@ -203,7 +205,7 @@ class TestFusedLstmOracle:
 
     def test_float32_overflow_in_preactivations_raises(self):
         rng = np.random.default_rng(0)
-        params = lstm_init(rng, 2, 3)
+        params = tape_cell(lstm_init(rng, 2, 3), "lstm")
         params.W.data[:] = 1.0  # 3e38 + 3e38 overflows float32
         x = tensor(np.full((1, 2), 3e38, dtype=np.float32))
         state = (tensor(np.zeros((1, 3), dtype=np.float32)),
@@ -235,6 +237,8 @@ class TestLinear:
 
 
 class TestBackward:
+    """The reference tape's reverse pass."""
+
     def test_sum_gradient_is_ones(self):
         x = tensor(np.arange(6.0).reshape(2, 3), requires_grad=True, name="x")
         grads = backward(ref.sum_all(x))
@@ -251,6 +255,8 @@ class TestBackward:
         x = tensor(np.ones(3), requires_grad=True, name="x")
         with pytest.raises(NumericsError):
             backward(x)
+        with pytest.raises(NumericsError):  # the package's loss closure runner
+            nm.backward(nm.Tensor(np.ones(3), backward=lambda g: {}))
 
     def test_reused_node_accumulates(self):
         x = tensor(np.array([2.0]), requires_grad=True, name="x")
@@ -349,14 +355,12 @@ class TestGradientChecks:
     def test_lstm_grad_one_output(self, reads):
         """The encoder reads only its last cell's h, the decoder's last c goes unread."""
         rng = np.random.default_rng(10)
-        params = lstm_init(rng, 2, 3, dtype=np.float64)
+        params = tape_cell(lstm_init(rng, 2, 3, dtype=np.float64), "lstm")
         ps = params.tensors("lstm")
         x = tensor(rng.standard_normal((2, 2)), requires_grad=True, name="x")
         h0 = tensor(rng.standard_normal((2, 3)), requires_grad=True, name="h0")
         c0 = tensor(rng.standard_normal((2, 3)), requires_grad=True, name="c0")
         ps.update(x=x, h0=h0, c0=c0)
-        for n, t in ps.items():
-            t.name = n
 
         def build():
             h, c = lstm_step(params, x, lstm_step(params, x, (h0, c0)))
@@ -366,10 +370,8 @@ class TestGradientChecks:
 
     def test_lstm_grad(self):
         rng = np.random.default_rng(7)
-        params = lstm_init(rng, 2, 3, dtype=np.float64)
+        params = tape_cell(lstm_init(rng, 2, 3, dtype=np.float64), "lstm")
         ps = params.tensors("lstm")
-        for n, t in ps.items():
-            t.name = n
         x = tensor(rng.standard_normal((2, 2)))
         s = (tensor(rng.standard_normal((2, 3))), tensor(rng.standard_normal((2, 3))))
 
@@ -381,7 +383,8 @@ class TestGradientChecks:
 
 
 def textbook_adam_update(params, grads, state, lr=0.001, betas=(0.9, 0.999), eps=1e-8):
-    """Adam as it was written before the update moved into two buffers."""
+    """Adam as it was written before the update moved into flat buffers: one
+    array per parameter and per moment."""
     b1, b2 = betas
     state.t += 1
     t = state.t
@@ -399,6 +402,13 @@ def textbook_adam_update(params, grads, state, lr=0.001, betas=(0.9, 0.999), eps
     return state
 
 
+def flat_case(values):
+    """Tensors holding `values` as views of flat buffers: (tensors, flat, flat_grad)."""
+    ts = {k: nm.Tensor(v.copy()) for k, v in values.items()}
+    flat, flat_grad = share_buffers(ts)
+    return ts, flat, flat_grad
+
+
 class TestAdam:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_in_place_update_is_bit_identical_to_textbook(self, dtype):
@@ -407,43 +417,47 @@ class TestAdam:
         start = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
         grads = [{k: (rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3, s)).astype(dtype)
                   for k, s in shapes.items()} for _ in range(3)]
-        runs = []
-        for update in (adam_update, textbook_adam_update):
-            params = {k: tensor(a.copy()) for k, a in start.items()}
-            state = AdamState()
-            for g in grads:
-                update(params, g, state, lr=0.01)
-            runs.append([params[k].data for k in shapes] + list(state.m.values())
-                        + list(state.v.values()))
-        for got, want in zip(*runs):
-            assert got.dtype == want.dtype == dtype
-            assert got.tobytes() == want.tobytes()
+        params, flat, flat_grad = flat_case(start)
+        state = AdamState()
+        for g in grads:
+            for k, p in params.items():
+                p.grad[...] = g[k]
+            adam_update(flat, flat_grad, state, lr=0.01)
+        sizes = np.cumsum([0] + [params[k].data.size for k in shapes])
+        got = [params[k].data for k in shapes] + [
+            moment[a:b] for moment in (state.m, state.v) for a, b in zip(sizes, sizes[1:])]
+        textbook = {k: tensor(a.copy()) for k, a in start.items()}
+        state = types.SimpleNamespace(m={}, v={}, t=0)
+        for g in grads:
+            textbook_adam_update(textbook, g, state, lr=0.01)
+        want = [textbook[k].data for k in shapes] + list(state.m.values()) + list(state.v.values())
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype == dtype
+            assert g.tobytes() == w.tobytes()
 
     def test_zero_gradient_keeps_params(self):
-        p = tensor(np.array([1.0, 2.0]), requires_grad=True)
-        before = p.data.copy()
-        adam_update({"p": p}, {"p": np.zeros(2)}, AdamState())
-        np.testing.assert_array_equal(p.data, before)
+        p = np.array([1.0, 2.0])
+        adam_update(p, np.zeros(2), AdamState())
+        np.testing.assert_array_equal(p, [1.0, 2.0])
 
     def test_first_step_closed_form(self):
-        p = tensor(np.array([0.0]), requires_grad=True)
-        adam_update({"p": p}, {"p": np.array([1.0])}, AdamState(), lr=0.001)
+        p = np.array([0.0])
+        adam_update(p, np.array([1.0]), AdamState(), lr=0.001)
         # mhat = 1, vhat = 1 -> delta = -lr / (1 + eps)
-        np.testing.assert_allclose(p.data, [-0.001], atol=1e-8)
+        np.testing.assert_allclose(p, [-0.001], atol=1e-8)
 
     def test_constant_gradient_step_approaches_lr(self):
-        p = tensor(np.array([0.0]), requires_grad=True)
+        p = np.array([0.0])
         state = AdamState()
         prev = 0.0
         for _ in range(500):
-            prev = float(p.data[0])
-            adam_update({"p": p}, {"p": np.array([2.5])}, state, lr=0.001)
-        assert abs((prev - float(p.data[0])) - 0.001) < 1e-5
+            prev = float(p[0])
+            adam_update(p, np.array([2.5]), state, lr=0.001)
+        assert abs((prev - float(p[0])) - 0.001) < 1e-5
 
     def test_nan_gradient_rejected(self):
-        p = tensor(np.array([0.0]), requires_grad=True)
         with pytest.raises(NumericsError):
-            adam_update({"p": p}, {"p": np.array([np.nan])}, AdamState())
+            adam_update(np.array([0.0, 1.0]), np.array([0.0, np.nan]), AdamState())
 
 
 class TestDropout:
@@ -473,16 +487,32 @@ class TestFiniteness:
 
 class TestClipGlobalNorm:
     def test_scales_to_max(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-        norm = clip_global_norm(grads, 1.0)
+        ts, _, flat_grad = flat_case({"a": np.array([0.0]), "b": np.array([0.0])})
+        flat_grad[:] = [3.0, 4.0]
+        grads = {k: t.grad for k, t in ts.items()}
+        norm = clip_global_norm(grads, flat_grad, 1.0)
         assert abs(norm - 5.0) < 1e-12
         total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
         assert abs(total - 1.0) < 1e-12
 
     def test_no_clip_below_threshold(self):
-        grads = {"a": np.array([0.3])}
-        clip_global_norm(grads, 5.0)
-        np.testing.assert_array_equal(grads["a"], [0.3])
+        ts, _, flat_grad = flat_case({"a": np.array([0.0])})
+        flat_grad[:] = 0.3
+        clip_global_norm({"a": ts["a"].grad}, flat_grad, 5.0)
+        np.testing.assert_array_equal(ts["a"].grad, [0.3])
+
+    def test_norm_adds_views_in_the_given_order(self):
+        """One float per view, summed in the map's order: the norm a separate array
+        per parameter gives, which a single sum over the buffer does not."""
+        rng = np.random.default_rng(12)
+        values = {k: rng.standard_normal(s).astype(np.float32)
+                  for k, s in (("W", (40, 33)), ("b", (33,)), ("v", (33, 1)))}
+        ts, _, flat_grad = flat_case({k: np.zeros_like(v) for k, v in values.items()})
+        for k, v in values.items():
+            ts[k].grad[...] = v
+        grads = {k: ts[k].grad for k in reversed(values)}
+        want = math.sqrt(sum(float((v * v).sum()) for v in reversed(values.values())))
+        assert clip_global_norm(grads, flat_grad, 0.0) == want
 
 
 class TestCheckpoint:
