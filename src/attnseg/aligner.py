@@ -12,7 +12,9 @@ and extraction so the two distributions match.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -20,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .corpus import CorpusError, ParallelCorpus, ParallelUtterance, Vocabulary
+from .corpus import CorpusError, ParallelCorpus, ParallelUtterance, Vocabulary, open_text
 from .numerics import Tensor
 
 
@@ -276,7 +278,10 @@ class AlignerModel:
         S[0] = s0
         alphas = np.empty((T, B, h.shape[1]), dtype=dt)
         ctxs = np.empty((T, B, 2 * n), dtype=dt)
-        acts, xs, gates = [], [], []
+        if cache is not None:  # what `_decode_backward` reads of each step
+            acts = np.empty((T, B, h.shape[1], n), dtype=dt)
+            xs = np.empty((T, B, d + 2 * n), dtype=dt)
+            gates = np.empty((T, B, 4 * n), dtype=dt)
         for t in range(T):
             if drop:  # e_prev, mix, e_cur: the order of the per-step graph
                 for m in masks:
@@ -285,9 +290,7 @@ class AlignerModel:
             alphas[t], ctxs[t], act, x, g, C[t + 1], S[t + 1] = self.decode_step(
                 S[t], C[t], e_cur[t], h, h_proj)
             if cache is not None:
-                acts.append(act)
-                xs.append(x)
-                gates.append(g)
+                acts[t], xs[t], gates[t] = act, x, g
         if drop:
             e_prev *= masks[0]
         # (T, B, k) @ (k, m): numpy calls BLAS once per step, so each row is
@@ -307,7 +310,7 @@ class AlignerModel:
         if cache is not None:
             cache.update(
                 h=h, cur_ids=cur_ids, prev_ids=prev_ids, masks=masks, S=S, C=C, alphas=alphas,
-                acts=np.stack(acts), xs=np.stack(xs), gates=np.stack(gates),
+                acts=acts, xs=xs, gates=gates,
                 mix=mix.reshape(T * B, mix_dim),
                 winner=_first_max(blocks, hidden), hidden=hidden, ex=ex)
         return nll.reshape(T, B), alphas
@@ -680,41 +683,42 @@ def write_attention_matrices(path: str, matrices: dict[str, AttentionMatrix]) ->
 def read_attention_matrices(path: str) -> dict[str, AttentionMatrix]:
     """Inverse of `write_attention_matrices`.
 
-    Raises CorpusError, a data error, on a malformed or truncated file,
-    on an utterance id that appears twice and on a matrix that fails
-    `AttentionMatrix.validate`.
+    Streams the file one utterance at a time: besides the matrices it
+    returns, it holds only the text of the header and rows it is parsing.
+    Raises CorpusError, a data error, on a file that is not UTF-8 text, on
+    a malformed or truncated file, on an utterance id that appears twice
+    and on a matrix that fails `AttentionMatrix.validate`.
     """
     out: dict[str, AttentionMatrix] = {}
-    with open(path, encoding="utf-8") as f:
-        lines = [(k, l.split()) for k, l in enumerate(f, 1) if l.strip()]
-    i = 0
-    while i < len(lines):
-        k, head = lines[i]
-        try:
-            utt_id, T, A = head[0], int(head[1]), int(head[2])
-        except (IndexError, ValueError):
-            T = A = 0
-        if len(head) != 3 or T < 1 or A < 1:
-            raise CorpusError("%s:%d: expected a header `id T A`" % (path, k))
-        if utt_id in out:
-            raise CorpusError("%s:%d: utterance %s appears twice" % (path, k, utt_id))
-        body = lines[i + 1: i + 1 + T]
-        if len(body) < T:
-            raise CorpusError("%s: %s is truncated, %d of %d rows" % (path, utt_id, len(body), T))
-        for k, fields in body:
-            if len(fields) != A:
-                raise CorpusError("%s:%d: %d weights, expected %d" % (path, k, len(fields), A))
-        try:
-            w = np.array([fields for _, fields in body], dtype=float)
-        except ValueError:
-            raise CorpusError("%s: %s has a non-numeric weight" % (path, utt_id)) from None
-        m = AttentionMatrix(utt_id, w)
-        try:
-            m.validate()
-        except AlignerError as e:
-            raise CorpusError("%s: %s" % (path, e)) from None
-        out[utt_id] = m
-        i += 1 + T
+    with open_text(path) as f:
+        lines = ((k, fields) for k, l in enumerate(f, 1) if (fields := l.split()))
+        for k, head in lines:
+            try:
+                utt_id, T, A = head[0], int(head[1]), int(head[2])
+            except (IndexError, ValueError):
+                T = A = 0
+            if len(head) != 3 or T < 1 or A < 1:
+                raise CorpusError("%s:%d: expected a header `id T A`" % (path, k))
+            if utt_id in out:
+                raise CorpusError("%s:%d: utterance %s appears twice" % (path, k, utt_id))
+            # a T beyond what islice takes is beyond any file: the body is truncated
+            body = list(itertools.islice(lines, min(T, sys.maxsize)))
+            if len(body) < T:
+                raise CorpusError("%s: %s is truncated, %d of %d rows"
+                                  % (path, utt_id, len(body), T))
+            for k, fields in body:
+                if len(fields) != A:
+                    raise CorpusError("%s:%d: %d weights, expected %d" % (path, k, len(fields), A))
+            try:
+                w = np.array([fields for _, fields in body], dtype=float)
+            except ValueError:
+                raise CorpusError("%s: %s has a non-numeric weight" % (path, utt_id)) from None
+            m = AttentionMatrix(utt_id, w)
+            try:
+                m.validate()
+            except AlignerError as e:
+                raise CorpusError("%s: %s" % (path, e)) from None
+            out[utt_id] = m
     return out
 
 

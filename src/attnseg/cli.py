@@ -358,7 +358,7 @@ def cmd_synth(args) -> int:
 
 def cmd_mfcc(args) -> int:
     feats, id_lines, wav_hashes = [], {}, {}
-    with open(args.wav_list, encoding="utf-8") as f:
+    with cp.open_text(args.wav_list) as f:
         entries = [(k, line.split()) for k, line in enumerate(f, 1) if line.strip()]
     if not entries:
         raise aud_mod.AudError("%s: no `id wav-path` lines" % args.wav_list)

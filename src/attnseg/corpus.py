@@ -10,6 +10,7 @@ a corpus, gold or hypothesis, is a dict from utterance id to Segmentation.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -20,6 +21,17 @@ RESERVED = (PAD, BOS, EOS, UNK)
 
 class CorpusError(ValueError):
     """Raised on malformed corpus input."""
+
+
+@contextlib.contextmanager
+def open_text(path: str):
+    """`path` opened to read as UTF-8 text. A byte that does not decode, met
+    while the file is read in the `with` block, raises CorpusError naming it."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as e:
+            raise CorpusError("%s: not UTF-8 text (%s)" % (path, e.reason)) from None
 
 
 @dataclass(frozen=True)
@@ -142,9 +154,9 @@ def build_vocabularies(utterances: Sequence[ParallelUtterance]) -> tuple[Vocabul
 
 def load_parallel_corpus(ul_path: str, wrl_path: str) -> ParallelCorpus:
     """Load aligned UL/WRL text files, one whitespace-tokenized utterance per line."""
-    with open(ul_path, encoding="utf-8") as f:
+    with open_text(ul_path) as f:
         ul_lines = f.read().splitlines()
-    with open(wrl_path, encoding="utf-8") as f:
+    with open_text(wrl_path) as f:
         wrl_lines = f.read().splitlines()
     # ignore a trailing fully-empty line produced by a final newline
     while ul_lines and not ul_lines[-1].strip():
@@ -197,7 +209,7 @@ def load_gold_segmentation(corpus: ParallelCorpus, path: str) -> dict[str, Segme
     and is read back by spelling it out of the utterance's own symbols,
     so multi-character symbols need no delimiter.
     """
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         lines = f.read().splitlines()
     while lines and not lines[-1].strip():
         lines.pop()

@@ -1,7 +1,10 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference_ops as ref
 from attnseg import numerics as nm
@@ -584,6 +587,70 @@ class TestMatrixReader:
         with pytest.raises(CorpusError) as e:
             read_attention_matrices(str(path))
         assert str(e.value) == message.format(path=path)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(
+        st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp")),
+                min_size=1, max_size=4),
+        st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(lambda shape: st.lists(
+            st.floats(0.0, 1.0), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+        ).map(lambda v: np.array(v).reshape(shape))),
+        min_size=1, max_size=4))
+    def test_random_matrices_read_back_as_written(self, tmp_path, draws):
+        matrices = {}
+        for utt_id, w in draws.items():
+            w[w.sum(axis=1) == 0.0, 0] = 1.0
+            matrices[utt_id] = AttentionMatrix(utt_id, w / w.sum(axis=1, keepdims=True))
+        path = str(tmp_path / "attn.txt")
+        write_attention_matrices(path, matrices)
+        back = read_attention_matrices(path)
+        with open(path, encoding="utf-8") as f:
+            lines = [l.split() for l in f]
+        assert len(lines) == sum(1 + m.num_symbols for m in matrices.values())
+        for i, utt_id in enumerate(sorted(matrices)):
+            T = matrices[utt_id].num_symbols
+            head, rows = lines[0], lines[1: 1 + T]
+            assert head == [utt_id, str(T), str(matrices[utt_id].num_words)]
+            want = np.array([[float(v) for v in row] for row in rows])
+            assert back[utt_id].weights.tobytes() == want.tobytes()
+            del lines[: 1 + T]
+        assert list(back) == sorted(matrices)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.binary(max_size=60) | st.lists(
+        st.sampled_from(["u1", "u2", "0", "1", "2", "3", "-1", "0.5", "1.0", "nan", "inf",
+                         "1e999", "x", "99999999999999999999999", "\u0663", " ", "\n", "\r",
+                         "\t", "\x1c", "\xa0"]) | st.text(max_size=3), max_size=16
+    ).map(lambda parts: "".join(parts).encode("utf-8", "surrogatepass")))
+    def test_any_bytes_read_or_raise_corpus_error(self, tmp_path, data):
+        path = tmp_path / "attn.txt"
+        path.write_bytes(data)
+        try:
+            matrices = read_attention_matrices(str(path))
+        except CorpusError:
+            return
+        for m in matrices.values():
+            m.validate()
+
+    def test_peak_memory_stays_below_the_file_size(self, tmp_path):
+        """The reader streams: its traced peak is about the size of the matrices it
+        returns (≈0.55 of the text here), where a whole-file read peaks at ≈6 times it."""
+        rng = np.random.default_rng(5)
+        matrices = {}
+        for k in range(2000):  # paper-shaped: 3-12 words, 2-7 symbols each
+            A = int(rng.integers(3, 13))
+            w = rng.dirichlet(np.full(A, 0.3), size=int(rng.integers(2 * A, 7 * A + 1)))
+            matrices["utt%05d" % k] = AttentionMatrix("utt%05d" % k, w)
+        path = str(tmp_path / "attn.txt")
+        write_attention_matrices(path, matrices)
+        del matrices
+        tracemalloc.start()
+        try:
+            read_attention_matrices(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < os.path.getsize(path)
 
 
 class TestAttentionMatrixValidation:

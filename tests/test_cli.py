@@ -622,6 +622,31 @@ class TestBadInputs:
             assert err.startswith("data error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("reader", ["matrices", "corpus", "segmentation", "wav_list",
+                                        "sidecar"])
+    def test_file_that_is_not_utf8_is_data_error(self, corpus_dir, tmp_path, capsys, reader):
+        ul, wrl, out = corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt", str(tmp_path / "out")
+        bad = str(tmp_path / "bad.txt")
+        if reader == "sidecar":
+            corpus = load_parallel_corpus(ul, wrl)
+            cli.save_aligner_bundle(str(tmp_path / "m.npz"), AlignerModel(
+                AlignerConfig(cell_size=4), corpus.wrl_vocab, corpus.ul_vocab))
+            bad = str(tmp_path / "m.npz.json")
+        with open(bad, "ab") as f:
+            f.write(b"utt00001 1 2\n0.5 \xff0.5\n")
+        args = {"matrices": ["segment", "--matrices", bad, "--ul", ul, "--wrl", wrl],
+                "corpus": ["baseline-proportional", "--ul", bad, "--wrl", wrl],
+                "segmentation": ["evaluate", "--ul", ul, "--wrl", wrl, "--gold", bad,
+                                 "--hyp", corpus_dir + "/gold.txt"],
+                "wav_list": ["mfcc", "--wav-list", bad],
+                "sidecar": ["force-align", "--model", str(tmp_path / "m.npz"), "--ul", ul,
+                            "--wrl", wrl]}[reader]
+        assert main(args + ["--out", out]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: %s: " % bad) and err.count("\n") == 1
+        assert not os.path.exists(out)
+
+
 class TestCommandRoundtrips:
     @pytest.fixture()
     def corpus_dir(self, tmp_path, capsys):

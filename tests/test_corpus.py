@@ -21,6 +21,15 @@ def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# file contents from raw bytes, or from text pieces that a line reader treats
+# specially (line and word separators, reserved tokens, surrogates that do not
+# encode to UTF-8)
+ANY_FILE = st.binary(max_size=40) | st.lists(
+    st.sampled_from(["a", "b1", "x", "<PAD>", "<unk>", " ", "\n", "\r", "\t", "\x0b", "\x1c",
+                     "\x85", "\xa0", "\u2028", "\xe9"]) | st.text(max_size=3), max_size=12
+).map(lambda parts: "".join(parts).encode("utf-8", "surrogatepass"))
+
+
 @pytest.fixture
 def toy_files(tmp_path):
     ul = tmp_path / "ul.txt"
@@ -136,6 +145,18 @@ class TestLoadParallelCorpus:
         write_corpus(c, u2, w2)
         assert open(u2).read().rstrip() == open(toy_files[0]).read().rstrip()
         assert open(w2).read().rstrip() == open(toy_files[1]).read().rstrip()
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ANY_FILE, ANY_FILE)
+    def test_any_bytes_read_or_raise_corpus_error(self, tmp_path, ul, wrl):
+        (tmp_path / "u").write_bytes(ul)
+        (tmp_path / "w").write_bytes(wrl)
+        try:
+            c = load_parallel_corpus(str(tmp_path / "u"), str(tmp_path / "w"))
+        except CorpusError:
+            return
+        assert all(u.ul_symbols and u.wrl_words for u in c)
+        assert [u.id for u in c] == ["utt%05d" % i for i in range(1, len(c) + 1)]
 
 
 class TestGoldSegmentation:
