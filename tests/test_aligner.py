@@ -607,7 +607,7 @@ class TestMatrixReader:
         with open(path, encoding="utf-8") as f:
             lines = [l.split() for l in f]
         assert len(lines) == sum(1 + m.num_symbols for m in matrices.values())
-        for i, utt_id in enumerate(sorted(matrices)):
+        for utt_id in sorted(matrices):
             T = matrices[utt_id].num_symbols
             head, rows = lines[0], lines[1: 1 + T]
             assert head == [utt_id, str(T), str(matrices[utt_id].num_words)]

@@ -621,7 +621,6 @@ class TestBadInputs:
             assert rc == cli.EXIT_DATA
             assert err.startswith("data error: ") and err.count("\n") == 1
 
-
     @pytest.mark.parametrize("reader", ["matrices", "corpus", "segmentation", "wav_list",
                                         "sidecar"])
     def test_file_that_is_not_utf8_is_data_error(self, corpus_dir, tmp_path, capsys, reader):
