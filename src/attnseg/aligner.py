@@ -34,10 +34,13 @@ class AlignerConfigError(AlignerError):
     """An AlignerConfig setting out of range: a config error, not a numerical one."""
 
 
+CLIP_NORM = 5.0  # gradients are rescaled to at most this global L2 norm
+MAXOUT_POOL = 2  # readout units per maxout unit
+
+
 @dataclass
 class AlignerConfig:
-    cell_size: int = 64
-    embed_dim: Optional[int] = None  # defaults to cell_size
+    cell_size: int = 64  # also the width of both embeddings
     temperature: float = 10.0
     dropout: float = 0.5
     batch_size: int = 32
@@ -45,18 +48,11 @@ class AlignerConfig:
     max_epochs: int = 200
     patience: int = 10
     seed: int = 0
-    clip_norm: float = 5.0
-    maxout_pool: int = 2
-    include_eos_row: bool = False
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.embed_dim is None:
-            self.embed_dim = self.cell_size
         if self.cell_size <= 0 or self.batch_size <= 0 or self.learning_rate <= 0:
             raise AlignerConfigError("cell size, batch size and learning rate must be positive")
-        if self.embed_dim < 1 or self.maxout_pool < 1:
-            raise AlignerConfigError("embed dim and maxout pool must be at least 1")
         if self.seed < 0:
             raise AlignerConfigError("seed must be >= 0")
         if self.temperature <= 0:
@@ -109,28 +105,25 @@ class AlignerModel:
         self.wrl_vocab = wrl_vocab
         self.ul_vocab = ul_vocab
         n = config.cell_size
-        d = config.embed_dim
         dt = config.np_dtype
         rng = rng or np.random.default_rng(config.seed)
-        pool = config.maxout_pool
-        mix_dim = n + d + 2 * n  # s_prev + E(w_prev) + context
 
         def u(shape):
             return Tensor(nm.uniform_init(rng, shape, dtype=dt))
 
-        self.src_embed = u((len(wrl_vocab), d))
-        self.tgt_embed = u((len(ul_vocab), d))
-        self.enc_fwd = nm.lstm_init(rng, d, n, dtype=dt)
-        self.enc_bwd = nm.lstm_init(rng, d, n, dtype=dt)
-        self.dec = nm.lstm_init(rng, d + 2 * n, n, dtype=dt)
+        self.src_embed = u((len(wrl_vocab), n))
+        self.tgt_embed = u((len(ul_vocab), n))
+        self.enc_fwd = nm.lstm_init(rng, n, n, dtype=dt)
+        self.enc_bwd = nm.lstm_init(rng, n, n, dtype=dt)
+        self.dec = nm.lstm_init(rng, 3 * n, n, dtype=dt)  # E(w_cur) + context
         self.init_W = u((2 * n, n))
         self.init_b = Tensor(np.zeros(n, dtype=dt))
         self.attn_W1 = u((2 * n, n))
         self.attn_W2 = u((n, n))
         self.attn_b2 = Tensor(np.zeros(n, dtype=dt))
         self.attn_v = u((n, 1))
-        self.out_W1 = u((mix_dim, pool * n))
-        self.out_b1 = Tensor(np.zeros(pool * n, dtype=dt))
+        self.out_W1 = u((4 * n, MAXOUT_POOL * n))  # s_prev + E(w_prev) + context
+        self.out_b1 = Tensor(np.zeros(MAXOUT_POOL * n, dtype=dt))
         self.out_W2 = u((n, len(ul_vocab)))
         self.out_b2 = Tensor(np.zeros(len(ul_vocab), dtype=dt))
         self.flat, self.flat_grad = nm.share_buffers(self.parameters())
@@ -187,9 +180,9 @@ class AlignerModel:
         cfg = self.config
         B, A = src_ids.shape
         n, dt = cfg.cell_size, cfg.np_dtype
-        x = self.src_embed.data[src_ids.T]  # (A, B, d)
+        x = self.src_embed.data[src_ids.T]  # (A, B, n)
         mask = None
-        if train and cfg.dropout > 0:  # A draws of (B, d), one per position
+        if train and cfg.dropout > 0:  # A draws of (B, n), one per position
             mask = nm.dropout_mask(rng, x.shape, cfg.dropout, dt)
             x *= mask
         fwd = _lstm_forward(self.enc_fwd, x)
@@ -265,14 +258,13 @@ class AlignerModel:
         """
         cfg = self.config
         B, T = tgt_ids.shape
-        n, d, dt = cfg.cell_size, cfg.embed_dim, cfg.np_dtype
+        n, dt = cfg.cell_size, cfg.np_dtype
         drop = train and cfg.dropout > 0
         cur_ids = tgt_ids.T  # (T, B)
         prev_ids = np.vstack([np.full((1, B), self.ul_vocab.bos_id), cur_ids[:-1]])
         table = self.tgt_embed.data
         e_prev, e_cur = table[prev_ids], table[cur_ids]
-        mix_dim = n + d + 2 * n
-        masks = [np.empty((T, B, k), dtype=dt) for k in (d, mix_dim, d)] if drop else None
+        masks = [np.empty((T, B, k), dtype=dt) for k in (n, 4 * n, n)] if drop else None
         S = np.empty((T + 1, B, n), dtype=dt)  # S[t] is the state step t reads
         C = np.zeros((T + 1, B, n), dtype=dt)
         S[0] = s0
@@ -280,7 +272,7 @@ class AlignerModel:
         ctxs = np.empty((T, B, 2 * n), dtype=dt)
         if cache is not None:  # what `_decode_backward` reads of each step
             acts = np.empty((T, B, h.shape[1], n), dtype=dt)
-            xs = np.empty((T, B, d + 2 * n), dtype=dt)
+            xs = np.empty((T, B, 3 * n), dtype=dt)
             gates = np.empty((T, B, 4 * n), dtype=dt)
         for t in range(T):
             if drop:  # e_prev, mix, e_cur: the order of the per-step graph
@@ -299,7 +291,7 @@ class AlignerModel:
         if drop:
             mix *= masks[1]
         blocks = nm.check_finite(mix @ self.out_W1.data + self.out_b1.data, "readout")
-        blocks = blocks.reshape(T * B, cfg.maxout_pool, n)
+        blocks = blocks.reshape(T * B, MAXOUT_POOL, n)
         hidden = blocks.max(axis=1)
         logits = hidden.reshape(T, B, n) @ self.out_W2.data + self.out_b2.data
         logits = nm.check_finite(logits.reshape(T * B, -1), "logits")
@@ -311,7 +303,7 @@ class AlignerModel:
             cache.update(
                 h=h, cur_ids=cur_ids, prev_ids=prev_ids, masks=masks, S=S, C=C, alphas=alphas,
                 acts=acts, xs=xs, gates=gates,
-                mix=mix.reshape(T * B, mix_dim),
+                mix=mix.reshape(T * B, 4 * n),
                 winner=_first_max(blocks, hidden), hidden=hidden, ex=ex)
         return nll.reshape(T, B), alphas
 
@@ -325,7 +317,7 @@ class AlignerModel:
         """
         cfg = self.config
         T, B = dnll.shape
-        n, d = cfg.cell_size, cfg.embed_dim
+        n = cfg.cell_size
         S, C, alphas, acts, gates = (cache[k] for k in ("S", "C", "alphas", "acts", "gates"))
         masks = cache["masks"]
         # readout over all T*B rows
@@ -344,7 +336,7 @@ class AlignerModel:
         dmix = dblocks.reshape(T, B, -1) @ self.out_W1.data.T
         if masks is not None:
             dmix *= masks[1]
-        de_prev, dctx_read = dmix[..., n: n + d], dmix[..., n + d:]
+        de_prev, dctx_read = dmix[..., n: 2 * n], dmix[..., 2 * n:]
         # back-propagation through time: cell, then attention, per step
         h, W2, v = cache["h"], self.attn_W2.data, self.attn_v.data
         tc = np.tanh(C[1:])
@@ -362,7 +354,7 @@ class AlignerModel:
                 dc = dc + ds * o * (1.0 - tc[t] * tc[t])
                 dpre[t] = nm.lstm_cell_grad(gates[t], C[t], dc, ds * tc[t])
                 dx = dpre[t] @ self.dec.W.data.T
-                de_cur[t], dctx[t] = dx[:, :d], dctx[t] + dx[:, d:]
+                de_cur[t], dctx[t] = dx[:, :n], dctx[t] + dx[:, n:]
                 ds_t = ds_t + dpre[t] @ self.dec.U.data.T
                 dc = dc * gates[t, :, n: 2 * n]
             dalpha = (dctx[t][:, None, :] * h).sum(axis=-1)
@@ -617,7 +609,7 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
                 raise AlignerError(
                     "training diverged at epoch %d (%s)" % (epoch, exc)
                 ) from exc
-            grad_norms.append(nm.clip_global_norm(grads, model.flat_grad, config.clip_norm))
+            grad_norms.append(nm.clip_global_norm(grads, model.flat_grad, CLIP_NORM))
             nm.adam_update(model.flat, model.flat_grad, adam, lr=config.learning_rate)
             train_nll += float(per_utt.sum())
             n_utts += len(utts)
@@ -632,8 +624,7 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
             "dev_perplexity": dev_ppl,
             "grad_norm_mean": sum(grad_norms) / len(grad_norms),
             # clip_global_norm rescales exactly when this holds
-            "clip_frac": sum(config.clip_norm > 0 and g > config.clip_norm
-                             for g in grad_norms) / len(grad_norms),
+            "clip_frac": sum(g > CLIP_NORM for g in grad_norms) / len(grad_norms),
             "dev_attn_entropy": dev_entropy,
             "epoch_s": time.perf_counter() - t0,
         })
@@ -655,13 +646,12 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
 # Forced decoding / attention extraction
 
 def forced_decode_corpus(model: AlignerModel, corpus: ParallelCorpus) -> dict[str, AttentionMatrix]:
-    """Attention matrices for every utterance; EOS row dropped unless configured."""
+    """Attention matrices for every utterance, one row per UL symbol: the EOS row
+    is dropped."""
     out: dict[str, AttentionMatrix] = {}
     for utts, _, _, alphas in _decode_corpus(model, corpus):
         for b, u in enumerate(utts):
-            T = len(u.ul_symbols)
-            rows_keep = T + 1 if model.config.include_eos_row else T
-            m = AttentionMatrix(u.id, alphas[:rows_keep, b].astype(np.float64))
+            m = AttentionMatrix(u.id, alphas[:len(u.ul_symbols), b].astype(np.float64))
             m.validate()
             out[u.id] = m
     return out
@@ -726,20 +716,15 @@ def read_attention_matrices(path: str) -> dict[str, AttentionMatrix]:
 # Checkpoints
 
 def save_model(path: str, model: AlignerModel) -> None:
-    meta = {
-        "cell_size": model.config.cell_size,
-        "embed_dim": model.config.embed_dim,
-        "temperature": model.config.temperature,
-        "maxout_pool": model.config.maxout_pool,
-    }
-    nm.save_checkpoint(path, model.parameters(), meta)
+    """The parameters only: the config and vocabularies are the caller's to keep."""
+    nm.save_checkpoint(path, model.parameters())
 
 
 def load_model(path: str, config: AlignerConfig,
                wrl_vocab: Vocabulary, ul_vocab: Vocabulary) -> AlignerModel:
-    values, meta = nm.load_checkpoint(path)
-    if int(meta.get("cell_size", config.cell_size)) != config.cell_size:
-        raise AlignerError("checkpoint cell size does not match config")
+    """A `save_model` file under `config`; AlignerError if a parameter is missing,
+    unknown or of another shape than `config` gives it."""
+    values = nm.load_checkpoint(path)
     model = AlignerModel(config, wrl_vocab, ul_vocab)
     model.set_parameters(values)
     return model

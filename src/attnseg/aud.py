@@ -16,7 +16,7 @@ import io
 import math
 import time
 import wave
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -165,6 +165,9 @@ def extract_mfcc(signal: np.ndarray, rate: int, utt_id: str = "utt") -> FeatureS
 # ---------------------------------------------------------------------------
 # Phone-loop HMM
 
+VAR_FLOOR_FRAC = 1e-3  # EM keeps each variance above this share of the data's
+
+
 @dataclass
 class AudConfig:
     num_units: int = 100
@@ -172,7 +175,6 @@ class AudConfig:
     mix_components: int = 2
     gamma: float = 0.5  # symmetric Dirichlet concentration over unit weights
     iterations: int = 10
-    var_floor_frac: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -713,7 +715,7 @@ def train_phone_loop(feats_list: list[FeatureSequence],
     model = init_model(feats_list, config)
     U, S, M, D = model.means.shape
     X = np.concatenate([f.features for f in feats_list], axis=0)
-    var_floor = np.maximum(X.var(axis=0) * config.var_floor_frac, 1e-10)
+    var_floor = np.maximum(X.var(axis=0) * VAR_FLOOR_FRAC, 1e-10)
     log = []
     for iteration in range(1, config.iterations + 1):
         t0 = time.perf_counter()
@@ -858,7 +860,7 @@ def save_aud_model(path: str, model: AudModel) -> None:
         np.savez(f, log_pi=model.log_pi, stay=model.stay, mix_weights=model.mix_weights,
                  means=model.means, variances=model.variances,
                  config=np.array([c.num_units, c.states_per_unit, c.mix_components, c.gamma,
-                                  c.iterations, c.var_floor_frac, c.seed]))
+                                  c.iterations, c.seed]))
 
 
 def load_aud_model(path: str) -> AudModel:
@@ -866,10 +868,12 @@ def load_aud_model(path: str) -> AudModel:
     try:
         with np.load(path) as z:
             c = z["config"]
+            if c.shape != (len(fields(AudConfig)),):  # another layout would be misread
+                raise ValueError("config holds %s values, expected %d"
+                                 % (c.size, len(fields(AudConfig))))
             config = AudConfig(
                 num_units=int(c[0]), states_per_unit=int(c[1]), mix_components=int(c[2]),
-                gamma=float(c[3]), iterations=int(c[4]), var_floor_frac=float(c[5]),
-                seed=int(c[6]),
+                gamma=float(c[3]), iterations=int(c[4]), seed=int(c[5]),
             )
             return AudModel(
                 config=config,

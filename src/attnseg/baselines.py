@@ -68,7 +68,6 @@ class DpsegConfig:
     alpha1: float = 3000.0  # bigram-level concentration (bigram order only)
     p_boundary: float = 0.5  # geometric word-length stop probability of the base
     iterations: int = 1000
-    sample_average: int = 0  # k in 1..iterations: majority vote over the last k samples
     seed: int = 0
 
     def __post_init__(self):
@@ -80,8 +79,6 @@ class DpsegConfig:
             raise BaselineError("p_boundary must be in (0, 1)")
         if self.iterations < 1:
             raise BaselineError("iterations must be >= 1")
-        if not 0 <= self.sample_average <= self.iterations:
-            raise BaselineError("sample_average must be in [0, iterations]")
 
 
 class _Memo(dict):
@@ -317,11 +314,8 @@ class DpsegSampler:
             self._rebuild_counts(_WordIds())
 
     def run(self) -> list[list[bool]]:
-        """All sweeps; appends each one's number, temperature, boundaries and seconds to `log`."""
-        k = self.cfg.sample_average
-        votes = None
-        if k > 0:
-            votes = [[0] * len(f) for f in self.flags]
+        """All sweeps, then the last sample's boundary flags; appends each sweep's
+        number, temperature, boundaries and seconds to `log`."""
         for sweep in range(self.cfg.iterations):
             temperature = self._temperature(sweep)
             t0 = time.perf_counter()
@@ -329,12 +323,6 @@ class DpsegSampler:
             self.log.append({"sweep": sweep + 1, "temperature": temperature,
                              "boundaries": sum(map(sum, self.flags)),
                              "seconds": time.perf_counter() - t0})
-            if votes is not None and sweep >= self.cfg.iterations - k:
-                for vu, fu in zip(votes, self.flags):
-                    for j, f in enumerate(fu):
-                        vu[j] += int(f)
-        if votes is not None:
-            return [[v * 2 > k for v in vu] for vu in votes]
         return self.flags
 
 

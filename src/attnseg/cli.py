@@ -252,25 +252,19 @@ def load_aligner_bundle(ckpt_path: str) -> al.AlignerModel:
 
 FLAG_SPELLINGS = {"corpus_size": "--size", "num_units": "--units",
                   "states_per_unit": "--states", "mix_components": "--mix"}
-_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+_TYPES = {"int": int, "float": float, "str": str}
 
 
 def _field_value(key: str, annotation: str, raw, strings: bool):
-    """`raw` as the type its field is annotated with (`int`, `float`, `bool`, `str`
-    or `Optional[...]` of one); a value that does not fit is a config error."""
-    optional = annotation.startswith("Optional[")
-    kind = _TYPES[annotation[len("Optional["):-1] if optional else annotation]
+    """`raw` as the type its field is annotated with (`int`, `float` or `str`); a
+    value that does not fit is a config error."""
+    kind = _TYPES[annotation]
     if not strings:  # JSON: an integer may stand for a float, but a boolean is no number
-        if type(raw) is kind or (raw is None and optional):
+        if type(raw) is kind:
             return raw
         if kind is float and type(raw) is int:
             return float(raw)
         raise ConfigError("%s = %s is not of type %s" % (key, json.dumps(raw), annotation))
-    if kind is bool:
-        try:
-            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-        except KeyError:
-            raise ConfigError("%s = %r is not a boolean" % (key, raw)) from None
     try:
         return kind(raw)
     except ValueError:
@@ -280,8 +274,8 @@ def _field_value(key: str, annotation: str, raw, strings: bool):
 def _coerce(cls, values: dict, strings: bool = True):
     """Build config dataclass `cls` from outside values, checked by field annotation.
 
-    `strings`: INI or argv text, parsed (booleans as configparser spells
-    them); otherwise JSON values, which must already have the field's type.
+    `strings`: INI or argv text, parsed; otherwise JSON values, which must
+    already have the field's type.
     """
     fields = {f.name: f.type for f in dataclasses.fields(cls)}
     kwargs = {}
@@ -328,7 +322,8 @@ def load_config_file(path: str) -> dict[str, dict[str, str]]:
 
 
 def pipeline_configs(path: str, flags: dict[str, str]):
-    """(pipeline, synth, aligner, dpseg or None) configs from an INI file.
+    """(pipeline, synth, aligner, dpseg or None) configs from an INI file, each
+    checked, then its sections as read.
 
     Sections: [pipeline], [synth], [aligner] and, to run the dpseg
     baseline, [dpseg]. `flags` override [pipeline] keys.
@@ -340,7 +335,8 @@ def pipeline_configs(path: str, flags: dict[str, str]):
     return (_coerce(PipelineConfig, {**sections.get("pipeline", {}), **flags}),
             _coerce(SynthConfig, sections.get("synth", {})),
             _coerce(al.AlignerConfig, sections.get("aligner", {})),
-            _coerce(bl.DpsegConfig, sections["dpseg"]) if "dpseg" in sections else None)
+            _coerce(bl.DpsegConfig, sections["dpseg"]) if "dpseg" in sections else None,
+            sections)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +507,8 @@ def _run_stage(argv: list[str], ini_section: dict[str, str] | None = None) -> No
 def cmd_pipeline(args) -> int:
     """Full toy pipeline from an INI config, run as the stage commands: synth ->
     per run, train-aligner and force-align -> segment -> baselines -> evaluate."""
-    pipe_cfg, synth_cfg, aligner_cfg, _ = pipeline_configs(args.config, _flag_values(args))
-    sections = load_config_file(args.config)
+    pipe_cfg, synth_cfg, aligner_cfg, _, sections = pipeline_configs(
+        args.config, _flag_values(args))
     out = functools.partial(os.path.join, pipe_cfg.out_dir)
     corpus = ["--ul", out("ul.txt"), "--wrl", out("wrl.txt")]
     _run_stage(["synth", "--out-dir", pipe_cfg.out_dir], sections.get("synth"))
@@ -598,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("baseline-dpseg", help="Bayesian nonparametric baseline")
     _path_flags(s, "--ul --wrl --out")
-    _config_flags(s, "order alpha0 alpha1 p_boundary iterations sample_average seed")
+    _config_flags(s, "order alpha0 alpha1 p_boundary iterations seed")
     s.set_defaults(func=cmd_baseline_dpseg)
 
     s = sub.add_parser("evaluate", help="score a segmentation against gold")

@@ -45,8 +45,6 @@ class EvalReport:
     token: PRF
     type: PRF
     type_retrieval: float
-    hyp_vocabulary_size: int
-    gold_vocabulary_size: int
 
     def to_dict(self) -> dict:
         def prf(p: PRF, name: str) -> dict:
@@ -65,8 +63,8 @@ class EvalReport:
         d.update(prf(self.token, "token"))
         d.update(prf(self.type, "type"))
         d["type_retrieval"] = self.type_retrieval
-        d["hyp_vocabulary_size"] = self.hyp_vocabulary_size
-        d["gold_vocabulary_size"] = self.gold_vocabulary_size
+        d["hyp_vocabulary_size"] = self.type.hyp_count  # the distinct word types
+        d["gold_vocabulary_size"] = self.type.gold_count
         return d
 
 
@@ -128,14 +126,7 @@ def evaluate(
 ) -> EvalReport:
     boundary = boundary_prf(hyp, gold)
     token, type_, retrieval = token_type_prf(hyp, gold, corpus)
-    return EvalReport(
-        boundary=boundary,
-        token=token,
-        type=type_,
-        type_retrieval=retrieval,
-        hyp_vocabulary_size=type_.hyp_count,
-        gold_vocabulary_size=type_.gold_count,
-    )
+    return EvalReport(boundary=boundary, token=token, type=type_, type_retrieval=retrieval)
 
 
 def write_report(report: EvalReport, txt_path: str, json_path: str) -> None:

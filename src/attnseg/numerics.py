@@ -175,16 +175,21 @@ def clip_global_norm(grads: dict[str, np.ndarray], flat_grad: np.ndarray,
     a separate array per parameter gives, to the bit.
     """
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if max_norm > 0 and total > max_norm:
+    if total > max_norm:
         flat_grad *= max_norm / total
     return total
 
 
 @dataclass
 class AdamState:
+    """The moments m and v, the step count t, and two scratch buffers of the
+    parameters' size that each update overwrites."""
+
     m: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
     t: int = 0
+    step: Optional[np.ndarray] = None
+    vhat: Optional[np.ndarray] = None
 
 
 def adam_update(
@@ -200,12 +205,12 @@ def adam_update(
         raise NumericsError("NaN/Inf gradient")
     if state.m is None:
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+        state.step, state.vhat = np.empty_like(params), np.empty_like(params)
     b1, b2 = betas
     state.t += 1
-    m, v, t = state.m, state.v, state.t
+    m, v, t, step, vhat = state.m, state.v, state.t, state.step, state.vhat
     # p -= lr * mhat / (sqrt(vhat) + eps) with mhat = m / (1 - b1^t) and
     # vhat = v / (1 - b2^t), in the textbook order but in two buffers
-    step, vhat = np.empty_like(m), np.empty_like(v)
     m *= b1
     m += np.multiply(grad, 1 - b1, out=step)
     v *= b2
@@ -231,26 +236,24 @@ CHECKPOINT_VERSION = 1
 ARCHIVE_ERRORS = (ValueError, TypeError, KeyError, IndexError, EOFError, zipfile.BadZipFile)
 
 
-def save_checkpoint(path: str, params: dict[str, Tensor], meta: Optional[dict] = None) -> None:
-    """Self-describing .npz container: parameter name -> array, plus metadata."""
+def save_checkpoint(path: str, params: dict[str, Tensor]) -> None:
+    """.npz container: `param/<name>` -> array, plus the format's `__version__`."""
     arrays = {"param/" + k: v.data for k, v in params.items()}
     arrays["__version__"] = np.asarray(CHECKPOINT_VERSION)
-    for k, v in (meta or {}).items():
-        arrays["meta/" + k] = np.asarray(v)
     with open(path, "wb") as f:  # at `path` exactly: np.savez appends .npz to a name
         np.savez(f, **arrays)
 
 
-def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a save_checkpoint file; ValueError if it is not one of this version."""
+def load_checkpoint(path: str) -> dict[str, np.ndarray]:
+    """The parameters of a save_checkpoint file by name; ValueError if it is not one
+    of this version."""
     try:
         with np.load(path, allow_pickle=False) as z:
             version = int(z["__version__"])
             params = {k[len("param/"):]: z[k] for k in z.files if k.startswith("param/")}
-            meta = {k[len("meta/"):]: z[k] for k in z.files if k.startswith("meta/")}
     except ARCHIVE_ERRORS as e:
         raise ValueError("%s: not a checkpoint (%s: %s)"
                          % (path, type(e).__name__, e)) from None
     if version != CHECKPOINT_VERSION:
         raise ValueError("%s: unsupported checkpoint version %d" % (path, version))
-    return params, meta
+    return params

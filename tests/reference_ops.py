@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from attnseg import numerics as nm
-from attnseg.aligner import AlignerError
+from attnseg.aligner import MAXOUT_POOL, AlignerError
 from attnseg.baselines import UTT_EDGE, _break_after, _break_before
 from attnseg.numerics import NumericsError, check_finite
 
@@ -508,7 +508,7 @@ def reference_decode_step(model, s_prev: tuple[Tensor, Tensor], w_prev: np.ndarr
     mix = concat([s_h, e_prev, ctx], axis=-1)
     if drop:
         mix = dropout(mix, cfg.dropout, rng, train=True)
-    hidden = maxout(linear(mix, model.out_W1, model.out_b1), cfg.maxout_pool)
+    hidden = maxout(linear(mix, model.out_W1, model.out_b1), MAXOUT_POOL)
     logits = linear(hidden, model.out_W2, model.out_b2)
     e_cur = rows(model.tgt_embed, w_cur)
     if drop:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference_ops as ref
+from attnseg import aligner as al
 from attnseg import numerics as nm
 from attnseg.aligner import (
     AlignerConfig,
@@ -64,8 +65,9 @@ def model(corpus):
 
 
 class TestConfig:
-    def test_embed_defaults_to_cell(self):
-        assert AlignerConfig(cell_size=48).embed_dim == 48
+    def test_embed_defaults_to_cell(self, corpus):
+        m = AlignerModel(AlignerConfig(cell_size=48), corpus.wrl_vocab, corpus.ul_vocab)
+        assert m.src_embed.data.shape[1] == m.tgt_embed.data.shape[1] == 48
 
     def test_rejects_bad_temperature(self):
         with pytest.raises(AlignerError):
@@ -449,9 +451,9 @@ class TestTraining:
         assert len(one_word) and evaluate_loss(model, one_word)[2] is None
 
     @pytest.mark.parametrize("clip_norm", [1e-6, 5.0])
-    def test_logs_gradient_norm_and_clip_rate(self, corpus, clip_norm):
-        _, log = train(corpus, corpus, small_config(max_epochs=2, patience=2,
-                                                    clip_norm=clip_norm))
+    def test_logs_gradient_norm_and_clip_rate(self, corpus, monkeypatch, clip_norm):
+        monkeypatch.setattr(al, "CLIP_NORM", clip_norm)
+        _, log = train(corpus, corpus, small_config(max_epochs=2, patience=2))
         for entry in log.epochs:
             assert 0.0 < entry["grad_norm_mean"] < math.inf
             assert 0.0 <= entry["clip_frac"] <= 1.0
@@ -481,13 +483,6 @@ class TestForcedDecode:
             assert m.weights.shape == (len(u.ul_symbols), len(u.wrl_words))
             np.testing.assert_allclose(m.weights.sum(axis=1), 1.0, atol=1e-6)
 
-    def test_eos_row_included_when_configured(self, corpus):
-        cfg = small_config(include_eos_row=True)
-        model = AlignerModel(cfg, corpus.wrl_vocab, corpus.ul_vocab)
-        mats = forced_decode_corpus(model, corpus)
-        for u in corpus:
-            assert mats[u.id].weights.shape[0] == len(u.ul_symbols) + 1
-
     def test_bit_identical_across_calls(self, trained, corpus):
         a = forced_decode_corpus(trained, corpus)
         b = forced_decode_corpus(trained, corpus)
@@ -516,9 +511,17 @@ class TestForcedDecode:
     def test_checkpoint_cell_mismatch(self, trained, corpus, tmp_path):
         path = str(tmp_path / "model.npz")
         save_model(path, trained)
-        with pytest.raises(AlignerError):
+        with pytest.raises(AlignerError, match="shape mismatch"):
             load_model(path, small_config(cell_size=20), corpus.wrl_vocab,
                        corpus.ul_vocab)
+
+    def test_checkpoint_holds_only_the_parameters(self, trained, tmp_path):
+        """The config lives in the CLI's sidecar alone."""
+        path = str(tmp_path / "model.npz")
+        save_model(path, trained)
+        with np.load(path) as z:
+            names = set(z.files)
+        assert names == {"__version__"} | {"param/" + k for k in trained.parameters()}
 
 
 class TestMatrixWriter:

@@ -372,13 +372,13 @@ def reference_logsumexp_last(a):
 
 def floor_scale_model(seed, units=6, states=3, mix=2, dim=39):
     """Random means around per-dimension offsets, with variances at the scale of
-    the EM variance floor (var_floor_frac times the data variance) and one
+    the EM variance floor (VAR_FLOOR_FRAC times the data variance) and one
     mixture component of zero weight."""
     rng = np.random.default_rng(seed)
     data_var = rng.uniform(0.5, 30.0, dim)
     offset = rng.uniform(-20.0, 20.0, dim)
     means = offset + 2.0 * np.sqrt(data_var) * rng.standard_normal((units, states, mix, dim))
-    variances = (AudConfig.var_floor_frac * data_var
+    variances = (aud_mod.VAR_FLOOR_FRAC * data_var
                  * rng.uniform(1.0, 3.0, (units, states, mix, dim)))
     weights = rng.dirichlet(np.ones(mix), (units, states))
     weights[0, 0] = np.eye(mix)[-1]

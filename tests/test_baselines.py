@@ -103,16 +103,6 @@ class TestDpsegConfig:
         with pytest.raises(BaselineError):
             DpsegConfig(alpha0=0.0)
 
-    def test_rejects_more_samples_to_average_than_sweeps(self):
-        # a majority of 10 votes cannot come from 2 sweeps: no boundary could win
-        with pytest.raises(BaselineError):
-            DpsegConfig(iterations=2, sample_average=10)
-        assert DpsegConfig(iterations=2, sample_average=2).sample_average == 2
-
-    def test_rejects_negative_sample_average(self):
-        with pytest.raises(BaselineError):
-            DpsegConfig(sample_average=-3)
-
 
 class TestSamplerInternals:
     def make_sampler(self, order="bigram", seed=0, iters=5):
@@ -341,15 +331,6 @@ class TestDpsegQuality:
         cfg = DpsegConfig(order="bigram", iterations=60, seed=0)
         out = dpseg_segment(seqs, cfg)
         assert boundary_f(out, gold) >= 0.7
-
-    def test_sample_averaging_runs(self):
-        seqs, gold = synth_sequences(50, 1)
-        cfg = DpsegConfig(order="unigram", alpha0=20, iterations=30,
-                          sample_average=5, seed=0)
-        out = dpseg_segment(seqs, cfg)
-        assert set(out) == set(seqs)
-        for utt_id, seg in out.items():
-            assert seg.length == len(seqs[utt_id])
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(BaselineError):

@@ -219,7 +219,10 @@ class TestConfigFile:
             load_config_file(str(p))
 
     def test_optional_int_is_coerced(self):
-        assert cli._coerce(AlignerConfig, {"embed_dim": "16"}).embed_dim == 16
+        # no field is Optional; a config that sets the embedding width fails loudly,
+        # because the embeddings are always cell_size wide
+        with pytest.raises(ConfigError, match="unknown config key 'embed_dim'"):
+            cli._coerce(AlignerConfig, {"embed_dim": "16"})
 
     @pytest.mark.parametrize("text", [
         "[aligner]\ncell_size = abc", "[aligner]\ndropout = half",
@@ -230,14 +233,21 @@ class TestConfigFile:
         assert main(["pipeline", "--config", str(p)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "not a number" in err
+        # embed_dim is not a field, so its key is rejected before its value
+        assert ("unknown config key" if "embed_dim" in text else "not a number") in err
 
 
     @pytest.mark.parametrize("raw, value", [
         ("1", True), ("yes", True), ("True", True), ("on", True),
         ("0", False), ("no", False), ("false", False), ("OFF", False)])
     def test_bool_reads_as_configparser_does(self, raw, value):
-        assert cli._coerce(AlignerConfig, {"include_eos_row": raw}).include_eos_row is value
+        # no config field is a bool; a config that asks for the EOS row fails loudly in
+        # every configparser spelling, because the EOS row is always dropped
+        assert all(f.type != "bool" for cls in (SynthConfig, AlignerConfig, bl.DpsegConfig,
+                                                aud_mod.AudConfig, cli.PipelineConfig)
+                   for f in dataclasses.fields(cls))
+        with pytest.raises(ConfigError, match="unknown config key 'include_eos_row'"):
+            cli._coerce(AlignerConfig, {"include_eos_row": raw})
 
     @pytest.mark.parametrize("text", [
         "[aligner]\ninclude_eos_row = treu", "[aligner]\ninclude_eos_row = 2",
@@ -248,7 +258,7 @@ class TestConfigFile:
         assert main(["pipeline", "--config", str(p)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "not a boolean" in err or "unknown config key" in err
+        assert "unknown config key" in err
         assert not (tmp_path / "out").exists()  # rejected before any work
 
     @pytest.mark.parametrize("text", [
@@ -296,7 +306,7 @@ PARSER_FLAGS = {
     "segment": ["--matrices", "--no-smooth", "--out", "--ul", "--wrl"],
     "baseline-proportional": ["--out", "--ul", "--wrl"],
     "baseline-dpseg": ["--alpha0", "--alpha1", "--iterations", "--order", "--out",
-                       "--p-boundary", "--sample-average", "--seed", "--ul", "--wrl"],
+                       "--p-boundary", "--seed", "--ul", "--wrl"],
     "evaluate": ["--gold", "--hyp", "--out", "--ul", "--wrl"],
     "plot": ["--matrices", "--out", "--ul", "--utt", "--wrl"],
     "pipeline": ["--config", "--out-dir"],
@@ -326,10 +336,9 @@ FLAG_CONFIGS = {
                                     learning_rate=0.02, max_epochs=1, patience=3, seed=2)),
     "baseline-dpseg": (bl.DpsegConfig,
                        ["--order", "unigram", "--alpha0", "20", "--alpha1", "100",
-                        "--p-boundary", "0.4", "--iterations", "3", "--sample-average", "2",
-                        "--seed", "5"],
+                        "--p-boundary", "0.4", "--iterations", "3", "--seed", "5"],
                        bl.DpsegConfig(order="unigram", alpha0=20.0, alpha1=100.0,
-                                      p_boundary=0.4, iterations=3, sample_average=2, seed=5)),
+                                      p_boundary=0.4, iterations=3, seed=5)),
 }
 
 
@@ -411,8 +420,8 @@ class TestExitCodes:
         rc = main(["baseline-dpseg", "--ul", str(tmp_path / "ul.txt"),
                    "--wrl", str(tmp_path / "wrl.txt"), "--out", str(tmp_path / "o.txt"),
                    "--iterations", "2", "--sample-average", "10"])
-        assert rc == cli.EXIT_CONFIG
-        assert "sample_average" in capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG  # dpseg returns its last sample: there is no flag
+        assert "unrecognized arguments: --sample-average 10" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["ul.txt", "wrl.txt"]
 
     def test_bad_aligner_setting_is_config_error(self, tmp_path, capsys):
@@ -570,7 +579,7 @@ class TestBadInputs:
     @pytest.mark.parametrize("edit", [None, "unknown_key", "no_vocabulary", "bad_dtype",
                                       "cell_mismatch", "npz_nine_bytes", "npz_truncated",
                                       "npz_no_version", "npz_wrong_version",
-                                      "npz_missing_param", *SIDECAR_VALUES,
+                                      "npz_missing_param", "old_layout", *SIDECAR_VALUES,
                                       *SIDECAR_TOKENS])
     def test_bad_aligner_sidecar_is_data_error(self, corpus_dir, tmp_path, capsys, edit):
         corpus = load_parallel_corpus(corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt")
@@ -602,6 +611,13 @@ class TestBadInputs:
         elif edit == "npz_missing_param":
             del arrays["param/src_embed"]
             np.savez(ckpt, **arrays)
+        elif edit == "old_layout":  # written when four constants were fields, plus meta/*
+            sidecar["config"].update(embed_dim=4, clip_norm=5.0, maxout_pool=2,
+                                     include_eos_row=False)
+            for key, value in (("cell_size", 4), ("embed_dim", 4), ("temperature", 10.0),
+                               ("maxout_pool", 2)):
+                arrays["meta/" + key] = np.asarray(value)
+            np.savez(ckpt, **arrays)
         elif edit in SIDECAR_TOKENS:
             key, value = SIDECAR_TOKENS[edit]
             sidecar[key] = value
@@ -620,6 +636,8 @@ class TestBadInputs:
         else:
             assert rc == cli.EXIT_DATA
             assert err.startswith("data error: ") and err.count("\n") == 1
+        if edit == "old_layout":
+            assert err.startswith("data error: %s.json: unknown config key" % ckpt)
 
     @pytest.mark.parametrize("reader", ["matrices", "corpus", "segmentation", "wav_list",
                                         "sidecar"])
@@ -874,7 +892,8 @@ class TestAudBadInputs:
     @pytest.mark.parametrize("case", ["wav_list_one_field", "wav_list_three_fields",
                                       "model_not_an_archive", "model_is_feature_archive",
                                       "features_without_matrices", "model_stay_cut",
-                                      "model_negative_variance"])
+                                      "model_negative_variance", "model_config_old_layout",
+                                      "model_config_eight_values"])
     def test_bad_aud_input_is_data_error(self, aud_files, tmp_path, capsys, case):
         bad = str(tmp_path / "bad")
         decode = ["aud-decode", "--model", aud_files["model"], "--features", aud_files["feats"],
@@ -893,6 +912,10 @@ class TestAudBadInputs:
                 arrays = {k: z[k] for k in z.files}
             if case == "model_stay_cut":
                 arrays["stay"] = arrays["stay"][:1]
+            elif case == "model_config_old_layout":  # var_floor_frac before the seed
+                arrays["config"] = np.insert(arrays["config"], 5, 1e-3)
+            elif case == "model_config_eight_values":
+                arrays["config"] = np.append(arrays["config"], [0.0, 0.0])
             else:
                 arrays["variances"][0, 0, 0, 0] = -1.0
             np.savez(bad + ".npz", **arrays)
@@ -1043,7 +1066,7 @@ class TestPipelineCommand:
     def test_every_artifact_is_the_output_of_one_manifest(self, tmp_path, capsys):
         out = tmp_path / "out"
         ini = tmp_path / "p.ini"
-        ini.write_text(STAGES_INI.format(out_dir=out, aligner_extra="embed_dim = 6\n"))
+        ini.write_text(STAGES_INI.format(out_dir=out, aligner_extra="dtype = float64\n"))
         assert main(["pipeline", "--config", str(ini)]) == cli.EXIT_OK
         assert capsys.readouterr().out.splitlines() == [
             "%s: boundary F %.4f" % (name, json.loads(
@@ -1064,7 +1087,7 @@ class TestPipelineCommand:
         assert all(cli._sha256(p) == digest for p, digest in outputs)
         assert all(os.path.exists(p) for m in manifests for p in m["inputs"])
         # a key with no flag still reaches the stage, and force-align names its model
-        assert json.loads((out / "model_run1.npz.json").read_text())["config"]["embed_dim"] == 6
+        assert json.loads((out / "model_run1.npz.json").read_text())["config"]["dtype"] == "float64"
         force_align = json.loads((out / "attention_run1.txt.manifest.json").read_text())
         assert str(out / "model_run1.npz") in force_align["inputs"]
 

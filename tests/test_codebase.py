@@ -1,7 +1,10 @@
-"""Checks on the sources and docs themselves: no unreachable code, no stale commands,
-and no run-time dependency beyond numpy and the standard library."""
+"""Checks on the sources and docs themselves: no unreachable code, no setting that
+nothing sets, no stale commands, and no run-time dependency beyond numpy and the
+standard library."""
 
+import argparse
 import ast
+import dataclasses
 import json
 import os
 import shlex
@@ -12,7 +15,7 @@ import wave
 import numpy as np
 import pytest
 
-from attnseg import cli
+from attnseg import aligner, aud, baselines, cli
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 PACKAGE = os.path.join(ROOT, "src", "attnseg")
@@ -63,6 +66,35 @@ def test_every_public_definition_is_referred_to_in_the_package():
                 referred.add(node.attr)
     unreferred = {d for d in defined if d.rsplit(".", 1)[1] not in referred}
     assert unreferred == TEST_HELPERS
+
+
+# each config dataclass: (the subcommand whose flags set it, its examples/tiny.ini section)
+CONFIG_CALLERS = {
+    cli.SynthConfig: ("synth", "synth"),
+    aud.AudConfig: ("aud-train", None),
+    aligner.AlignerConfig: ("train-aligner", "aligner"),
+    baselines.DpsegConfig: ("baseline-dpseg", "dpseg"),
+    cli.PipelineConfig: ("pipeline", "pipeline"),
+}
+# Config fields that only the tests set. `dtype` stays a field because the
+# gradient oracles run the aligner's own forward and backward passes in float64.
+TEST_ONLY_FIELDS = ["AlignerConfig.dtype"]
+
+
+def test_every_config_field_is_a_flag_or_an_example_key():
+    declared = {node.name for _, tree in package_trees() for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name.endswith("Config")}
+    assert declared == {cls.__name__ for cls in CONFIG_CALLERS}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    example = cli.load_config_file(os.path.join(ROOT, "examples", "tiny.ini"))
+    unset = []
+    for cls, (command, section) in CONFIG_CALLERS.items():
+        flags = {a.dest[len("config."):] for a in subparsers.choices[command]._actions
+                 if a.dest.startswith("config.")}
+        unset += ["%s.%s" % (cls.__name__, f.name) for f in dataclasses.fields(cls)
+                  if f.name not in flags and f.name not in example.get(section, {})]
+    assert unset == TEST_ONLY_FIELDS
 
 
 def readme_commands() -> list[str]:
