@@ -22,16 +22,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .corpus import CorpusError, ParallelCorpus, ParallelUtterance, Vocabulary, open_text
+from .corpus import ParallelCorpus, ParallelUtterance, Vocabulary, open_text
+from .errors import ConfigError, DataError, NumericalError
 from .numerics import Tensor
-
-
-class AlignerError(RuntimeError):
-    pass
-
-
-class AlignerConfigError(AlignerError):
-    """An AlignerConfig setting out of range: a config error, not a numerical one."""
 
 
 CLIP_NORM = 5.0  # gradients are rescaled to at most this global L2 norm
@@ -52,17 +45,17 @@ class AlignerConfig:
 
     def __post_init__(self):
         if self.cell_size <= 0 or self.batch_size <= 0 or self.learning_rate <= 0:
-            raise AlignerConfigError("cell size, batch size and learning rate must be positive")
+            raise ConfigError("cell size, batch size and learning rate must be positive")
         if self.seed < 0:
-            raise AlignerConfigError("seed must be >= 0")
+            raise ConfigError("seed must be >= 0")
         if self.temperature <= 0:
-            raise AlignerConfigError("temperature must be positive")
+            raise ConfigError("temperature must be positive")
         if self.max_epochs < 1 or self.patience < 1:
-            raise AlignerConfigError("max epochs and patience must be at least 1")
+            raise ConfigError("max epochs and patience must be at least 1")
         if not 0.0 <= self.dropout < 1.0:
-            raise AlignerConfigError("dropout must be in [0, 1)")
+            raise ConfigError("dropout must be in [0, 1)")
         if self.dtype not in ("float32", "float64"):
-            raise AlignerConfigError("dtype must be float32 or float64, got %r" % self.dtype)
+            raise ConfigError("dtype must be float32 or float64, got %r" % self.dtype)
 
     @property
     def np_dtype(self):
@@ -87,12 +80,12 @@ class AttentionMatrix:
     def validate(self, tol: float = 1e-6) -> None:
         w = self.weights
         if not np.all(np.isfinite(w)):
-            raise AlignerError("%s: non-finite attention weight" % self.utt_id)
+            raise NumericalError("%s: non-finite attention weight" % self.utt_id)
         if np.any(w < -tol) or np.any(w > 1 + tol):
-            raise AlignerError("%s: attention weights outside [0, 1]" % self.utt_id)
+            raise NumericalError("%s: attention weights outside [0, 1]" % self.utt_id)
         sums = w.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > tol):
-            raise AlignerError("%s: attention row sums deviate from 1" % self.utt_id)
+            raise NumericalError("%s: attention row sums deviate from 1" % self.utt_id)
 
 
 class AlignerModel:
@@ -149,16 +142,17 @@ class AlignerModel:
         return ps
 
     def set_parameters(self, values: dict[str, np.ndarray]) -> None:
-        """Load every parameter; a missing, unknown or misshapen one raises AlignerError."""
+        """Load every parameter. A missing, unknown or misshapen one raises ConfigError:
+        the values are not the parameters of this model's config."""
         params = self.parameters()
         missing = sorted(set(params) - set(values))
         if missing:
-            raise AlignerError("checkpoint lacks parameter(s) %s" % ", ".join(missing))
+            raise ConfigError("checkpoint lacks parameter(s) %s" % ", ".join(missing))
         for name, arr in values.items():
             if name not in params:
-                raise AlignerError("unknown parameter %r in checkpoint" % name)
+                raise ConfigError("unknown parameter %r in checkpoint" % name)
             if params[name].data.shape != arr.shape:
-                raise AlignerError("parameter %r shape mismatch" % name)
+                raise ConfigError("parameter %r shape mismatch" % name)
             params[name].data[...] = arr  # into the view of `flat`
 
     # -- forward pieces ----------------------------------------------------
@@ -174,9 +168,9 @@ class AlignerModel:
         """
         src_ids = np.atleast_2d(np.asarray(src_ids))
         if src_ids.size == 0:
-            raise AlignerError("empty source sequence")
+            raise NumericalError("empty source sequence")
         if src_ids.min() < 0 or src_ids.max() >= len(self.wrl_vocab):
-            raise AlignerError("source id outside vocabulary range")
+            raise NumericalError("source id outside vocabulary range")
         cfg = self.config
         B, A = src_ids.shape
         n, dt = cfg.cell_size, cfg.np_dtype
@@ -512,7 +506,7 @@ def _pack_batch(model: AlignerModel, utts: Sequence[ParallelUtterance]):
     pairs = [_encode_utterance(model, u) for u in utts]
     A = len(pairs[0][0])
     if any(len(s) != A for s, _ in pairs):
-        raise AlignerError("batch mixes source lengths")
+        raise NumericalError("batch mixes source lengths")
     T = max(len(t) for _, t in pairs)
     src = np.stack([s for s, _ in pairs])
     tgt = np.full((len(pairs), T), model.ul_vocab.pad_id, dtype=np.int64)
@@ -587,7 +581,7 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
     `epoch_s`. Prints nothing.
     """
     if len(corpus_train) == 0:
-        raise CorpusError("empty training corpus")
+        raise DataError("empty training corpus")
     rng = np.random.default_rng(config.seed)
     model = AlignerModel(config, corpus_train.wrl_vocab, corpus_train.ul_vocab, rng=rng)
     adam = nm.AdamState()
@@ -605,8 +599,8 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
             try:
                 loss, per_utt, _ = model.forward_batch(src, tgt, msk, rng=rng, train=True)
                 grads = nm.backward(loss)
-            except nm.NumericsError as exc:
-                raise AlignerError(
+            except NumericalError as exc:
+                raise NumericalError(
                     "training diverged at epoch %d (%s)" % (epoch, exc)
                 ) from exc
             grad_norms.append(nm.clip_global_norm(grads, model.flat_grad, CLIP_NORM))
@@ -675,9 +669,9 @@ def read_attention_matrices(path: str) -> dict[str, AttentionMatrix]:
 
     Streams the file one utterance at a time: besides the matrices it
     returns, it holds only the text of the header and rows it is parsing.
-    Raises CorpusError, a data error, on a file that is not UTF-8 text, on
-    a malformed or truncated file, on an utterance id that appears twice
-    and on a matrix that fails `AttentionMatrix.validate`.
+    Raises DataError on a file that is not UTF-8 text, on a malformed or
+    truncated file, on an utterance id that appears twice and on a matrix
+    that fails `AttentionMatrix.validate`.
     """
     out: dict[str, AttentionMatrix] = {}
     with open_text(path) as f:
@@ -688,26 +682,26 @@ def read_attention_matrices(path: str) -> dict[str, AttentionMatrix]:
             except (IndexError, ValueError):
                 T = A = 0
             if len(head) != 3 or T < 1 or A < 1:
-                raise CorpusError("%s:%d: expected a header `id T A`" % (path, k))
+                raise DataError("%s:%d: expected a header `id T A`" % (path, k))
             if utt_id in out:
-                raise CorpusError("%s:%d: utterance %s appears twice" % (path, k, utt_id))
+                raise DataError("%s:%d: utterance %s appears twice" % (path, k, utt_id))
             # a T beyond what islice takes is beyond any file: the body is truncated
             body = list(itertools.islice(lines, min(T, sys.maxsize)))
             if len(body) < T:
-                raise CorpusError("%s: %s is truncated, %d of %d rows"
-                                  % (path, utt_id, len(body), T))
+                raise DataError("%s: %s is truncated, %d of %d rows"
+                                % (path, utt_id, len(body), T))
             for k, fields in body:
                 if len(fields) != A:
-                    raise CorpusError("%s:%d: %d weights, expected %d" % (path, k, len(fields), A))
+                    raise DataError("%s:%d: %d weights, expected %d" % (path, k, len(fields), A))
             try:
                 w = np.array([fields for _, fields in body], dtype=float)
             except ValueError:
-                raise CorpusError("%s: %s has a non-numeric weight" % (path, utt_id)) from None
+                raise DataError("%s: %s has a non-numeric weight" % (path, utt_id)) from None
             m = AttentionMatrix(utt_id, w)
             try:
                 m.validate()
-            except AlignerError as e:
-                raise CorpusError("%s: %s" % (path, e)) from None
+            except NumericalError as e:
+                raise DataError("%s: %s" % (path, e)) from None
             out[utt_id] = m
     return out
 
@@ -722,8 +716,9 @@ def save_model(path: str, model: AlignerModel) -> None:
 
 def load_model(path: str, config: AlignerConfig,
                wrl_vocab: Vocabulary, ul_vocab: Vocabulary) -> AlignerModel:
-    """A `save_model` file under `config`; AlignerError if a parameter is missing,
-    unknown or of another shape than `config` gives it."""
+    """A `save_model` file under `config`. DataError, naming the file, if it is not a
+    checkpoint; ConfigError if a parameter is missing, unknown or of another shape
+    than `config` gives it."""
     values = nm.load_checkpoint(path)
     model = AlignerModel(config, wrl_vocab, ul_vocab)
     model.set_parameters(values)

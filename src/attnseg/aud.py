@@ -20,15 +20,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import ConfigError, DataError
 from .numerics import ARCHIVE_ERRORS
-
-
-class AudError(ValueError):
-    pass
-
-
-class AudConfigError(AudError):
-    """An AudConfig setting out of range: a config error, not a data error."""
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +44,9 @@ class FeatureSequence:
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise AudError("feature matrix must be (F >= 1, D)")
+            raise DataError("feature matrix must be (F >= 1, D)")
         if not np.all(np.isfinite(self.features)):
-            raise AudError("%s: non-finite feature values" % self.utt_id)
+            raise DataError("%s: non-finite feature values" % self.utt_id)
 
 
 def read_wav(path: str, digest=None) -> tuple[np.ndarray, int]:
@@ -66,16 +59,16 @@ def read_wav(path: str, digest=None) -> tuple[np.ndarray, int]:
     try:
         with wave.open(io.BytesIO(data), "rb") as w:
             if w.getnchannels() != 1:
-                raise AudError("%s: expected mono audio" % path)
+                raise DataError("%s: expected mono audio" % path)
             if w.getsampwidth() != 2:
-                raise AudError("%s: expected 16-bit PCM" % path)
+                raise DataError("%s: expected 16-bit PCM" % path)
             rate, frames = w.getframerate(), w.getnframes()
             data = w.readframes(frames)
     except (wave.Error, EOFError) as e:  # EOFError: the header ends early
-        raise AudError("%s: not a wav file (%s)" % (path, str(e) or "file ends early")) from None
+        raise DataError("%s: not a wav file (%s)" % (path, str(e) or "file ends early")) from None
     if len(data) != 2 * frames:
-        raise AudError("%s: truncated wav file, %d of %d frames"
-                       % (path, len(data) // 2, frames))
+        raise DataError("%s: truncated wav file, %d of %d frames"
+                        % (path, len(data) // 2, frames))
     data = np.frombuffer(data, dtype="<i2")
     return data.astype(np.float64) / 32768.0, rate
 
@@ -139,11 +132,11 @@ def extract_mfcc(signal: np.ndarray, rate: int, utt_id: str = "utt") -> FeatureS
     regression deltas. Frame count = 1 + floor((samples - window)/step).
     """
     if rate < 8000:
-        raise AudError("sample rate %d below 8 kHz" % rate)
+        raise DataError("sample rate %d below 8 kHz" % rate)
     win = int(round(FRAME_LEN_S * rate))
     step = int(round(FRAME_STEP_S * rate))
     if len(signal) < win:
-        raise AudError("audio shorter than one analysis window")
+        raise DataError("audio shorter than one analysis window")
     n_frames = 1 + (len(signal) - win) // step
     emph = np.append(signal[0], signal[1:] - PREEMPHASIS * signal[:-1])
     nfft = 1
@@ -179,15 +172,15 @@ class AudConfig:
 
     def __post_init__(self):
         if self.num_units < 2:
-            raise AudConfigError("need at least 2 units")
+            raise ConfigError("need at least 2 units")
         if self.states_per_unit < 1 or self.mix_components < 1:
-            raise AudConfigError("states and mixture components must be >= 1")
+            raise ConfigError("states and mixture components must be >= 1")
         if self.gamma <= 0:
-            raise AudConfigError("gamma must be positive")
+            raise ConfigError("gamma must be positive")
         if self.iterations < 1:
-            raise AudConfigError("need at least 1 iteration")
+            raise ConfigError("need at least 1 iteration")
         if self.seed < 0:
-            raise AudConfigError("seed must be >= 0")
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass
@@ -201,24 +194,24 @@ class AudModel:
 
     def __post_init__(self):
         if self.means.ndim != 4:
-            raise AudError("means have shape %s, expected (U, S, M, D)" % (self.means.shape,))
+            raise DataError("means have shape %s, expected (U, S, M, D)" % (self.means.shape,))
         U, S, M, _ = self.means.shape
         for name, shape in (("log_pi", (U,)), ("stay", (U, S)), ("mix_weights", (U, S, M)),
                             ("variances", self.means.shape)):
             if getattr(self, name).shape != shape:
-                raise AudError("%s has shape %s, expected %s"
-                               % (name, getattr(self, name).shape, shape))
+                raise DataError("%s has shape %s, expected %s"
+                                % (name, getattr(self, name).shape, shape))
         if not np.all(np.isfinite(self.variances) & (self.variances > 0)):
-            raise AudError("variances must be finite and positive")
+            raise DataError("variances must be finite and positive")
         if not np.all(np.isfinite(self.means)):
-            raise AudError("means must be finite")
+            raise DataError("means must be finite")
         if not np.all((self.stay >= 0) & (self.stay <= 1)):
-            raise AudError("stay probabilities must lie in [0, 1]")
+            raise DataError("stay probabilities must lie in [0, 1]")
         if not (np.all(self.mix_weights >= 0)
                 and np.all(np.abs(self.mix_weights.sum(axis=-1) - 1.0) <= 1e-6)):
-            raise AudError("mix_weights must be non-negative and sum to 1 in each state")
+            raise DataError("mix_weights must be non-negative and sum to 1 in each state")
         if np.any(np.isnan(self.log_pi) | (self.log_pi == np.inf)):
-            raise AudError("log_pi must not hold NaN or +inf")
+            raise DataError("log_pi must not hold NaN or +inf")
 
     @property
     def num_units(self) -> int:
@@ -487,7 +480,7 @@ def _estep_utterance(model: AudModel, feats: np.ndarray, stats: _Stats) -> None:
     beta = _backward(log_b, model.log_pi, log_stay, log_move)
     ll = float(_final_loglik(alpha, log_move))
     if not math.isfinite(ll):
-        raise AudError("non-finite likelihood during E-step")
+        raise DataError("non-finite likelihood during E-step")
     stats.loglik += ll
     gamma = np.exp(alpha + beta - ll)  # (F, U, S)
     # unit entries: the occupancy of each unit's first state summed over
@@ -711,7 +704,7 @@ def train_phone_loop(feats_list: list[FeatureSequence],
     (non-decreasing), the units active after its M-step and its seconds.
     """
     if not feats_list:
-        raise AudError("empty feature corpus")
+        raise DataError("empty feature corpus")
     model = init_model(feats_list, config)
     U, S, M, D = model.means.shape
     X = np.concatenate([f.features for f in feats_list], axis=0)
@@ -727,7 +720,7 @@ def train_phone_loop(feats_list: list[FeatureSequence],
         raw[~np.isfinite(model.log_pi)] = 0.0
         total = raw.sum()
         if total <= 0:
-            raise AudError("all unit weights collapsed to zero")
+            raise DataError("all unit weights collapsed to zero")
         with np.errstate(divide="ignore"):
             model.log_pi = np.log(raw / total)
         # self-loop probabilities (keep previous value for unused states)
@@ -756,7 +749,7 @@ def prune_model(model: AudModel) -> AudModel:
     """Drop zero-weight units; survivors keep their relative weights."""
     keep = model.active_units()
     if len(keep) == 0:
-        raise AudError("no active units to keep")
+        raise DataError("no active units to keep")
     log_pi = model.log_pi[keep]
     log_pi = log_pi - _lse(log_pi)
     return AudModel(
@@ -783,7 +776,7 @@ def decode_units(model: AudModel, feats: FeatureSequence) -> TimedUnitSequence:
     """
     x = feats.features
     if x.shape[1] != model.dim:
-        raise AudError(
+        raise DataError(
             "feature dim %d does not match model dim %d" % (x.shape[1], model.dim)
         )
     U, S = model.stay.shape
@@ -815,7 +808,7 @@ def decode_units(model: AudModel, feats: FeatureSequence) -> TimedUnitSequence:
     delta_[:, -1] += log_move[:, -1]
     u, s = divmod(int(delta_.argmax()), S)
     if not math.isfinite(delta_[u, s]):
-        raise AudError("no valid Viterbi path")
+        raise DataError("no valid Viterbi path")
     units = [u] * F
     for t in range(F - 1, 0, -1):
         if moved[t, u, s]:
@@ -864,7 +857,7 @@ def save_aud_model(path: str, model: AudModel) -> None:
 
 
 def load_aud_model(path: str) -> AudModel:
-    """Read a `save_aud_model` file; AudError, naming the path, if it is not one."""
+    """Read a `save_aud_model` file; DataError, naming the path, if it is not one."""
     try:
         with np.load(path) as z:
             c = z["config"]
@@ -884,7 +877,7 @@ def load_aud_model(path: str) -> AudModel:
                 variances=z["variances"],
             )
     except ARCHIVE_ERRORS as e:
-        raise AudError("%s: not an AUD model (%s: %s)" % (path, type(e).__name__, e)) from None
+        raise DataError("%s: not an AUD model (%s: %s)" % (path, type(e).__name__, e)) from None
 
 
 def save_features(path: str, feats_list: list) -> None:
@@ -897,7 +890,7 @@ def save_features(path: str, feats_list: list) -> None:
 
 
 def load_features(path: str) -> list:
-    """Read a `save_features` file; AudError, naming the path, if it is not one or is empty."""
+    """Read a `save_features` file; DataError, naming the path, if it is not one or is empty."""
     out = []
     try:
         with np.load(path) as z:
@@ -907,8 +900,8 @@ def load_features(path: str) -> list:
                 out.append(FeatureSequence(utt_id, float(step), float(length),
                                            z["feat/" + utt_id]))
     except ARCHIVE_ERRORS as e:
-        raise AudError("%s: not a feature archive (%s: %s)"
-                       % (path, type(e).__name__, e)) from None
+        raise DataError("%s: not a feature archive (%s: %s)"
+                        % (path, type(e).__name__, e)) from None
     if not out:
-        raise AudError("%s: no feature matrices" % path)
+        raise DataError("%s: no feature matrices" % path)
     return out

@@ -17,10 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .corpus import ParallelCorpus, ParallelUtterance, Segmentation
-
-
-class BaselineError(ValueError):
-    pass
+from .errors import ConfigError, DataError
 
 
 # ---------------------------------------------------------------------------
@@ -72,13 +69,13 @@ class DpsegConfig:
 
     def __post_init__(self):
         if self.order not in ("unigram", "bigram"):
-            raise BaselineError("order must be unigram or bigram")
+            raise ConfigError("order must be unigram or bigram")
         if self.alpha0 <= 0 or self.alpha1 <= 0:
-            raise BaselineError("DP concentrations must be positive")
+            raise ConfigError("DP concentrations must be positive")
         if not 0.0 < self.p_boundary < 1.0:
-            raise BaselineError("p_boundary must be in (0, 1)")
+            raise ConfigError("p_boundary must be in (0, 1)")
         if self.iterations < 1:
-            raise BaselineError("iterations must be >= 1")
+            raise ConfigError("iterations must be >= 1")
 
 
 class _Memo(dict):
@@ -252,7 +249,7 @@ class DpsegSampler:
 
     def __init__(self, sequences: list[tuple[str, ...]], config: DpsegConfig):
         if not sequences:
-            raise BaselineError("empty corpus")
+            raise DataError("empty corpus")
         self.cfg = config
         self.sequences = [tuple(seq) for seq in sequences]  # a slice is then a word key
         symbols = {s for seq in sequences for s in seq}

@@ -8,6 +8,9 @@ runs the text stages in turn. Every artifact gets a sidecar manifest
 bit-identically.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
+`main` maps each of the three classes in `attnseg.errors` to its code once:
+`ConfigError` (or a bad command line) to 2, `DataError` (or an `OSError`) to
+3 and `NumericalError` to 4.
 """
 
 from __future__ import annotations
@@ -29,18 +32,12 @@ from . import aud as aud_mod
 from . import baselines as bl
 from . import corpus as cp
 from . import metrics as mt
-from . import numerics as nm
 from . import segmenter as sg
+from .errors import ConfigError, DataError, NumericalError
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
 
-
-class ConfigError(ValueError):
-    pass
-
-
-# exceptions that `main` reports as config errors (exit 2)
-CONFIG_ERRORS = (ConfigError, bl.BaselineError, al.AlignerConfigError, aud_mod.AudConfigError)
+DEV_FRACTION = 0.1  # the share of the corpus that `train-aligner` holds out for early stopping
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +230,14 @@ def load_aligner_bundle(ckpt_path: str) -> al.AlignerModel:
                 if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
                     raise TypeError("%s is not a list of strings" % name)
         except (ValueError, KeyError, TypeError) as e:
-            raise cp.CorpusError("%s: not an aligner sidecar (%s: %s)"
-                                 % (sidecar_path, type(e).__name__, e)) from None
+            raise DataError("%s: not an aligner sidecar (%s: %s)"
+                            % (sidecar_path, type(e).__name__, e)) from None
     try:  # a bad setting, or one the parameters in the .npz do not fit
         config = _coerce(al.AlignerConfig, config, strings=False)
         return al.load_model(ckpt_path, config,
                              cp.Vocabulary(wrl_tokens), cp.Vocabulary(ul_tokens))
-    except (ConfigError, al.AlignerError) as e:
-        raise cp.CorpusError("%s: %s" % (sidecar_path, e)) from None
-    except ValueError as e:  # the .npz itself is not a readable checkpoint
-        raise cp.CorpusError(str(e)) from None
+    except ConfigError as e:
+        raise DataError("%s: %s" % (sidecar_path, e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +352,13 @@ def cmd_mfcc(args) -> int:
     with cp.open_text(args.wav_list) as f:
         entries = [(k, line.split()) for k, line in enumerate(f, 1) if line.strip()]
     if not entries:
-        raise aud_mod.AudError("%s: no `id wav-path` lines" % args.wav_list)
+        raise DataError("%s: no `id wav-path` lines" % args.wav_list)
     for k, fields in entries:
         if len(fields) != 2:
-            raise aud_mod.AudError("%s:%d: expected `id wav-path`" % (args.wav_list, k))
+            raise DataError("%s:%d: expected `id wav-path`" % (args.wav_list, k))
         if fields[0] in id_lines:  # the archive keeps one matrix per id
-            raise aud_mod.AudError("%s:%d: id %r already on line %d"
-                                   % (args.wav_list, k, fields[0], id_lines[fields[0]]))
+            raise DataError("%s:%d: id %r already on line %d"
+                            % (args.wav_list, k, fields[0], id_lines[fields[0]]))
         id_lines[fields[0]] = k
         digest = hashlib.sha256()  # of the bytes decoded, so each file is read once
         signal, rate = aud_mod.read_wav(fields[1], digest)
@@ -401,18 +396,15 @@ def cmd_aud_decode(args) -> int:
 
 def cmd_train_aligner(args) -> int:
     config = _coerce(al.AlignerConfig, _flag_values(args))
-    if not 0.0 < args.dev_fraction < 1.0:
-        raise ConfigError("dev fraction must be in (0, 1), got %r" % args.dev_fraction)
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
-    train, dev = cp.split_train_dev(corpus, args.dev_fraction, args.split_seed)
+    train, dev = cp.split_train_dev(corpus, DEV_FRACTION, args.split_seed)
     model, log = al.train(train, dev, config)
     save_aligner_bundle(args.out, model)
     _write_json(args.out + ".log.json", {"best_epoch": log.best_epoch,
                                          "best_dev_loss": log.best_dev_loss,
                                          "epochs": log.epochs})
-    cfg = dataclasses.asdict(config)
-    cfg.update({"dev_fraction": args.dev_fraction, "split_seed": args.split_seed})
-    write_manifest(args.out, "train-aligner", [args.ul, args.wrl], cfg,
+    write_manifest(args.out, "train-aligner", [args.ul, args.wrl],
+                   {**dataclasses.asdict(config), "split_seed": args.split_seed},
                    [args.out, args.out + ".json"])
     if not args.quiet:
         print("best dev loss %.4f at epoch %d" % (log.best_dev_loss, log.best_epoch))
@@ -436,7 +428,7 @@ def cmd_segment(args) -> int:
     unmatched = segs.keys() ^ {u.id for u in corpus}
     if unmatched:  # checked before anything is written
         odd = min(unmatched)
-        raise cp.CorpusError("utterance %r is in %s but not in %s" % (
+        raise DataError("utterance %r is in %s but not in %s" % (
             odd, *(("the matrices", args.ul) if odd in segs else (args.ul, "the matrices"))))
     cp.write_segmentations(corpus, segs, args.out)
     write_manifest(args.out, "segment", list(args.matrices) + [args.ul, args.wrl],
@@ -483,7 +475,7 @@ def cmd_plot(args) -> int:
         raise ConfigError("--ul and --wrl go together: give both, or neither")
     matrices = al.read_attention_matrices(args.matrices)
     if args.utt not in matrices:
-        raise cp.CorpusError("utterance %r not in %s" % (args.utt, args.matrices))
+        raise DataError("utterance %r not in %s" % (args.utt, args.matrices))
     utt, inputs = None, [args.matrices]
     if args.ul is not None:
         corpus = cp.load_parallel_corpus(args.ul, args.wrl)
@@ -573,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     _path_flags(s, "--ul --wrl --out")
     _config_flags(s, "cell_size temperature dropout batch_size learning_rate max_epochs "
                      "patience seed")
-    s.add_argument("--dev-fraction", type=float, default=0.1)
     s.add_argument("--split-seed", type=int, default=0)
     s.add_argument("--quiet", action="store_true", help="do not print the summary line")
     s.set_defaults(func=cmd_train_aligner)
@@ -624,14 +615,13 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except CONFIG_ERRORS as e:
+    except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
-    except (cp.CorpusError, mt.MetricsError, sg.SegmenterError, aud_mod.AudError,
-            OSError) as e:
+    except (DataError, OSError) as e:
         print("data error: %s" % e, file=sys.stderr)
         return EXIT_DATA
-    except (nm.NumericsError, al.AlignerError) as e:
+    except NumericalError as e:
         print("numerical failure: %s" % e, file=sys.stderr)
         return EXIT_NUMERIC
 

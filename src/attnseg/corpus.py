@@ -15,23 +15,21 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .errors import ConfigError, DataError
+
 PAD, BOS, EOS, UNK = "<PAD>", "<BOS>", "<EOS>", "<UNK>"
 RESERVED = (PAD, BOS, EOS, UNK)
-
-
-class CorpusError(ValueError):
-    """Raised on malformed corpus input."""
 
 
 @contextlib.contextmanager
 def open_text(path: str):
     """`path` opened to read as UTF-8 text. A byte that does not decode, met
-    while the file is read in the `with` block, raises CorpusError naming it."""
+    while the file is read in the `with` block, raises DataError naming it."""
     with open(path, encoding="utf-8") as f:
         try:
             yield f
         except UnicodeDecodeError as e:
-            raise CorpusError("%s: not UTF-8 text (%s)" % (path, e.reason)) from None
+            raise DataError("%s: not UTF-8 text (%s)" % (path, e.reason)) from None
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ class Segmentation:
         object.__setattr__(self, "boundaries", frozenset(self.boundaries))
         for b in self.boundaries:
             if not 0 < b < self.length:
-                raise CorpusError(
+                raise DataError(
                     "boundary %d outside open interval (0, %d)" % (b, self.length)
                 )
 
@@ -60,7 +58,7 @@ class Segmentation:
 
     def words(self, symbols: Sequence[str]) -> list[tuple[str, ...]]:
         if len(symbols) != self.length:
-            raise CorpusError(
+            raise DataError(
                 "symbol count %d does not match segmentation length %d"
                 % (len(symbols), self.length)
             )
@@ -71,7 +69,7 @@ class Segmentation:
         """Inverse of .words(): boundary after each non-final word."""
         lengths = [len(w) for w in words]
         if any(n == 0 for n in lengths):
-            raise CorpusError("empty word in segmentation")
+            raise DataError("empty word in segmentation")
         cuts, total = [], 0
         for n in lengths[:-1]:
             total += n
@@ -87,9 +85,9 @@ class ParallelUtterance:
 
     def __post_init__(self):
         if not self.ul_symbols:
-            raise CorpusError("utterance %s: empty UL side" % self.id)
+            raise DataError("utterance %s: empty UL side" % self.id)
         if not self.wrl_words:
-            raise CorpusError("utterance %s: empty WRL side" % self.id)
+            raise DataError("utterance %s: empty WRL side" % self.id)
 
 
 class Vocabulary:
@@ -100,7 +98,7 @@ class Vocabulary:
         new = dict.fromkeys(tokens)
         if not new.keys().isdisjoint(RESERVED):
             bad = next(t for t in new if t in RESERVED)
-            raise CorpusError("reserved token %r cannot be added" % bad)
+            raise DataError("reserved token %r cannot be added" % bad)
         self._id_to_token: list[str] = [*RESERVED, *new]
         self._token_to_id: dict[str, int] = {t: i for i, t in enumerate(self._id_to_token)}
 
@@ -118,10 +116,7 @@ class Vocabulary:
         except KeyError:
             if allow_unk:
                 return self.unk_id
-            raise CorpusError("token %r not in vocabulary" % token) from None
-
-    def token(self, idx: int) -> str:
-        return self._id_to_token[idx]
+            raise DataError("token %r not in vocabulary" % token) from None
 
     def tokens(self) -> list[str]:
         """Non-reserved tokens in id order."""
@@ -144,7 +139,7 @@ class ParallelCorpus:
         for u in self.utterances:
             if u.id == utt_id:
                 return u
-        raise CorpusError("no utterance with id %r" % utt_id)
+        raise DataError("no utterance with id %r" % utt_id)
 
 
 def build_vocabularies(utterances: Sequence[ParallelUtterance]) -> tuple[Vocabulary, Vocabulary]:
@@ -164,7 +159,7 @@ def load_parallel_corpus(ul_path: str, wrl_path: str) -> ParallelCorpus:
     while wrl_lines and not wrl_lines[-1].strip():
         wrl_lines.pop()
     if len(ul_lines) != len(wrl_lines):
-        raise CorpusError(
+        raise DataError(
             "line count mismatch: %s has %d lines, %s has %d"
             % (ul_path, len(ul_lines), wrl_path, len(wrl_lines))
         )
@@ -172,9 +167,9 @@ def load_parallel_corpus(ul_path: str, wrl_path: str) -> ParallelCorpus:
     for i, (ul, wrl) in enumerate(zip(ul_lines, wrl_lines), start=1):
         syms, words = tuple(ul.split()), tuple(wrl.split())
         if not syms:
-            raise CorpusError("%s: empty line %d" % (ul_path, i))
+            raise DataError("%s: empty line %d" % (ul_path, i))
         if not words:
-            raise CorpusError("%s: empty line %d" % (wrl_path, i))
+            raise DataError("%s: empty line %d" % (wrl_path, i))
         utterances.append(ParallelUtterance(id="utt%05d" % i, ul_symbols=syms, wrl_words=words))
     ul_vocab, wrl_vocab = build_vocabularies(utterances)
     return ParallelCorpus(tuple(utterances), ul_vocab, wrl_vocab)
@@ -214,7 +209,7 @@ def load_gold_segmentation(corpus: ParallelCorpus, path: str) -> dict[str, Segme
     while lines and not lines[-1].strip():
         lines.pop()
     if len(lines) != len(corpus):
-        raise CorpusError(
+        raise DataError(
             "segmentation file %s has %d lines, corpus has %d utterances"
             % (path, len(lines), len(corpus))
         )
@@ -224,13 +219,13 @@ def load_gold_segmentation(corpus: ParallelCorpus, path: str) -> dict[str, Segme
         for k, word in enumerate(line.split(), start=1):
             end = _spell(word, u.ul_symbols, cuts[-1])
             if end < 0:
-                raise CorpusError("%s line %d: word %d %r does not spell the next symbols %r"
-                                  % (path, i, k, word,
-                                     " ".join(u.ul_symbols[cuts[-1]:cuts[-1] + len(word)])))
+                raise DataError("%s line %d: word %d %r does not spell the next symbols %r"
+                                % (path, i, k, word,
+                                   " ".join(u.ul_symbols[cuts[-1]:cuts[-1] + len(word)])))
             cuts.append(end)
         if cuts[-1] != len(u.ul_symbols):
-            raise CorpusError("%s line %d: the words spell %d of the %d symbols"
-                              % (path, i, cuts[-1], len(u.ul_symbols)))
+            raise DataError("%s line %d: the words spell %d of the %d symbols"
+                            % (path, i, cuts[-1], len(u.ul_symbols)))
         out[u.id] = Segmentation(cuts[-1], frozenset(cuts[1:-1]))
     return out
 
@@ -250,7 +245,7 @@ def split_train_dev(
 ) -> tuple[ParallelCorpus, ParallelCorpus]:
     """Deterministic disjoint train/dev split; dev size = round(dev_fraction * N)."""
     if not 0.0 < dev_fraction < 1.0:
-        raise CorpusError("dev_fraction must be in (0, 1), got %r" % dev_fraction)
+        raise ConfigError("dev_fraction must be in (0, 1), got %r" % dev_fraction)
     n = len(corpus)
     n_dev = int(round(dev_fraction * n))
     idx = list(range(n))

@@ -14,10 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .corpus import ParallelCorpus, Segmentation
-
-
-class MetricsError(ValueError):
-    pass
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -71,10 +68,10 @@ class EvalReport:
 def _check_aligned(hyp: dict[str, Segmentation], gold: dict[str, Segmentation]) -> None:
     if set(hyp) != set(gold):
         missing = set(hyp).symmetric_difference(gold)
-        raise MetricsError("utterance id mismatch: %s" % ", ".join(sorted(missing)))
+        raise DataError("utterance id mismatch: %s" % ", ".join(sorted(missing)))
     for utt_id in hyp:
         if hyp[utt_id].length != gold[utt_id].length:
-            raise MetricsError(
+            raise DataError(
                 "%s: hypothesis covers %d symbols, gold %d"
                 % (utt_id, hyp[utt_id].length, gold[utt_id].length)
             )
@@ -104,7 +101,7 @@ def token_type_prf(
     gold_types: set[tuple[str, ...]] = set()
     for u in corpus:
         if u.id not in hyp:
-            raise MetricsError("utterance %s missing from segmentations" % u.id)
+            raise DataError("utterance %s missing from segmentations" % u.id)
         h_spans = set(hyp[u.id].word_spans())
         g_spans = set(gold[u.id].word_spans())
         tok_matched += len(h_spans & g_spans)

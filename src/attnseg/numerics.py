@@ -11,7 +11,7 @@ and returns the gradients by name. Clipping and Adam each make one
 pass over the flat buffers. Training arithmetic is float32 by default;
 gradient checks run the same code in float64.
 
-Any non-finite value produced by a forward pass raises NumericsError
+Any non-finite value produced by a forward pass raises NumericalError
 immediately; values are never clamped silently.
 """
 
@@ -24,14 +24,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-
-class NumericsError(ArithmeticError):
-    """Raised on non-finite values or inconsistent shapes."""
+from .errors import DataError, NumericalError
 
 
 def check_finite(x: np.ndarray, op: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
-        raise NumericsError("non-finite value produced by %s" % op)
+        raise NumericalError("non-finite value produced by %s" % op)
     return x
 
 
@@ -55,7 +53,7 @@ def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.ndar
 def backward(loss: Tensor) -> dict[str, np.ndarray]:
     """Run a scalar loss's closure; returns the parameters' gradients by name."""
     if loss.data.size != 1:
-        raise NumericsError("loss must be scalar, got shape %s" % (loss.data.shape,))
+        raise NumericalError("loss must be scalar, got shape %s" % (loss.data.shape,))
     loss.grad = np.ones_like(loss.data)
     return loss._backward(loss.grad)
 
@@ -106,7 +104,7 @@ def lstm_step(params: LSTMParams, x: np.ndarray, h: np.ndarray,
 
     Returns (gates, c_new, tanh(c_new), h_new), where gates (B, 4n)
     holds the activated i, f, o and g. A non-finite pre-activation,
-    cell or state raises NumericsError: an overflow saturates the gates
+    cell or state raises NumericalError: an overflow saturates the gates
     and leaves c_new and h_new finite, so the pre-activations are
     checked as well.
     """
@@ -202,7 +200,7 @@ def adam_update(
 ) -> AdamState:
     """In-place Adam step with bias correction, on flat parameter and gradient buffers."""
     if not np.all(np.isfinite(grad)):
-        raise NumericsError("NaN/Inf gradient")
+        raise NumericalError("NaN/Inf gradient")
     if state.m is None:
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
         state.step, state.vhat = np.empty_like(params), np.empty_like(params)
@@ -245,15 +243,15 @@ def save_checkpoint(path: str, params: dict[str, Tensor]) -> None:
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """The parameters of a save_checkpoint file by name; ValueError if it is not one
+    """The parameters of a save_checkpoint file by name; DataError if it is not one
     of this version."""
     try:
         with np.load(path, allow_pickle=False) as z:
             version = int(z["__version__"])
             params = {k[len("param/"):]: z[k] for k in z.files if k.startswith("param/")}
     except ARCHIVE_ERRORS as e:
-        raise ValueError("%s: not a checkpoint (%s: %s)"
-                         % (path, type(e).__name__, e)) from None
+        raise DataError("%s: not a checkpoint (%s: %s)"
+                        % (path, type(e).__name__, e)) from None
     if version != CHECKPOINT_VERSION:
-        raise ValueError("%s: unsupported checkpoint version %d" % (path, version))
+        raise DataError("%s: unsupported checkpoint version %d" % (path, version))
     return params

@@ -12,10 +12,7 @@ import numpy as np
 
 from .aligner import AttentionMatrix
 from .corpus import Segmentation
-
-
-class SegmenterError(ValueError):
-    pass
+from .errors import DataError
 
 
 def smooth_matrix(m: AttentionMatrix) -> AttentionMatrix:
@@ -41,15 +38,15 @@ def smooth_matrix(m: AttentionMatrix) -> AttentionMatrix:
 def average_matrices(ms: list[AttentionMatrix]) -> AttentionMatrix:
     """Elementwise mean of same-shaped matrices from independent runs."""
     if not ms:
-        raise SegmenterError("no matrices to average")
+        raise DataError("no matrices to average")
     first = ms[0]
     for m in ms[1:]:
         if m.utt_id != first.utt_id:
-            raise SegmenterError(
+            raise DataError(
                 "cannot average matrices of %s and %s" % (first.utt_id, m.utt_id)
             )
         if m.weights.shape != first.weights.shape:
-            raise SegmenterError(
+            raise DataError(
                 "%s: matrix shape mismatch %s vs %s"
                 % (m.utt_id, m.weights.shape, first.weights.shape)
             )
@@ -87,12 +84,12 @@ def segment_corpus(
     runs must cover the same utterances.
     """
     if not matrices_per_run:
-        raise SegmenterError("no attention matrices given")
+        raise DataError("no attention matrices given")
     ids = set(matrices_per_run[0])
     for run in matrices_per_run[1:]:
         missing = ids.symmetric_difference(run)
         if missing:
-            raise SegmenterError(
+            raise DataError(
                 "runs disagree on utterances: %s" % ", ".join(sorted(missing))
             )
     out = {}

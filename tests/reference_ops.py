@@ -32,9 +32,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from attnseg import numerics as nm
-from attnseg.aligner import MAXOUT_POOL, AlignerError
+from attnseg.aligner import MAXOUT_POOL
 from attnseg.baselines import UTT_EDGE, _break_after, _break_before
-from attnseg.numerics import NumericsError, check_finite
+from attnseg.errors import NumericalError
+from attnseg.numerics import check_finite
 
 
 class Tensor:
@@ -75,7 +76,7 @@ def backward(loss: Tensor) -> dict[str, np.ndarray]:
     returned map covers tensors that carry a name.
     """
     if loss.data.size != 1:
-        raise NumericsError("loss must be scalar, got shape %s" % (loss.data.shape,))
+        raise NumericalError("loss must be scalar, got shape %s" % (loss.data.shape,))
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -140,7 +141,7 @@ def scale(a: Tensor, k: float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[0]:
-        raise NumericsError(
+        raise NumericalError(
             "matmul shape mismatch: %s @ %s" % (a.data.shape, b.data.shape)
         )
     out_data = check_finite(a.data @ b.data, "matmul")
@@ -156,7 +157,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """Affine map x @ W + b as one node; x (..., in), W (in, out), b (out,)."""
     if x.data.shape[-1] != W.data.shape[0] or b.data.shape != W.data.shape[1:]:
-        raise NumericsError(
+        raise NumericalError(
             "linear shape mismatch: %s @ %s + %s" % (x.data.shape, W.data.shape, b.data.shape)
         )
     out_data = check_finite(x.data @ W.data + b.data, "linear")
@@ -205,7 +206,7 @@ def rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """Embedding lookup: gather rows of a (V, n) table by integer ids."""
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise NumericsError(
+        raise NumericalError(
             "row index out of range [0, %d)" % table.data.shape[0]
         )
     out_data = table.data[ids]
@@ -234,7 +235,7 @@ def mean_all(a: Tensor) -> Tensor:
 def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool = True) -> Tensor:
     """Inverted dropout: scales by 1/(1-rate) at train time, identity at eval."""
     if not 0.0 <= rate < 1.0:
-        raise NumericsError("dropout rate must be in [0, 1), got %r" % rate)
+        raise NumericalError("dropout rate must be in [0, 1), got %r" % rate)
     if not train or rate == 0.0:
         return a
     keep = nm.dropout_mask(rng, a.data.shape, rate, a.data.dtype)
@@ -260,11 +261,11 @@ def lstm_step(params: nm.LSTMParams, x: Tensor, state: tuple[Tensor, Tensor]) ->
     W, U, b = params.W, params.U, params.b
     n = params.hidden_size
     if x.data.shape[-1] != W.data.shape[0]:
-        raise NumericsError(
+        raise NumericalError(
             "lstm_step input dim %d != W rows %d" % (x.data.shape[-1], W.data.shape[0])
         )
     if h.data.shape[-1] != n or c.data.shape[-1] != n:
-        raise NumericsError("lstm_step state dim mismatch with cell size %d" % n)
+        raise NumericalError("lstm_step state dim mismatch with cell size %d" % n)
     gates, c_data, tc, h_data = nm.lstm_step(params, x.data, h.data, c.data)
     f, o = gates[..., n: 2 * n], gates[..., 2 * n: 3 * n]
     d_o = []  # dL/do from the h node's backward, consumed by the c node's
@@ -366,16 +367,16 @@ def softmax_with_temperature(
     receive no gradient.
     """
     if T <= 0:
-        raise NumericsError("softmax temperature must be positive, got %r" % T)
+        raise NumericalError("softmax temperature must be positive, got %r" % T)
     x = logits.data / T
     if mask is not None:
         if mask.shape != x.shape:
-            raise NumericsError("mask shape %s != logits shape %s" % (mask.shape, x.shape))
+            raise NumericalError("mask shape %s != logits shape %s" % (mask.shape, x.shape))
         x = np.where(mask, x, -np.inf)
     m = np.max(x, axis=-1, keepdims=True)
     # all-masked rows would give -inf max; forbid them
     if not np.all(np.isfinite(m)):
-        raise NumericsError("softmax row with no valid entries")
+        raise NumericalError("softmax row with no valid entries")
     ex = np.exp(x - m)
     s = ex / ex.sum(axis=-1, keepdims=True)
     check_finite(s, "softmax_with_temperature")
@@ -418,7 +419,7 @@ def maxout(a: Tensor, pool_size: int = 2) -> Tensor:
     """
     n = a.data.shape[-1]
     if n % pool_size != 0:
-        raise NumericsError("maxout: %d features not divisible by pool %d" % (n, pool_size))
+        raise NumericalError("maxout: %d features not divisible by pool %d" % (n, pool_size))
     blocks = a.data.reshape(a.data.shape[:-1] + (pool_size, n // pool_size))
     out_data = check_finite(blocks.max(axis=-2), "maxout")
     first = np.expand_dims(blocks.argmax(axis=-2), -2)  # argmax picks the first of a tie
@@ -444,9 +445,9 @@ def reference_encode(model, src_ids: np.ndarray, rng=None,
     """
     src_ids = np.atleast_2d(np.asarray(src_ids))
     if src_ids.size == 0:
-        raise AlignerError("empty source sequence")
+        raise NumericalError("empty source sequence")
     if src_ids.min() < 0 or src_ids.max() >= len(model.wrl_vocab):
-        raise AlignerError("source id outside vocabulary range")
+        raise NumericalError("source id outside vocabulary range")
     B, A = src_ids.shape
     n = model.config.cell_size
     dt = model.config.np_dtype

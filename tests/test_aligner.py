@@ -11,7 +11,6 @@ from attnseg import aligner as al
 from attnseg import numerics as nm
 from attnseg.aligner import (
     AlignerConfig,
-    AlignerError,
     AlignerModel,
     AttentionMatrix,
     _bucket_batches,
@@ -26,12 +25,12 @@ from attnseg.aligner import (
     write_attention_matrices,
 )
 from attnseg.corpus import (
-    CorpusError,
     ParallelCorpus,
     ParallelUtterance,
     Vocabulary,
     build_vocabularies,
 )
+from attnseg.errors import ConfigError, DataError, NumericalError
 
 
 def small_config(**kw):
@@ -70,17 +69,17 @@ class TestConfig:
         assert m.src_embed.data.shape[1] == m.tgt_embed.data.shape[1] == 48
 
     def test_rejects_bad_temperature(self):
-        with pytest.raises(AlignerError):
+        with pytest.raises(ConfigError):
             AlignerConfig(temperature=0.0)
 
     def test_rejects_bad_dropout(self):
-        with pytest.raises(AlignerError):
+        with pytest.raises(ConfigError):
             AlignerConfig(dropout=1.0)
 
     def test_dtype_is_float32_or_float64(self):
         assert AlignerConfig(dtype="float64").np_dtype == np.float64
         assert AlignerConfig().np_dtype == np.float32
-        with pytest.raises(AlignerError):
+        with pytest.raises(ConfigError):
             AlignerConfig(dtype="float16")
 
 
@@ -110,7 +109,7 @@ class TestShapes:
         np.testing.assert_allclose(alpha, 1 / 3, atol=1e-4)
 
     def test_out_of_range_source_id(self, model):
-        with pytest.raises(AlignerError):
+        with pytest.raises(NumericalError):
             model.encode(np.array([[9999]]))
 
 
@@ -275,7 +274,7 @@ class TestDecoderOracle:
         model.out_W1.data[:] = 0.0  # so the readout stays finite
         src, tgt, msk = _pack_batch(model, list(corpus)[:1])
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(nm.NumericsError, match="lstm_cell"):
+                pytest.raises(NumericalError, match="lstm_cell"):
             model.forward_batch(src, tgt, msk)
 
     def test_float32_overflow_in_encoder_cell_raises(self, corpus):
@@ -286,7 +285,7 @@ class TestDecoderOracle:
         src, tgt, msk = _pack_batch(model, list(corpus)[:1])
         # saturated gates leave c and h finite, so only the pre-activation check can catch it
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(nm.NumericsError, match="lstm_cell"):
+                pytest.raises(NumericalError, match="lstm_cell"):
             model.forward_batch(src, tgt, msk)
 
 
@@ -375,7 +374,7 @@ class TestMaxoutOracle:
         np.testing.assert_array_equal((win * g.reshape(6, 1, 4)).reshape(x.shape), want_grad)
 
     def test_rejects_indivisible_width(self):
-        with pytest.raises(nm.NumericsError):
+        with pytest.raises(NumericalError):
             ref.maxout(ref.tensor(np.zeros((1, 5))), 2)
 
 
@@ -462,7 +461,7 @@ class TestTraining:
 
     def test_empty_corpus_rejected(self, corpus):
         empty = ParallelCorpus((), corpus.ul_vocab, corpus.wrl_vocab)
-        with pytest.raises(CorpusError):  # a data error, not a numerical one
+        with pytest.raises(DataError):  # a data error, not a numerical one
             train(empty, empty, small_config())
 
 
@@ -511,7 +510,7 @@ class TestForcedDecode:
     def test_checkpoint_cell_mismatch(self, trained, corpus, tmp_path):
         path = str(tmp_path / "model.npz")
         save_model(path, trained)
-        with pytest.raises(AlignerError, match="shape mismatch"):
+        with pytest.raises(ConfigError, match="shape mismatch"):
             load_model(path, small_config(cell_size=20), corpus.wrl_vocab,
                        corpus.ul_vocab)
 
@@ -587,7 +586,7 @@ class TestMatrixReader:
     def test_error_messages(self, tmp_path, text, message):
         path = tmp_path / "attn.txt"
         path.write_text(text)
-        with pytest.raises(CorpusError) as e:
+        with pytest.raises(DataError) as e:
             read_attention_matrices(str(path))
         assert str(e.value) == message.format(path=path)
 
@@ -630,7 +629,7 @@ class TestMatrixReader:
         path.write_bytes(data)
         try:
             matrices = read_attention_matrices(str(path))
-        except CorpusError:
+        except DataError:
             return
         for m in matrices.values():
             m.validate()
@@ -659,12 +658,12 @@ class TestMatrixReader:
 class TestAttentionMatrixValidation:
     def test_bad_row_sum(self):
         m = AttentionMatrix("u", np.array([[0.5, 0.4]]))
-        with pytest.raises(AlignerError):
+        with pytest.raises(NumericalError):
             m.validate()
 
     def test_negative_weight(self):
         m = AttentionMatrix("u", np.array([[1.2, -0.2]]))
-        with pytest.raises(AlignerError):
+        with pytest.raises(NumericalError):
             m.validate()
 
     def test_valid_passes(self):

@@ -10,7 +10,6 @@ from scipy.special import logsumexp
 from attnseg import aud as aud_mod
 from attnseg.aud import (
     AudConfig,
-    AudError,
     AudModel,
     FeatureSequence,
     dct_basis,
@@ -37,6 +36,7 @@ from attnseg.aud import (
     _Stats,
     _weighted_component_loglik,
 )
+from attnseg.errors import ConfigError, DataError
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +116,11 @@ class TestMfcc:
         np.testing.assert_allclose(f.features[:, 13:], 0.0, atol=1e-9)
 
     def test_too_short_audio(self):
-        with pytest.raises(AudError):
+        with pytest.raises(DataError):
             extract_mfcc(np.zeros(100), 16000)
 
     def test_low_rate_rejected(self):
-        with pytest.raises(AudError):
+        with pytest.raises(DataError):
             extract_mfcc(np.zeros(16000), 4000)
 
     def test_delta_of_linear_ramp(self):
@@ -464,9 +464,9 @@ class TestDensityOracle:
 
 class TestPhoneLoopStructure:
     def test_config_validation(self):
-        with pytest.raises(AudError):
+        with pytest.raises(ConfigError):
             AudConfig(num_units=1)
-        with pytest.raises(AudError):
+        with pytest.raises(ConfigError):
             AudConfig(gamma=0.0)
 
     @pytest.mark.parametrize("states", [1, 2, 3])
@@ -646,7 +646,7 @@ class TestScaledEstep:
     def test_utterance_shorter_than_a_unit_is_an_error(self):
         m = random_model(4, 3, 1, seed=5)
         U, S, M, D = m.means.shape
-        with pytest.raises(AudError):
+        with pytest.raises(DataError):
             _estep_corpus(m, [np.zeros((9, 2)), np.zeros((2, 2))], _Stats.zeros(U, S, M, D))
 
     @pytest.mark.parametrize("states,mix", [(1, 2), (3, 2)])
@@ -715,7 +715,7 @@ class TestTraining:
         assert map_objective(m2, 0.0) > base
 
     def test_empty_corpus(self):
-        with pytest.raises(AudError):
+        with pytest.raises(DataError):
             train_phone_loop([], AudConfig())
 
 
@@ -783,7 +783,7 @@ class TestDecoding:
     def test_dim_mismatch(self):
         m = tiny_model(dim=2)
         f = FeatureSequence("u", 0.01, 0.025, np.zeros((3, 5)))
-        with pytest.raises(AudError):
+        with pytest.raises(DataError):
             decode_units(m, f)
 
 

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from attnseg import baselines
 from attnseg.baselines import (
-    BaselineError,
     DpsegConfig,
     DpsegSampler,
     dpseg_segment,
     proportional_segment,
 )
 from attnseg.corpus import ParallelUtterance, Segmentation
+from attnseg.errors import ConfigError, DataError
 from attnseg.metrics import PRF
 from reference_ops import reference_resample_site
 
@@ -92,15 +92,15 @@ def synth_sequences(n_sents, seed, lexicon=None):
 
 class TestDpsegConfig:
     def test_rejects_bad_order(self):
-        with pytest.raises(BaselineError):
+        with pytest.raises(ConfigError):
             DpsegConfig(order="trigram")
 
     def test_rejects_bad_probability(self):
-        with pytest.raises(BaselineError):
+        with pytest.raises(ConfigError):
             DpsegConfig(p_boundary=1.0)
 
     def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(BaselineError):
+        with pytest.raises(ConfigError):
             DpsegConfig(alpha0=0.0)
 
 
@@ -333,5 +333,5 @@ class TestDpsegQuality:
         assert boundary_f(out, gold) >= 0.7
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(BaselineError):
+        with pytest.raises(DataError):
             dpseg_segment({}, DpsegConfig())

@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from attnseg import aligner as al, aud as aud_mod, baselines as bl, cli, corpus as cp
 from attnseg.aligner import AlignerConfig, AlignerModel, AttentionMatrix
 from attnseg.cli import (
-    ConfigError,
     SynthConfig,
     load_config_file,
     main,
@@ -22,6 +21,7 @@ from attnseg.cli import (
     write_synth_corpus,
 )
 from attnseg.corpus import load_parallel_corpus
+from attnseg.errors import ConfigError
 
 
 def read_pgm(path: str) -> np.ndarray:
@@ -280,7 +280,7 @@ class TestConfigFile:
         (tmp_path / "c.ini").write_text("\n".join(lines) + "\n", encoding="utf-8")
         try:
             configs = cli.pipeline_configs("c.ini", {})
-        except cli.CONFIG_ERRORS:
+        except ConfigError:
             pass
         else:
             assert [type(c) for c in configs[:3]] == [
@@ -299,9 +299,9 @@ PARSER_FLAGS = {
     "aud-train": ["--features", "--gamma", "--iterations", "--mix", "--out", "--quiet",
                   "--seed", "--states", "--units"],
     "aud-decode": ["--features", "--model", "--out"],
-    "train-aligner": ["--batch-size", "--cell-size", "--dev-fraction", "--dropout",
-                      "--learning-rate", "--max-epochs", "--out", "--patience", "--quiet",
-                      "--seed", "--split-seed", "--temperature", "--ul", "--wrl"],
+    "train-aligner": ["--batch-size", "--cell-size", "--dropout", "--learning-rate",
+                      "--max-epochs", "--out", "--patience", "--quiet", "--seed",
+                      "--split-seed", "--temperature", "--ul", "--wrl"],
     "force-align": ["--model", "--out", "--ul", "--wrl"],
     "segment": ["--matrices", "--no-smooth", "--out", "--ul", "--wrl"],
     "baseline-proportional": ["--out", "--ul", "--wrl"],
@@ -460,24 +460,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == "config error: seed must be >= 0\n"
         assert sorted(os.listdir(tmp_path)) == ["ul.txt", "wrl.txt"]
 
-    @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.1", "nan"])
-    def test_dev_fraction_out_of_range_is_config_error(self, tmp_path, capsys, fraction):
-        (tmp_path / "ul.txt").write_text("a b\nb a\n")
-        (tmp_path / "wrl.txt").write_text("x\ny\n")
-        assert main(["train-aligner", "--ul", str(tmp_path / "ul.txt"),
-                     "--wrl", str(tmp_path / "wrl.txt"), "--out", str(tmp_path / "m.npz"),
-                     "--dev-fraction", fraction]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            "config error: dev fraction must be in (0, 1), got %r\n" % float(fraction))
-        assert sorted(os.listdir(tmp_path)) == ["ul.txt", "wrl.txt"]
-
     def test_empty_training_corpus_is_data_error(self, tmp_path, capsys):
         (tmp_path / "ul.txt").write_text("")
         (tmp_path / "wrl.txt").write_text("")
-        assert main(["train-aligner", "--ul", str(tmp_path / "ul.txt"),
-                     "--wrl", str(tmp_path / "wrl.txt"),
-                     "--out", str(tmp_path / "m.npz")]) == cli.EXIT_DATA
-        assert capsys.readouterr().err == "data error: empty training corpus\n"
+        for command, message in [("train-aligner", "empty training corpus"),
+                                 ("baseline-dpseg", "empty corpus")]:
+            assert main([command, "--ul", str(tmp_path / "ul.txt"),
+                         "--wrl", str(tmp_path / "wrl.txt"),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_DATA
+            assert capsys.readouterr().err == "data error: %s\n" % message
+        assert sorted(os.listdir(tmp_path)) == ["ul.txt", "wrl.txt"]
 
     def test_lexicon_larger_than_word_space_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "c"

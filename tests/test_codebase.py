@@ -1,9 +1,10 @@
 """Checks on the sources and docs themselves: no unreachable code, no setting that
-nothing sets, no stale commands, and no run-time dependency beyond numpy and the
-standard library."""
+nothing sets, one error class per exit code, no stale commands, and no run-time
+dependency beyond numpy and the standard library."""
 
 import argparse
 import ast
+import builtins
 import dataclasses
 import json
 import os
@@ -95,6 +96,49 @@ def test_every_config_field_is_a_flag_or_an_example_key():
         unset += ["%s.%s" % (cls.__name__, f.name) for f in dataclasses.fields(cls)
                   if f.name not in flags and f.name not in example.get(section, {})]
     assert unset == TEST_ONLY_FIELDS
+
+
+# ---------------------------------------------------------------------------
+# The package raises three errors, one per exit code, and `cli.main` maps each once.
+
+EXIT_CLASSES = {"ConfigError": "EXIT_CONFIG", "DataError": "EXIT_DATA",
+                "NumericalError": "EXIT_NUMERIC"}
+
+
+def _name(node) -> str | None:
+    """The identifier that a `Name` or `Attribute` node ends in."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _is_builtin_exception(name: str | None) -> bool:
+    return isinstance(getattr(builtins, name or "", None), type) and issubclass(
+        getattr(builtins, name), BaseException)
+
+
+def test_errors_are_the_three_exit_classes():
+    trees = dict(package_trees())
+    defined = [(file, node.name) for file, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)
+               and any(_is_builtin_exception(_name(b)) or _name(b) in EXIT_CLASSES
+                       or (_name(b) or "").endswith("Error") for b in node.bases)]
+    assert sorted(defined) == [("errors.py", name) for name in sorted(EXIT_CLASSES)]
+
+    raised = {(file, node.lineno, _name(getattr(node.exc, "func", node.exc)))
+              for file, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc is not None}
+    assert [r for r in sorted(raised)
+            if r[2] not in EXIT_CLASSES and not _is_builtin_exception(r[2])] == []
+
+    main = next(node for node in trees["cli.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    run = next(node for node in ast.walk(main) if isinstance(node, ast.Try)
+               and any(_name(getattr(n, "func", None)) == "func" for n in ast.walk(node)))
+    mapped = {}
+    for handler in run.handlers:
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        code = next(_name(n.value) for n in handler.body if isinstance(n, ast.Return))
+        mapped.update({_name(t): code for t in types})
+    assert mapped == {**EXIT_CLASSES, "OSError": "EXIT_DATA"}
 
 
 def readme_commands() -> list[str]:

@@ -9,8 +9,8 @@ from attnseg.corpus import (
     Segmentation,
     build_vocabularies,
 )
+from attnseg.errors import DataError
 from attnseg.metrics import (
-    MetricsError,
     PRF,
     boundary_prf,
     evaluate,
@@ -102,11 +102,11 @@ class TestBoundary:
         assert (p.hyp_count, p.gold_count) == (0, 0)
 
     def test_id_mismatch(self):
-        with pytest.raises(MetricsError, match="u1"):
+        with pytest.raises(DataError, match="u1"):
             boundary_prf({"u0": Segmentation(2, set())}, {"u1": Segmentation(2, set())})
 
     def test_length_mismatch(self):
-        with pytest.raises(MetricsError, match="u0"):
+        with pytest.raises(DataError, match="u0"):
             boundary_prf({"u0": Segmentation(2, set())}, {"u0": Segmentation(3, set())})
 
     def test_swap_exchanges_p_and_r(self):

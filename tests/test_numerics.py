@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import reference_ops as ref
 from attnseg import numerics as nm
+from attnseg.errors import NumericalError
 from attnseg.numerics import (
     AdamState,
-    NumericsError,
     adam_update,
     clip_global_norm,
     load_checkpoint,
@@ -47,9 +47,9 @@ class TestSoftmaxTemperature:
         np.testing.assert_allclose(out.data, [[0.5498, 0.4502]], atol=1e-4)
 
     def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericalError):
             softmax_with_temperature(tensor([1.0]), T=0.0)
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericalError):
             softmax_with_temperature(tensor([1.0]), T=-2.0)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=10),
@@ -119,7 +119,7 @@ class TestLstmStep:
     def test_shape_mismatch_named(self):
         rng = np.random.default_rng(0)
         params = tape_cell(lstm_init(rng, 2, 3), "lstm")
-        with pytest.raises(NumericsError, match="W"):
+        with pytest.raises(NumericalError, match="W"):
             lstm_step(params, tensor(np.ones((1, 5))),
                       (tensor(np.zeros((1, 3))), tensor(np.zeros((1, 3)))))
 
@@ -211,7 +211,7 @@ class TestFusedLstmOracle:
         x = tensor(np.full((1, 2), 3e38, dtype=np.float32))
         state = (tensor(np.zeros((1, 3), dtype=np.float32)),
                  tensor(np.zeros((1, 3), dtype=np.float32)))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
             lstm_step(params, x, state)
 
 
@@ -233,7 +233,7 @@ class TestLinear:
             assert_close_rel(got, want)
 
     def test_shape_mismatch(self):
-        with pytest.raises(NumericsError, match="linear"):
+        with pytest.raises(NumericalError, match="linear"):
             ref.linear(tensor(np.ones((2, 3))), tensor(np.ones((3, 4))), tensor(np.ones(3)))
 
 
@@ -254,9 +254,9 @@ class TestBackward:
 
     def test_non_scalar_loss_rejected(self):
         x = tensor(np.ones(3), requires_grad=True, name="x")
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericalError):
             backward(x)
-        with pytest.raises(NumericsError):  # the package's loss closure runner
+        with pytest.raises(NumericalError):  # the package's loss closure runner
             nm.backward(nm.Tensor(np.ones(3), backward=lambda g: {}))
 
     def test_reused_node_accumulates(self):
@@ -473,7 +473,7 @@ class TestAdam:
         assert abs((prev - float(p[0])) - 0.001) < 1e-5
 
     def test_nan_gradient_rejected(self):
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericalError):
             adam_update(np.array([0.0, 1.0]), np.array([0.0, np.nan]), AdamState())
 
 
@@ -491,14 +491,14 @@ class TestDropout:
         assert set(np.unique(out.data)).issubset({0.0, 2.0})
 
     def test_bad_rate(self):
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericalError):
             dropout(tensor([1.0]), 1.0, np.random.default_rng(0))
 
 
 class TestFiniteness:
     def test_overflow_detected(self):
         big = tensor(np.array([1e308]))
-        with np.errstate(over="ignore"), pytest.raises(NumericsError):
+        with np.errstate(over="ignore"), pytest.raises(NumericalError):
             ref.scale(big, 10.0)
 
 

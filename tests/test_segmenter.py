@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from attnseg.aligner import AttentionMatrix
+from attnseg.errors import DataError
 from attnseg.segmenter import (
-    SegmenterError,
     alignment_to_segmentation,
     average_matrices,
     hard_align,
@@ -67,11 +67,11 @@ class TestAverage:
         np.testing.assert_allclose(out.weights.sum(axis=1), 1.0, atol=1e-12)
 
     def test_dim_mismatch(self):
-        with pytest.raises(SegmenterError):
+        with pytest.raises(DataError):
             average_matrices([matrix([[1.0]]), matrix([[0.5, 0.5]])])
 
     def test_id_mismatch(self):
-        with pytest.raises(SegmenterError):
+        with pytest.raises(DataError):
             average_matrices([matrix([[1.0]], "a"), matrix([[1.0]], "b")])
 
 
@@ -123,7 +123,7 @@ class TestSegmentCorpus:
     def test_missing_utterance_listed(self):
         run1 = {"a": matrix([[1.0]], "a")}
         run2 = {"b": matrix([[1.0]], "b")}
-        with pytest.raises(SegmenterError, match="a|b"):
+        with pytest.raises(DataError, match="a|b"):
             segment_corpus([run1, run2])
 
     def test_composition_deterministic(self):
