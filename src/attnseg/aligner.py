@@ -29,6 +29,7 @@ from .numerics import Tensor
 
 CLIP_NORM = 5.0  # gradients are rescaled to at most this global L2 norm
 MAXOUT_POOL = 2  # readout units per maxout unit
+FORCED_DECODE_ROWS = 128  # the most utterances `forced_decode_corpus` decodes as one batch
 
 
 @dataclass
@@ -483,8 +484,9 @@ def _encode_utterance(model: AlignerModel, utt: ParallelUtterance):
 
 
 def _bucket_batches(corpus: Sequence[ParallelUtterance], batch_size: int,
-                    rng: np.random.Generator, shuffle: bool) -> list[list[int]]:
-    """Group utterance indices into batches of equal source length."""
+                    rng: Optional[np.random.Generator], shuffle: bool) -> list[list[int]]:
+    """Group utterance indices into batches of equal source length; `rng` shuffles
+    them, and is not read without `shuffle`."""
     buckets: dict[int, list[int]] = {}
     order = np.arange(len(corpus))
     if shuffle:
@@ -530,21 +532,6 @@ class TrainingLog:
     best_dev_loss: float = math.inf
 
 
-def _decode_corpus(model: AlignerModel, corpus: ParallelCorpus):
-    """Teacher-forced passes with dropout off and no decoder tape, in
-    source-length buckets of up to 64.
-
-    Yields (utterances, mask (B, T), nll (T, B), alphas (T, B, A)).
-    """
-    rng = np.random.default_rng(0)
-    for batch in _bucket_batches(corpus.utterances, 64, rng, shuffle=False):
-        utts = [corpus.utterances[i] for i in batch]
-        src, tgt, msk = _pack_batch(model, utts)
-        h, s0 = model.encode(src)
-        nll, alphas = model.decode(h, h @ model.attn_W1.data, s0, tgt)
-        yield utts, msk, nll, alphas
-
-
 def evaluate_loss(model: AlignerModel,
                   corpus: ParallelCorpus) -> tuple[float, float, Optional[float]]:
     """Mean per-utterance NLL, per-symbol perplexity and attention entropy (no dropout).
@@ -556,7 +543,12 @@ def evaluate_loss(model: AlignerModel,
     """
     total_nll, total_syms, n_utts = 0.0, 0, 0
     entropy, entropy_rows = 0.0, 0
-    for utts, msk, nll, alphas in _decode_corpus(model, corpus):
+    # source-length buckets of up to 64 in corpus order, through the full `decode`
+    for batch in _bucket_batches(corpus.utterances, 64, None, shuffle=False):
+        utts = [corpus.utterances[i] for i in batch]
+        src, tgt, msk = _pack_batch(model, utts)
+        h, s0 = model.encode(src)
+        nll, alphas = model.decode(h, h @ model.attn_W1.data, s0, tgt)
         real = msk.T.astype(nll.dtype)
         total_nll += float((nll * real).sum(axis=0).sum())
         total_syms += int(msk.sum())
@@ -639,13 +631,59 @@ def train(corpus_train: ParallelCorpus, corpus_dev: ParallelCorpus,
 # ---------------------------------------------------------------------------
 # Forced decoding / attention extraction
 
+def _forced_decode_chunks(corpus: ParallelCorpus) -> list[list[int]]:
+    """Utterance indices by source-length bucket, each bucket sorted by target
+    length, longest first (ties in corpus order), and cut into the fewest chunks of
+    at most FORCED_DECODE_ROWS, whose sizes differ by at most one."""
+    buckets: dict[int, list[int]] = {}
+    for i, u in enumerate(corpus.utterances):
+        buckets.setdefault(len(u.wrl_words), []).append(i)
+    chunks = []
+    for length in sorted(buckets):
+        idxs = sorted(buckets[length], key=lambda i: -len(corpus.utterances[i].ul_symbols))
+        k = -(-len(idxs) // FORCED_DECODE_ROWS)
+        chunks += [idxs[j * len(idxs) // k: (j + 1) * len(idxs) // k] for j in range(k)]
+    return chunks
+
+
 def forced_decode_corpus(model: AlignerModel, corpus: ParallelCorpus) -> dict[str, AttentionMatrix]:
-    """Attention matrices for every utterance, one row per UL symbol: the EOS row
-    is dropped."""
-    out: dict[str, AttentionMatrix] = {}
-    for utts, _, _, alphas in _decode_corpus(model, corpus):
-        for b, u in enumerate(utts):
-            m = AttentionMatrix(u.id, alphas[:len(u.ul_symbols), b].astype(np.float64))
+    """Attention matrices for every utterance, in corpus order, one row per UL
+    symbol: the EOS step is never run.
+
+    Only the encoder and the attention-plus-cell recurrence run: the readout
+    has no say in the attention. Each chunk of `_forced_decode_chunks` is one
+    batch. Step t passes on only the rows still decoding, which the sort by
+    target length makes a prefix of the batch. The prefix keeps at least two
+    rows, and a finished row's extra steps are thrown away: numpy sends a
+    one-row product down another BLAS path, whose sums can differ in the last
+    bit. So the bits of a matrix do not depend on the other utterances,
+    unless it is alone in its source-length bucket. An unknown UL symbol
+    raises DataError naming its line (the utterance's position in the
+    corpus) and the utterance.
+    """
+    out = dict.fromkeys(u.id for u in corpus)
+    table = model.tgt_embed.data
+    for chunk in _forced_decode_chunks(corpus):
+        utts = [corpus.utterances[i] for i in chunk]
+        try:
+            src, tgt, _ = _pack_batch(model, utts)
+        except DataError:  # name the first utterance, in corpus order, with an unknown symbol
+            line, u, sym = next((k, u, s) for k, u in enumerate(corpus, 1)
+                                for s in u.ul_symbols if s not in model.ul_vocab)
+            raise DataError("line %d, utterance %s: symbol %r is not in the model's vocabulary"
+                            % (line, u.id, sym)) from None
+        h, s = model.encode(src)
+        h_proj = h @ model.attn_W1.data
+        c = np.zeros_like(s)
+        lengths = np.array([len(u.ul_symbols) for u in utts])
+        T = lengths[0]
+        live = np.maximum((lengths[:, None] > np.arange(T)).sum(axis=0), min(2, len(utts)))
+        alphas = np.empty((T, len(utts), src.shape[1]), dtype=h.dtype)
+        for t, b in enumerate(live.tolist()):
+            alphas[t, :b], _, _, _, _, c[:b], s[:b] = model.decode_step(
+                s[:b], c[:b], table[tgt[:b, t]], h[:b], h_proj[:b])
+        for b, (u, n) in enumerate(zip(utts, lengths.tolist())):
+            m = AttentionMatrix(u.id, alphas[:n, b].astype(np.float64))
             m.validate()
             out[u.id] = m
     return out
@@ -659,9 +697,9 @@ def write_attention_matrices(path: str, matrices: dict[str, AttentionMatrix]) ->
     with open(path, "w", encoding="utf-8") as f:
         for utt_id in sorted(matrices):
             m = matrices[utt_id]
-            f.write("%s %d %d\n" % (utt_id, m.num_symbols, m.num_words))
-            row_format = " ".join(["%.10e"] * m.num_words) + "\n"
-            f.writelines(row_format % tuple(row) for row in m.weights.tolist())
+            row = " ".join(["%.10e"] * m.num_words) + "\n"
+            f.write(("%s %d %d\n" + row * m.num_symbols)
+                    % (utt_id, m.num_symbols, m.num_words, *m.weights.ravel().tolist()))
 
 
 def read_attention_matrices(path: str) -> dict[str, AttentionMatrix]:

@@ -414,25 +414,43 @@ def cmd_train_aligner(args) -> int:
 def cmd_force_align(args) -> int:
     model = load_aligner_bundle(args.model)
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
-    matrices = al.forced_decode_corpus(model, corpus)
+    try:
+        matrices = al.forced_decode_corpus(model, corpus)
+    except DataError as e:  # a UL symbol the model never saw, on the line it names
+        raise DataError("%s: %s" % (args.ul, e)) from None
     al.write_attention_matrices(args.out, matrices)
     write_manifest(args.out, "force-align", [args.model, args.ul, args.wrl], {}, [args.out])
     print("extracted %d attention matrices" % len(matrices))
     return EXIT_OK
 
 
-def cmd_segment(args) -> int:
-    runs = [al.read_attention_matrices(p) for p in args.matrices]
-    segs = sg.segment_corpus(runs, smooth=not args.no_smooth)
-    corpus = cp.load_parallel_corpus(args.ul, args.wrl)
-    unmatched = segs.keys() ^ {u.id for u in corpus}
-    if unmatched:  # checked before anything is written
+def _checked_run(path: str, run: dict[str, al.AttentionMatrix], symbols: dict[str, int],
+                 ul_path: str) -> dict[str, al.AttentionMatrix]:
+    """`run`, read from `path`, if it holds the corpus's utterances with one row
+    per UL symbol; `symbols` maps each utterance id to its symbol count."""
+    unmatched = run.keys() ^ symbols.keys()
+    if unmatched:
         odd = min(unmatched)
-        raise DataError("utterance %r is in %s but not in %s" % (
-            odd, *(("the matrices", args.ul) if odd in segs else (args.ul, "the matrices"))))
+        raise DataError("utterance %r is in %s but not in %s"
+                        % (odd, *((path, ul_path) if odd in run else (ul_path, path))))
+    for utt_id, m in run.items():
+        if m.num_symbols != symbols[utt_id]:
+            raise DataError("%s: %s has a row count of %d, but %d UL symbols in %s"
+                            % (path, utt_id, m.num_symbols, symbols[utt_id], ul_path))
+    return run
+
+
+def cmd_segment(args) -> int:
+    corpus = cp.load_parallel_corpus(args.ul, args.wrl)
+    symbols = {u.id: len(u.ul_symbols) for u in corpus}
+    # each run is checked, then added into the mean as it is read: before anything is
+    # written, and with one run in memory at a time
+    mean = sg.average_runs(_checked_run(p, al.read_attention_matrices(p), symbols, args.ul)
+                           for p in args.matrices)
+    segs = sg.segment_corpus([mean], smooth=not args.no_smooth)
     cp.write_segmentations(corpus, segs, args.out)
     write_manifest(args.out, "segment", list(args.matrices) + [args.ul, args.wrl],
-                   {"smooth": not args.no_smooth, "runs": len(runs)}, [args.out])
+                   {"smooth": not args.no_smooth, "runs": len(args.matrices)}, [args.out])
     print("segmented %d utterances" % len(segs))
     return EXIT_OK
 

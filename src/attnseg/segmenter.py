@@ -8,6 +8,9 @@ wherever two consecutive symbols attach to different WRL words.
 
 from __future__ import annotations
 
+import bisect
+from typing import Iterable
+
 import numpy as np
 
 from .aligner import AttentionMatrix
@@ -21,43 +24,71 @@ def smooth_matrix(m: AttentionMatrix) -> AttentionMatrix:
     Edge columns average over the two existing values. Rows are
     renormalized to sum to 1 afterwards (harmless for the argmax, keeps
     rows interpretable as distributions). A single-word matrix is
-    returned unchanged.
+    returned unchanged. Each row is smoothed on its own, so `m` may stack
+    the rows of several utterances of one width.
     """
     w = m.weights
     if w.shape[1] <= 1:
         return m
-    padded = np.pad(w, ((0, 0), (1, 1)), mode="constant")
-    sums = padded[:, :-2] + padded[:, 1:-1] + padded[:, 2:]
+    sm = w.copy()  # in place from here: (left + center) + right, one array of w's size
+    sm[:, 1:] += w[:, :-1]
+    sm[:, :-1] += w[:, 1:]
     counts = np.full(w.shape[1], 3.0)
     counts[0] = counts[-1] = 2.0
-    sm = sums / counts
-    sm = sm / sm.sum(axis=1, keepdims=True)
+    sm /= counts
+    sm /= sm.sum(axis=1, keepdims=True)
     return AttentionMatrix(m.utt_id, sm)
 
 
+def average_runs(runs: Iterable[dict[str, AttentionMatrix]]) -> dict[str, AttentionMatrix]:
+    """Elementwise mean over independent runs of each utterance's matrix.
+
+    Each run is added into a running sum as it comes, so an iterator of
+    runs needs only the sums and one run at a time. The runs are added in
+    order and the sums then divided by their count, which is bit for bit
+    `np.mean` over the stacked runs. One run is returned as it is. Runs
+    that differ in their utterances or in a matrix's shape raise DataError.
+    """
+    mean: dict[str, AttentionMatrix] = {}
+    k = 0
+    for run in runs:
+        if k:
+            missing = mean.keys() ^ run.keys()
+            if missing:
+                raise DataError("runs disagree on utterances: %s" % ", ".join(sorted(missing)))
+            for utt_id, m in run.items():
+                shape = mean[utt_id].weights.shape
+                if m.weights.shape != shape:
+                    raise DataError("%s: matrix shape mismatch %s vs %s"
+                                    % (utt_id, m.weights.shape, shape))
+            for utt_id, m in run.items():
+                if k == 1:  # new arrays: the first run's are the caller's
+                    mean[utt_id] = AttentionMatrix(utt_id, mean[utt_id].weights + m.weights)
+                else:
+                    mean[utt_id].weights += m.weights
+        else:
+            mean = dict(run)
+        k += 1
+        del run  # not held while the next run is read
+    if not k:
+        raise DataError("no attention matrices given")
+    if k > 1:
+        for m in mean.values():
+            m.weights /= k
+    return mean
+
+
 def average_matrices(ms: list[AttentionMatrix]) -> AttentionMatrix:
-    """Elementwise mean of same-shaped matrices from independent runs."""
+    """Elementwise mean of one utterance's same-shaped matrices from independent runs."""
     if not ms:
         raise DataError("no matrices to average")
-    first = ms[0]
-    for m in ms[1:]:
-        if m.utt_id != first.utt_id:
-            raise DataError(
-                "cannot average matrices of %s and %s" % (first.utt_id, m.utt_id)
-            )
-        if m.weights.shape != first.weights.shape:
-            raise DataError(
-                "%s: matrix shape mismatch %s vs %s"
-                % (m.utt_id, m.weights.shape, first.weights.shape)
-            )
-    mean = np.mean([m.weights for m in ms], axis=0)
-    return AttentionMatrix(first.utt_id, mean)
+    return average_runs({m.utt_id: m} for m in ms)[ms[0].utt_id]
 
 
 def hard_align(m: AttentionMatrix) -> tuple[int, ...]:
     """The aligned WRL word index of every UL symbol position: the per-row
     argmax, with ties broken toward the lower word index."""
-    return tuple(int(i) for i in np.argmax(m.weights, axis=1))
+    return tuple(np.argmax(m.weights, axis=1).tolist())
 
 
 def alignment_to_segmentation(idx: tuple[int, ...]) -> Segmentation:
@@ -65,8 +96,8 @@ def alignment_to_segmentation(idx: tuple[int, ...]) -> Segmentation:
 
     Word indices need not be monotone: any change opens a new word.
     """
-    bounds = {t + 1 for t in range(len(idx) - 1) if idx[t] != idx[t + 1]}
-    return Segmentation(len(idx), frozenset(bounds))
+    a = np.asarray(idx)
+    return Segmentation(len(idx), frozenset((np.flatnonzero(a[1:] != a[:-1]) + 1).tolist()))
 
 
 def segment_matrix(m: AttentionMatrix, smooth: bool = True) -> Segmentation:
@@ -76,25 +107,28 @@ def segment_matrix(m: AttentionMatrix, smooth: bool = True) -> Segmentation:
 
 
 def segment_corpus(
-    matrices_per_run: list[dict[str, AttentionMatrix]], smooth: bool = True
+    matrices_per_run: Iterable[dict[str, AttentionMatrix]], smooth: bool = True
 ) -> dict[str, Segmentation]:
     """Average across runs (if more than one), then smooth and segment.
 
     `matrices_per_run` holds one id->matrix map per training run; all
-    runs must cover the same utterances.
+    runs must cover the same utterances. The matrices of one width are
+    segmented as one stack of rows, which is then cut at the utterance
+    edges: smoothing and the argmax read one row at a time, so each
+    utterance gets the segmentation it gets alone.
     """
-    if not matrices_per_run:
-        raise DataError("no attention matrices given")
-    ids = set(matrices_per_run[0])
-    for run in matrices_per_run[1:]:
-        missing = ids.symmetric_difference(run)
-        if missing:
-            raise DataError(
-                "runs disagree on utterances: %s" % ", ".join(sorted(missing))
-            )
+    mean = average_runs(matrices_per_run)
+    by_width: dict[int, list[str]] = {}
+    for utt_id in sorted(mean):
+        by_width.setdefault(mean[utt_id].num_words, []).append(utt_id)
     out = {}
-    for utt_id in sorted(ids):
-        ms = [run[utt_id] for run in matrices_per_run]
-        m = average_matrices(ms) if len(ms) > 1 else ms[0]
-        out[utt_id] = segment_matrix(m, smooth=smooth)
-    return out
+    for ids in by_width.values():
+        stacked = AttentionMatrix("", np.concatenate([mean[u].weights for u in ids]))
+        bounds = sorted(segment_matrix(stacked, smooth=smooth).boundaries)
+        start = 0
+        for utt_id in ids:
+            end = start + mean[utt_id].num_symbols
+            inner = bounds[bisect.bisect_right(bounds, start): bisect.bisect_left(bounds, end)]
+            out[utt_id] = Segmentation(end - start, frozenset(b - start for b in inner))
+            start = end
+    return {utt_id: out[utt_id] for utt_id in sorted(out)}

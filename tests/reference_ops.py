@@ -20,7 +20,10 @@ batch as the oracle for `AlignerModel.forward_batch`.
 hypothesis by adding its chain to the counts and removing it again, the
 oracle for the read-only `DpsegSampler._resample_site`.
 `reference_write_attention_matrices` formats one value at a time, the
-oracle for `write_attention_matrices`.
+oracle for `write_attention_matrices`. `reference_forced_decode_corpus`
+runs every utterance through the full teacher-forced `decode`, readout
+included, in source-length batches of up to 64 in corpus order: the oracle
+for `forced_decode_corpus`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from attnseg import numerics as nm
-from attnseg.aligner import MAXOUT_POOL
+from attnseg.aligner import MAXOUT_POOL, AttentionMatrix, _bucket_batches, _pack_batch
 from attnseg.baselines import UTT_EDGE, _break_after, _break_before
 from attnseg.errors import NumericalError
 from attnseg.numerics import check_finite
@@ -623,3 +626,16 @@ def reference_write_attention_matrices(path: str, matrices: dict) -> None:
             f.write("%s %d %d\n" % (utt_id, m.num_symbols, m.num_words))
             for row in m.weights:
                 f.write(" ".join("%.10e" % v for v in row) + "\n")
+
+
+def reference_forced_decode_corpus(model, corpus) -> dict:
+    """`forced_decode_corpus` through `decode`, in batches of up to 64 in corpus order."""
+    out = {}
+    for batch in _bucket_batches(corpus.utterances, 64, None, shuffle=False):
+        utts = [corpus.utterances[i] for i in batch]
+        src, tgt, _ = _pack_batch(model, utts)
+        h, s0 = model.encode(src)
+        _, alphas = model.decode(h, h @ model.attn_W1.data, s0, tgt)
+        for b, u in enumerate(utts):
+            out[u.id] = AttentionMatrix(u.id, alphas[:len(u.ul_symbols), b].astype(np.float64))
+    return out

@@ -24,6 +24,7 @@ from attnseg.aligner import (
     train,
     write_attention_matrices,
 )
+from attnseg.cli import SynthConfig, synth_corpus
 from attnseg.corpus import (
     ParallelCorpus,
     ParallelUtterance,
@@ -521,6 +522,108 @@ class TestForcedDecode:
         with np.load(path) as z:
             names = set(z.files)
         assert names == {"__version__"} | {"param/" + k for k in trained.parameters()}
+
+
+def bucketed_corpus(sizes: dict[int, int], seed: int = 5) -> ParallelCorpus:
+    """The first sizes[A] utterances with A words of one synthetic corpus, for each A,
+    in corpus order."""
+    full = synth_corpus(SynthConfig(corpus_size=1500, sent_len_min=1, sent_len_max=6,
+                                    seed=seed))
+    kept = []
+    for u in full:
+        if sum(len(v.wrl_words) == len(u.wrl_words) for v in kept) < sizes.get(
+                len(u.wrl_words), 0):
+            kept.append(u)
+    return ParallelCorpus(tuple(kept), full.ul_vocab, full.wrl_vocab)
+
+
+def peaky_model(corpus, dtype, seed=3):
+    """An untrained model whose weights are scaled up, so that its attention is not
+    near uniform."""
+    model = AlignerModel(small_config(cell_size=16, dtype=dtype, seed=seed),
+                         corpus.wrl_vocab, corpus.ul_vocab)
+    model.flat *= 4.0
+    return model
+
+
+# buckets of one, of 2-64 and of over 128 utterances, none of 64k + 1
+BUCKETS = {1: 1, 2: 2, 3: 37, 4: 64, 5: 130, 6: 200}
+
+
+class TestForcedDecodeBatches:
+    """Length-sorted chunks that drop finished rows, against the full `decode` in
+    64-row batches of corpus order."""
+
+    @pytest.fixture(scope="class")
+    def bucketed(self):
+        return bucketed_corpus(BUCKETS)
+
+    def test_chunks(self, bucketed):
+        chunks = al._forced_decode_chunks(bucketed)
+        assert sorted(i for c in chunks for i in c) == list(range(len(bucketed)))
+        sizes: dict[int, list[int]] = {}
+        for c in chunks:
+            utts = [bucketed.utterances[i] for i in c]
+            assert len({len(u.wrl_words) for u in utts}) == 1
+            lengths = [len(u.ul_symbols) for u in utts]
+            assert lengths == sorted(lengths, reverse=True)
+            sizes.setdefault(len(utts[0].wrl_words), []).append(len(c))
+        for a, n in BUCKETS.items():
+            k = -(-n // al.FORCED_DECODE_ROWS)
+            assert len(sizes[a]) == k and sum(sizes[a]) == n
+            assert max(sizes[a]) <= al.FORCED_DECODE_ROWS
+            assert max(sizes[a]) - min(sizes[a]) <= 1
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_matches_full_decode_reference(self, bucketed, dtype):
+        model = peaky_model(bucketed, dtype)
+        fast = forced_decode_corpus(model, bucketed)
+        slow = ref.reference_forced_decode_corpus(model, bucketed)
+        assert list(fast) == [u.id for u in bucketed]  # corpus order
+        for u in bucketed:
+            np.testing.assert_array_equal(fast[u.id].weights, slow[u.id].weights, err_msg=u.id)
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(keep=st.lists(st.booleans(), min_size=sum(BUCKETS.values()),
+                         max_size=sum(BUCKETS.values())))
+    def test_matrix_does_not_depend_on_neighbours(self, bucketed, keep):
+        """Any sub-corpus that leaves an utterance at least one bucket mate decodes
+        it to the same bits."""
+        model = peaky_model(bucketed, "float32")
+        full = forced_decode_corpus(model, bucketed)
+        sub = ParallelCorpus(tuple(u for u, k in zip(bucketed, keep) if k),
+                             bucketed.ul_vocab, bucketed.wrl_vocab)
+        mates = {}
+        for u in sub:
+            mates[len(u.wrl_words)] = mates.get(len(u.wrl_words), 0) + 1
+        for u_id, m in forced_decode_corpus(model, sub).items():
+            u = sub.by_id(u_id)
+            if mates[len(u.wrl_words)] >= 2:
+                np.testing.assert_array_equal(m.weights, full[u_id].weights, err_msg=u_id)
+
+    @pytest.mark.parametrize("dtype, eps", [("float32", 1.2e-7), ("float64", 2.3e-16)])
+    def test_utterance_alone_in_a_reference_batch_moves_in_the_last_bits(self, dtype, eps):
+        """A bucket of 65: the 64-row reference decodes its last utterance alone, on
+        numpy's one-row BLAS path; that matrix may differ from the reference within
+        a few hundred units in the last place, and no other may differ at all."""
+        corpus = bucketed_corpus({4: 65})
+        model = peaky_model(corpus, dtype)
+        fast = forced_decode_corpus(model, corpus)
+        slow = ref.reference_forced_decode_corpus(model, corpus)
+        lone = corpus.utterances[-1].id
+        for u in corpus.utterances[:-1]:
+            np.testing.assert_array_equal(fast[u.id].weights, slow[u.id].weights)
+        np.testing.assert_allclose(fast[lone].weights, slow[lone].weights, rtol=200 * eps)
+
+    def test_unknown_symbol_names_line_and_utterance(self, bucketed):
+        model = peaky_model(bucketed, "float32")
+        utts = list(bucketed.utterances[:3])
+        utts[1] = ParallelUtterance(utts[1].id, ("never-seen",), utts[1].wrl_words)
+        corpus = ParallelCorpus(tuple(utts), bucketed.ul_vocab, bucketed.wrl_vocab)
+        with pytest.raises(DataError, match=r"^line 2, utterance %s: symbol 'never-seen' "
+                                            % utts[1].id):
+            forced_decode_corpus(model, corpus)
 
 
 class TestMatrixWriter:

@@ -568,6 +568,46 @@ class TestBadInputs:
         assert err.startswith("data error: utterance %r is in " % odd) and err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == ["attn.txt", "corpus"]  # nothing written
 
+    @pytest.mark.parametrize("cut_run", [0, 1])
+    def test_matrix_with_a_row_too_few_is_data_error(self, corpus_dir, tmp_path, capsys,
+                                                     cut_run):
+        """The row count is checked against the corpus for every run, before the
+        segmentation file is opened."""
+        ul, wrl = corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt"
+        corpus = load_parallel_corpus(ul, wrl)
+        runs = [str(tmp_path / ("attn%d.txt" % k)) for k in range(2)]
+        for k, path in enumerate(runs):
+            matrices = {u.id: AttentionMatrix(u.id, np.full(
+                (len(u.ul_symbols) - (k == cut_run and i == 0), len(u.wrl_words)),
+                1.0 / len(u.wrl_words))) for i, u in enumerate(corpus)}
+            al.write_attention_matrices(path, matrices)
+        out = tmp_path / "seg.txt"
+        first = corpus.utterances[0]
+        assert main(["segment", "--matrices", *runs, "--ul", ul, "--wrl", wrl,
+                     "--out", str(out)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "data error: %s: %s has a row count of %d, but %d UL symbols in %s\n" % (
+            runs[cut_run], first.id, len(first.ul_symbols) - 1, len(first.ul_symbols), ul)
+        assert not out.exists()
+
+    def test_unknown_symbol_names_file_line_and_utterance(self, corpus_dir, tmp_path, capsys):
+        ul, wrl = corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt"
+        corpus = load_parallel_corpus(ul, wrl)
+        ckpt = str(tmp_path / "model.npz")
+        cli.save_aligner_bundle(ckpt, AlignerModel(AlignerConfig(cell_size=4),
+                                                   corpus.wrl_vocab, corpus.ul_vocab))
+        lines = open(ul).read().splitlines()
+        lines[1] = "z z"  # synth's 12-symbol alphabet stops at l
+        bad = str(tmp_path / "ul.txt")
+        open(bad, "w").write("\n".join(lines) + "\n")
+        out = tmp_path / "attn.txt"
+        assert main(["force-align", "--model", ckpt, "--ul", bad, "--wrl", wrl,
+                     "--out", str(out)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == ("data error: %s: line 2, utterance utt00002: symbol 'z' is not in "
+                       "the model's vocabulary\n" % bad)
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", [None, "unknown_key", "no_vocabulary", "bad_dtype",
                                       "cell_mismatch", "npz_nine_bytes", "npz_truncated",
                                       "npz_no_version", "npz_wrong_version",

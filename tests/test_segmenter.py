@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,7 @@ from attnseg.errors import DataError
 from attnseg.segmenter import (
     alignment_to_segmentation,
     average_matrices,
+    average_runs,
     hard_align,
     segment_corpus,
     segment_matrix,
@@ -73,6 +76,44 @@ class TestAverage:
     def test_id_mismatch(self):
         with pytest.raises(DataError):
             average_matrices([matrix([[1.0]], "a"), matrix([[1.0]], "b")])
+
+
+class TestAverageRuns:
+    @given(st.integers(2, 8), st.integers(0, 999))
+    def test_running_sum_is_np_mean_bit_for_bit(self, k, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [(int(rng.integers(1, 9)), int(rng.integers(1, 7))) for _ in range(4)]
+        runs = [{"u%d" % i: AttentionMatrix("u%d" % i, random_stochastic(rng, t, a))
+                 for i, (t, a) in enumerate(shapes)} for _ in range(k)]
+        before = {u: m.weights.copy() for u, m in runs[0].items()}
+        mean = average_runs(iter(runs))
+        for u, w in before.items():
+            np.testing.assert_array_equal(
+                mean[u].weights, np.mean([run[u].weights for run in runs], axis=0))
+            np.testing.assert_array_equal(runs[0][u].weights, w)  # the caller's arrays
+
+    def test_one_run_is_returned_as_it_is(self):
+        run = {"u": matrix([[0.3, 0.7]], "u")}
+        assert average_runs([run])["u"] is run["u"]
+
+    def test_holds_one_run_at_a_time(self):
+        refs = []
+
+        def runs():
+            for _ in range(4):
+                # the caller's loop still names the run before this one
+                assert all(r() is None for r in refs[:-1]), "an earlier run is still held"
+                m = matrix([[0.5, 0.5], [0.25, 0.75]], "u")
+                refs.append(weakref.ref(m))
+                yield {"u": m}
+                del m
+
+        np.testing.assert_array_equal(average_runs(runs())["u"].weights,
+                                      [[0.5, 0.5], [0.25, 0.75]])
+
+    def test_no_runs(self):
+        with pytest.raises(DataError, match="no attention matrices"):
+            average_runs(iter([]))
 
 
 class TestHardAlign:
@@ -146,6 +187,20 @@ class TestSegmentCorpus:
         for utt_id, m in ms.items():
             if hard_align(smooth_matrix(m)) == hard_align(m):
                 assert plain[utt_id] == smoothed[utt_id]
+
+    @given(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 4)), min_size=1, max_size=12),
+           st.integers(0, 99), st.booleans())
+    def test_stacked_rows_match_one_matrix_at_a_time(self, shapes, seed, smooth):
+        """Each width's matrices are segmented as one stack of rows, then cut at the
+        utterance edges; ties included, as each row of weights is drawn from thirds."""
+        rng = np.random.default_rng(seed)
+        ms = {}
+        for i, (t, a) in enumerate(shapes):
+            w = rng.integers(1, 4, size=(t, a)) / 3.0
+            ms["u%02d" % i] = AttentionMatrix("u%02d" % i, w / w.sum(axis=1, keepdims=True))
+        segs = segment_corpus([ms], smooth=smooth)
+        assert list(segs) == sorted(ms)
+        assert segs == {u: segment_matrix(m, smooth=smooth) for u, m in ms.items()}
 
     def test_segment_matrix_pipeline(self):
         m = matrix([[0.9, 0.05, 0.05], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
