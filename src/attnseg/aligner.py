@@ -4,7 +4,8 @@ The source side is always the well-resourced language and the target
 side the unwritten-language symbol sequence, so that every UL symbol
 receives one normalized attention row. The decoder is teacher-forced
 everywhere: reference translations are available even at test time, and
-attention extraction runs the same forced decoding with dropout off.
+attention extraction runs the same attention and cell steps with dropout
+off, and without the readout, which only the loss reads.
 
 The attention softmax is tempered (default T=10) during both training
 and extraction so the two distributions match.

@@ -97,16 +97,18 @@ class TestAverageRuns:
         assert average_runs([run])["u"] is run["u"]
 
     def test_holds_one_run_at_a_time(self):
+        class Run(dict):  # a dict that a weak reference can point to
+            pass
+
         refs = []
 
         def runs():
             for _ in range(4):
-                # the caller's loop still names the run before this one
-                assert all(r() is None for r in refs[:-1]), "an earlier run is still held"
-                m = matrix([[0.5, 0.5], [0.25, 0.75]], "u")
-                refs.append(weakref.ref(m))
-                yield {"u": m}
-                del m
+                assert all(r() is None for r in refs), "an earlier run is still held"
+                run = Run(u=matrix([[0.5, 0.5], [0.25, 0.75]], "u"))
+                refs.append(weakref.ref(run))
+                yield run
+                del run
 
         np.testing.assert_array_equal(average_runs(runs())["u"].weights,
                                       [[0.5, 0.5], [0.25, 0.75]])
