@@ -17,6 +17,8 @@ from .aligner import AttentionMatrix
 from .corpus import Segmentation
 from .errors import DataError
 
+STACK_MATRICES = 128  # the most matrices `segment_corpus` stacks at once: a bound on its copies
+
 
 def smooth_matrix(m: AttentionMatrix) -> AttentionMatrix:
     """Average each score with its two neighbors along the word axis.
@@ -112,17 +114,19 @@ def segment_corpus(
     """Average across runs (if more than one), then smooth and segment.
 
     `matrices_per_run` holds one id->matrix map per training run; all
-    runs must cover the same utterances. The matrices of one width are
-    segmented as one stack of rows, which is then cut at the utterance
-    edges: smoothing and the argmax read one row at a time, so each
-    utterance gets the segmentation it gets alone.
+    runs must cover the same utterances. Up to STACK_MATRICES matrices of
+    one width are segmented as one stack of rows, which is then cut at the
+    utterance edges: smoothing and the argmax read one row at a time, so
+    each utterance gets the segmentation it gets alone.
     """
     mean = average_runs(matrices_per_run)
     by_width: dict[int, list[str]] = {}
     for utt_id in sorted(mean):
         by_width.setdefault(mean[utt_id].num_words, []).append(utt_id)
+    stacks = [ids[k: k + STACK_MATRICES] for ids in by_width.values()
+              for k in range(0, len(ids), STACK_MATRICES)]
     out = {}
-    for ids in by_width.values():
+    for ids in stacks:
         stacked = AttentionMatrix("", np.concatenate([mean[u].weights for u in ids]))
         bounds = sorted(segment_matrix(stacked, smooth=smooth).boundaries)
         start = 0

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from attnseg.aligner import AttentionMatrix
 from attnseg.errors import DataError
 from attnseg.segmenter import (
+    STACK_MATRICES,
     alignment_to_segmentation,
     average_matrices,
     average_runs,
@@ -203,6 +204,14 @@ class TestSegmentCorpus:
         segs = segment_corpus([ms], smooth=smooth)
         assert list(segs) == sorted(ms)
         assert segs == {u: segment_matrix(m, smooth=smooth) for u, m in ms.items()}
+
+    def test_more_matrices_of_one_width_than_one_stack_holds(self):
+        rng = np.random.default_rng(3)
+        ms = {}
+        for i in range(2 * STACK_MATRICES + 5):
+            w = rng.integers(1, 4, size=(int(rng.integers(1, 9)), 3)) / 3.0
+            ms["u%03d" % i] = AttentionMatrix("u%03d" % i, w / w.sum(axis=1, keepdims=True))
+        assert segment_corpus([ms]) == {u: segment_matrix(m) for u, m in ms.items()}
 
     def test_segment_matrix_pipeline(self):
         m = matrix([[0.9, 0.05, 0.05], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
