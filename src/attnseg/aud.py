@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .numerics import ARCHIVE_ERRORS
+from .numerics import load_archive, save_archive
 
 
 # ---------------------------------------------------------------------------
@@ -38,13 +38,12 @@ DELTA_WINDOW = 2
 @dataclass
 class FeatureSequence:
     utt_id: str
-    frame_step_s: float
-    frame_len_s: float
-    features: np.ndarray  # (F, D)
+    features: np.ndarray  # (F, D), one frame every FRAME_STEP_S
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise DataError("feature matrix must be (F >= 1, D)")
+            raise DataError("%s: feature matrix has shape %s, expected (F >= 1, D)"
+                            % (self.utt_id, self.features.shape))
         if not np.all(np.isfinite(self.features)):
             raise DataError("%s: non-finite feature values" % self.utt_id)
 
@@ -152,7 +151,7 @@ def extract_mfcc(signal: np.ndarray, rate: int, utt_id: str = "utt") -> FeatureS
     d1 = delta(ceps, DELTA_WINDOW)
     d2 = delta(d1, DELTA_WINDOW)
     feats = np.concatenate([ceps, d1, d2], axis=1)
-    return FeatureSequence(utt_id, FRAME_STEP_S, FRAME_LEN_S, feats)
+    return FeatureSequence(utt_id, feats)
 
 
 # ---------------------------------------------------------------------------
@@ -814,13 +813,12 @@ def decode_units(model: AudModel, feats: FeatureSequence) -> TimedUnitSequence:
         if moved[t, u, s]:
             u, s = (u, s - 1) if s > 0 else (int(exit_from[t]), S - 1)
         units[t - 1] = u
-    step = feats.frame_step_s
     intervals = []
     run_start = 0
     for t in range(1, F + 1):
         if t == F or units[t] != units[run_start]:
             intervals.append(
-                ("a%d" % units[run_start], run_start * step, t * step)
+                ("a%d" % units[run_start], run_start * FRAME_STEP_S, t * FRAME_STEP_S)
             )
             run_start = t
     return TimedUnitSequence(feats.utt_id, tuple(intervals))
@@ -848,60 +846,33 @@ def write_timed_units(path: str, sequences: list[TimedUnitSequence]) -> None:
 
 
 def save_aud_model(path: str, model: AudModel) -> None:
-    c = model.config
-    with open(path, "wb") as f:  # at `path` exactly: np.savez appends .npz to a name
-        np.savez(f, log_pi=model.log_pi, stay=model.stay, mix_weights=model.mix_weights,
-                 means=model.means, variances=model.variances,
-                 config=np.array([c.num_units, c.states_per_unit, c.mix_components, c.gamma,
-                                  c.iterations, c.seed]))
+    """The model's arrays by field name, plus one `config/<field>` entry per AudConfig field."""
+    arrays = {f.name: getattr(model, f.name) for f in fields(AudModel) if f.name != "config"}
+    for f in fields(AudConfig):
+        arrays["config/" + f.name] = np.asarray(getattr(model.config, f.name))
+    save_archive(path, arrays)
 
 
 def load_aud_model(path: str) -> AudModel:
     """Read a `save_aud_model` file; DataError, naming the path, if it is not one."""
-    try:
-        with np.load(path) as z:
-            c = z["config"]
-            if c.shape != (len(fields(AudConfig)),):  # another layout would be misread
-                raise ValueError("config holds %s values, expected %d"
-                                 % (c.size, len(fields(AudConfig))))
-            config = AudConfig(
-                num_units=int(c[0]), states_per_unit=int(c[1]), mix_components=int(c[2]),
-                gamma=float(c[3]), iterations=int(c[4]), seed=int(c[5]),
-            )
-            return AudModel(
-                config=config,
-                log_pi=z["log_pi"],
-                stay=z["stay"],
-                mix_weights=z["mix_weights"],
-                means=z["means"],
-                variances=z["variances"],
-            )
-    except ARCHIVE_ERRORS as e:
-        raise DataError("%s: not an AUD model (%s: %s)" % (path, type(e).__name__, e)) from None
+    def build(arrays):
+        config = AudConfig(**{f.name: type(f.default)(arrays["config/" + f.name])
+                              for f in fields(AudConfig)})
+        return AudModel(config, **{f.name: arrays[f.name] for f in fields(AudModel)
+                                   if f.name != "config"})
+    return load_archive(path, "an AUD model", build)
 
 
 def save_features(path: str, feats_list: list) -> None:
-    arrays = {}
-    for f in feats_list:
-        arrays["feat/" + f.utt_id] = f.features
-        arrays["time/" + f.utt_id] = np.array([f.frame_step_s, f.frame_len_s])
-    with open(path, "wb") as out:  # at `path` exactly: np.savez appends .npz to a name
-        np.savez(out, **arrays)
+    """One `feat/<id>` matrix per utterance, each at the frame step FRAME_STEP_S."""
+    save_archive(path, {"feat/" + f.utt_id: f.features for f in feats_list})
 
 
 def load_features(path: str) -> list:
     """Read a `save_features` file; DataError, naming the path, if it is not one or is empty."""
-    out = []
-    try:
-        with np.load(path) as z:
-            ids = sorted(k[len("feat/"):] for k in z.files if k.startswith("feat/"))
-            for utt_id in ids:
-                step, length = z["time/" + utt_id]
-                out.append(FeatureSequence(utt_id, float(step), float(length),
-                                           z["feat/" + utt_id]))
-    except ARCHIVE_ERRORS as e:
-        raise DataError("%s: not a feature archive (%s: %s)"
-                        % (path, type(e).__name__, e)) from None
-    if not out:
+    feats = load_archive(path, "a feature archive", lambda arrays: [
+        FeatureSequence(name[len("feat/"):], arrays[name])
+        for name in sorted(arrays) if name.startswith("feat/")])
+    if not feats:
         raise DataError("%s: no feature matrices" % path)
-    return out
+    return feats

@@ -424,29 +424,40 @@ def cmd_force_align(args) -> int:
     return EXIT_OK
 
 
-def _checked_run(path: str, run: dict[str, al.AttentionMatrix], symbols: dict[str, int],
-                 ul_path: str) -> dict[str, al.AttentionMatrix]:
-    """`run`, read from `path`, if it holds the corpus's utterances with one row
-    per UL symbol; `symbols` maps each utterance id to its symbol count."""
-    unmatched = run.keys() ^ symbols.keys()
+def _check_fit(path: str, m: al.AttentionMatrix, utt: cp.ParallelUtterance,
+               ul_path: str, wrl_path: str) -> None:
+    """DataError, naming `path` and the utterance, unless `m`, read from `path`, has
+    one row per UL symbol and one column per WRL word of `utt`."""
+    for count, have, want, side, corpus_path in (
+            ("row", m.num_symbols, len(utt.ul_symbols), "UL symbols", ul_path),
+            ("column", m.num_words, len(utt.wrl_words), "WRL words", wrl_path)):
+        if have != want:
+            raise DataError("%s: %s has a %s count of %d, but %d %s in %s"
+                            % (path, utt.id, count, have, want, side, corpus_path))
+
+
+def _checked_run(path: str, run: dict[str, al.AttentionMatrix],
+                 utts: dict[str, cp.ParallelUtterance], ul_path: str,
+                 wrl_path: str) -> dict[str, al.AttentionMatrix]:
+    """`run`, read from `path`, if it holds the corpus's utterances `utts` by id,
+    each matrix of the size that `_check_fit` asks."""
+    unmatched = run.keys() ^ utts.keys()
     if unmatched:
         odd = min(unmatched)
         raise DataError("utterance %r is in %s but not in %s"
                         % (odd, *((path, ul_path) if odd in run else (ul_path, path))))
     for utt_id, m in run.items():
-        if m.num_symbols != symbols[utt_id]:
-            raise DataError("%s: %s has a row count of %d, but %d UL symbols in %s"
-                            % (path, utt_id, m.num_symbols, symbols[utt_id], ul_path))
+        _check_fit(path, m, utts[utt_id], ul_path, wrl_path)
     return run
 
 
 def cmd_segment(args) -> int:
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
-    symbols = {u.id: len(u.ul_symbols) for u in corpus}
+    utts = {u.id: u for u in corpus}
     # each run is checked, then added into the mean as it is read: before anything is
     # written, and with one run in memory at a time
-    mean = sg.average_runs(_checked_run(p, al.read_attention_matrices(p), symbols, args.ul)
-                           for p in args.matrices)
+    mean = sg.average_runs(_checked_run(p, al.read_attention_matrices(p), utts, args.ul,
+                                        args.wrl) for p in args.matrices)
     segs = sg.segment_corpus([mean], smooth=not args.no_smooth)
     cp.write_segmentations(corpus, segs, args.out)
     write_manifest(args.out, "segment", list(args.matrices) + [args.ul, args.wrl],
@@ -498,6 +509,7 @@ def cmd_plot(args) -> int:
     if args.ul is not None:
         corpus = cp.load_parallel_corpus(args.ul, args.wrl)
         utt = corpus.by_id(args.utt)
+        _check_fit(args.matrices, matrices[args.utt], utt, args.ul, args.wrl)
         inputs += [args.ul, args.wrl]
     plot_attention(matrices[args.utt], utt, args.out)
     write_manifest(args.out, "plot", inputs, {"utt": args.utt}, [args.out, args.out + ".txt"])

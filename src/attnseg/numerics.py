@@ -1,4 +1,4 @@
-"""The LSTM cell on arrays, flat parameter buffers, the optimizer and checkpoints.
+"""The LSTM cell on arrays, flat parameter buffers, the optimizer and .npz archives.
 
 The aligner computes its forward passes on numpy arrays and derives
 their backward passes by hand (`aligner.AlignerModel.encode`, `decode`
@@ -20,11 +20,13 @@ from __future__ import annotations
 import math
 import zipfile
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
 from .errors import DataError, NumericalError
+
+T = TypeVar("T")
 
 
 def check_finite(x: np.ndarray, op: str) -> np.ndarray:
@@ -226,7 +228,7 @@ def adam_update(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints
+# Archives and checkpoints
 
 CHECKPOINT_VERSION = 1
 
@@ -234,24 +236,36 @@ CHECKPOINT_VERSION = 1
 ARCHIVE_ERRORS = (ValueError, TypeError, KeyError, IndexError, EOFError, zipfile.BadZipFile)
 
 
-def save_checkpoint(path: str, params: dict[str, Tensor]) -> None:
-    """.npz container: `param/<name>` -> array, plus the format's `__version__`."""
-    arrays = {"param/" + k: v.data for k, v in params.items()}
-    arrays["__version__"] = np.asarray(CHECKPOINT_VERSION)
+def save_archive(path: str, arrays: dict[str, np.ndarray]) -> None:
+    """An uncompressed .npz of `arrays` by name: the package's one .npz writer."""
     with open(path, "wb") as f:  # at `path` exactly: np.savez appends .npz to a name
         np.savez(f, **arrays)
+
+
+def load_archive(path: str, kind: str, build: Callable[[dict[str, np.ndarray]], T]) -> T:
+    """`build` of the arrays of a `save_archive` file by name: the package's one .npz
+    reader. DataError, naming the path as not `kind`, if the file is not an archive
+    or `build` rejects its arrays: a name missing, or a DataError of its own."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            return build({name: z[name] for name in z.files})
+    except ARCHIVE_ERRORS as e:
+        raise DataError("%s: not %s (%s: %s)" % (path, kind, type(e).__name__, e)) from None
+
+
+def save_checkpoint(path: str, params: dict[str, Tensor]) -> None:
+    """`param/<name>` -> array, plus the format's `__version__`."""
+    arrays = {"param/" + k: v.data for k, v in params.items()}
+    arrays["__version__"] = np.asarray(CHECKPOINT_VERSION)
+    save_archive(path, arrays)
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     """The parameters of a save_checkpoint file by name; DataError if it is not one
     of this version."""
-    try:
-        with np.load(path, allow_pickle=False) as z:
-            version = int(z["__version__"])
-            params = {k[len("param/"):]: z[k] for k in z.files if k.startswith("param/")}
-    except ARCHIVE_ERRORS as e:
-        raise DataError("%s: not a checkpoint (%s: %s)"
-                        % (path, type(e).__name__, e)) from None
+    version, params = load_archive(path, "a checkpoint", lambda arrays: (
+        int(arrays["__version__"]),
+        {k[len("param/"):]: v for k, v in arrays.items() if k.startswith("param/")}))
     if version != CHECKPOINT_VERSION:
         raise DataError("%s: unsupported checkpoint version %d" % (path, version))
     return params

@@ -358,7 +358,7 @@ def three_unit_corpus(n_utts, seed):
             n = int(rng.integers(4, 8))
             frames.append(protos[lab] + 0.3 * rng.standard_normal((n, 2)))
             frame_labels.extend([int(lab)] * n)
-        feats.append(FeatureSequence("u%03d" % i, 0.01, 0.025, np.concatenate(frames)))
+        feats.append(FeatureSequence("u%03d" % i, np.concatenate(frames)))
         truth.append(frame_labels)
     return feats, truth
 

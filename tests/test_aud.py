@@ -170,15 +170,15 @@ class TestMfcc:
     def test_feature_file_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
         feats = [
-            FeatureSequence("u1", 0.01, 0.025, rng.standard_normal((5, 3))),
-            FeatureSequence("u2", 0.01, 0.025, rng.standard_normal((7, 3))),
+            FeatureSequence("u1", rng.standard_normal((5, 3))),
+            FeatureSequence("u2", rng.standard_normal((7, 3))),
         ]
         p = str(tmp_path / "f.npz")
         save_features(p, feats)
         back = load_features(p)
         assert [f.utt_id for f in back] == ["u1", "u2"]
         np.testing.assert_array_equal(back[0].features, feats[0].features)
-        assert back[1].frame_step_s == 0.01
+        np.testing.assert_array_equal(back[1].features, feats[1].features)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def synth_unit_corpus(n_utts=20, seed=0):
             n = int(rng.integers(4, 8))
             frames.append(protos[lab] + 0.3 * rng.standard_normal((n, 2)))
             frame_labels.extend([int(lab)] * n)
-        feats.append(FeatureSequence("u%03d" % i, 0.01, 0.025, np.concatenate(frames)))
+        feats.append(FeatureSequence("u%03d" % i, np.concatenate(frames)))
         truth.append(frame_labels)
     return feats, truth
 
@@ -549,7 +549,7 @@ class TestStructuredRecursions:
             m = random_model(4, states, mix, seed=100 * seed + 10 * states + mix,
                              dead_unit=seed % 4)
             x = np.random.default_rng(seed).standard_normal((12, 2)) * 2.0
-            f = FeatureSequence("u", 0.01, 0.025, x)
+            f = FeatureSequence("u", x)
             assert frame_units(decode_units(m, f)) == dense_viterbi_units(m, x)
 
     @pytest.mark.parametrize("states", [1, 2, 3])
@@ -572,7 +572,7 @@ class TestStructuredRecursions:
             )
             x = rng.integers(0, 2, (10, 1)) * 3 * 2.0 ** 30
             assert np.all(m.emission_loglik(x) % 2.0 ** 59 == 0)
-            units = frame_units(decode_units(m, FeatureSequence("u", 0.01, 0.025, x)))
+            units = frame_units(decode_units(m, FeatureSequence("u", x)))
             assert units == dense_viterbi_units(m, x), seed
             assert 2 not in units
 
@@ -724,7 +724,7 @@ class TestDecoding:
         rng = np.random.default_rng(5)
         m = tiny_model(units=2, states=2, seed=5)
         x = rng.standard_normal((4, 2))
-        f = FeatureSequence("u", 0.01, 0.025, x)
+        f = FeatureSequence("u", x)
         seq = decode_units(m, f)
         # best over all paths by brute force
         U, S = m.stay.shape
@@ -782,7 +782,7 @@ class TestDecoding:
 
     def test_dim_mismatch(self):
         m = tiny_model(dim=2)
-        f = FeatureSequence("u", 0.01, 0.025, np.zeros((3, 5)))
+        f = FeatureSequence("u", np.zeros((3, 5)))
         with pytest.raises(DataError):
             decode_units(m, f)
 
@@ -811,6 +811,7 @@ class TestIo:
         p = str(tmp_path / "aud.npz")
         save_aud_model(p, model)
         back = load_aud_model(p)
+        assert back.config == model.config
         x = feats[0].features
         assert forward_loglik(back, x) == pytest.approx(
             forward_loglik(model, x), abs=1e-9)

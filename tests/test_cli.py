@@ -568,27 +568,37 @@ class TestBadInputs:
         assert err.startswith("data error: utterance %r is in " % odd) and err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == ["attn.txt", "corpus"]  # nothing written
 
-    @pytest.mark.parametrize("cut_run", [0, 1])
+    @pytest.mark.parametrize("command, cut_run, side", [
+        ("segment", 0, "row"), ("segment", 1, "row"), ("segment", 0, "column"),
+        ("plot", 1, "row"), ("plot", 1, "column")],
+        ids=["0", "1", "segment-column", "plot-row", "plot-column"])
     def test_matrix_with_a_row_too_few_is_data_error(self, corpus_dir, tmp_path, capsys,
-                                                     cut_run):
-        """The row count is checked against the corpus for every run, before the
-        segmentation file is opened."""
+                                                     command, cut_run, side):
+        """The row count, and the column count, is checked against the corpus for every
+        run, before an output file is opened: a row too few or a column too many."""
         ul, wrl = corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt"
         corpus = load_parallel_corpus(ul, wrl)
         runs = [str(tmp_path / ("attn%d.txt" % k)) for k in range(2)]
         for k, path in enumerate(runs):
-            matrices = {u.id: AttentionMatrix(u.id, np.full(
-                (len(u.ul_symbols) - (k == cut_run and i == 0), len(u.wrl_words)),
-                1.0 / len(u.wrl_words))) for i, u in enumerate(corpus)}
+            matrices = {}
+            for i, u in enumerate(corpus):
+                rows, cols = len(u.ul_symbols), len(u.wrl_words)
+                if k == cut_run and i == 0:
+                    rows, cols = (rows - 1, cols) if side == "row" else (rows, cols + 1)
+                matrices[u.id] = AttentionMatrix(u.id, np.full((rows, cols), 1.0 / cols))
             al.write_attention_matrices(path, matrices)
-        out = tmp_path / "seg.txt"
         first = corpus.utterances[0]
-        assert main(["segment", "--matrices", *runs, "--ul", ul, "--wrl", wrl,
-                     "--out", str(out)]) == cli.EXIT_DATA
+        args = (["segment", "--matrices", *runs] if command == "segment"
+                else ["plot", "--matrices", runs[cut_run], "--utt", first.id])
+        assert main(args + ["--ul", ul, "--wrl", wrl,
+                            "--out", str(tmp_path / "out")]) == cli.EXIT_DATA
         err = capsys.readouterr().err
-        assert err == "data error: %s: %s has a row count of %d, but %d UL symbols in %s\n" % (
-            runs[cut_run], first.id, len(first.ul_symbols) - 1, len(first.ul_symbols), ul)
-        assert not out.exists()
+        want = ((len(first.ul_symbols) - 1, len(first.ul_symbols), "UL symbols", ul)
+                if side == "row" else
+                (len(first.wrl_words) + 1, len(first.wrl_words), "WRL words", wrl))
+        assert err == "data error: %s: %s has a %s count of %d, but %d %s in %s\n" % (
+            runs[cut_run], first.id, side, *want)
+        assert sorted(os.listdir(tmp_path)) == ["attn0.txt", "attn1.txt", "corpus"]
 
     def test_unknown_symbol_names_file_line_and_utterance(self, corpus_dir, tmp_path, capsys):
         ul, wrl = corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt"
@@ -913,7 +923,7 @@ class TestAudBadInputs:
     @pytest.fixture()
     def aud_files(self, tmp_path):
         rng = np.random.default_rng(0)
-        feats = [aud_mod.FeatureSequence("u%d" % i, 0.01, 0.025, rng.standard_normal((9, 3)))
+        feats = [aud_mod.FeatureSequence("u%d" % i, rng.standard_normal((9, 3)))
                  for i in range(2)]
         paths = {"feats": str(tmp_path / "feats.npz"), "model": str(tmp_path / "aud.npz")}
         aud_mod.save_features(paths["feats"], feats)
@@ -924,8 +934,8 @@ class TestAudBadInputs:
     @pytest.mark.parametrize("case", ["wav_list_one_field", "wav_list_three_fields",
                                       "model_not_an_archive", "model_is_feature_archive",
                                       "features_without_matrices", "model_stay_cut",
-                                      "model_negative_variance", "model_config_old_layout",
-                                      "model_config_eight_values"])
+                                      "model_negative_variance", "model_config_positional",
+                                      "model_config_field_missing", "features_empty_matrix"])
     def test_bad_aud_input_is_data_error(self, aud_files, tmp_path, capsys, case):
         bad = str(tmp_path / "bad")
         decode = ["aud-decode", "--model", aud_files["model"], "--features", aud_files["feats"],
@@ -944,16 +954,19 @@ class TestAudBadInputs:
                 arrays = {k: z[k] for k in z.files}
             if case == "model_stay_cut":
                 arrays["stay"] = arrays["stay"][:1]
-            elif case == "model_config_old_layout":  # var_floor_frac before the seed
-                arrays["config"] = np.insert(arrays["config"], 5, 1e-3)
-            elif case == "model_config_eight_values":
-                arrays["config"] = np.append(arrays["config"], [0.0, 0.0])
+            elif case == "model_config_positional":  # the layout before `config/<field>`
+                config = [arrays.pop(k) for k in list(arrays) if k.startswith("config/")]
+                arrays["config"] = np.array(config, dtype=float)
+            elif case == "model_config_field_missing":
+                del arrays["config/gamma"]
             else:
                 arrays["variances"][0, 0, 0, 0] = -1.0
             np.savez(bad + ".npz", **arrays)
             args = decode[:2] + [bad + ".npz"] + decode[3:]
         else:
-            np.savez(bad + ".npz", other=np.zeros(2))
+            arrays = ({"feat/u1": np.zeros((0, 39))} if case == "features_empty_matrix"
+                      else {"other": np.zeros(2)})
+            np.savez(bad + ".npz", **arrays)
             args = decode[:4] + [bad + ".npz"] + decode[5:]
         assert main(decode) == cli.EXIT_OK
         capsys.readouterr()
@@ -961,6 +974,8 @@ class TestAudBadInputs:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert bad in err or aud_files["feats"] in err  # the message names the file
+        if case == "features_empty_matrix":
+            assert "u1: feature matrix has shape (0, 39)" in err
 
     @pytest.mark.parametrize("field, index, value", [
         ("stay", (0, 0), 1.5), ("stay", (1, 0), -0.25), ("stay", (0, 0), np.nan),

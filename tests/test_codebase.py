@@ -1,6 +1,6 @@
 """Checks on the sources and docs themselves: no unreachable code, no setting that
-nothing sets, one error class per exit code, no stale commands, and no run-time
-dependency beyond numpy and the standard library."""
+nothing sets, one error class per exit code, one .npz reader and writer, no stale
+commands, and no run-time dependency beyond numpy and the standard library."""
 
 import argparse
 import ast
@@ -142,6 +142,32 @@ def test_errors_are_the_three_exit_classes():
         code = next(_name(n.value) for n in handler.body if isinstance(n, ast.Return))
         mapped.update({_name(t): code for t in types})
     assert mapped == {**EXIT_CLASSES, "OSError": "EXIT_DATA"}
+
+
+# ---------------------------------------------------------------------------
+# One .npz writer and one reader, `numerics.save_archive` and `numerics.load_archive`,
+# and only the reader catches what a bad archive raises.
+
+NPZ_FUNCTIONS = {"load", "savez", "savez_compressed"}
+ARCHIVE_PAIR = {"save_archive", "load_archive"}
+
+
+def test_npz_files_go_through_the_numerics_archive_pair():
+    found, pair_names = [], set()
+    for file, tree in package_trees():
+        pair = [node for node in tree.body if file == "numerics.py"
+                and isinstance(node, ast.FunctionDef) and node.name in ARCHIVE_PAIR]
+        pair_names |= {function.name for function in pair}
+        inside = {id(n) for function in pair for n in ast.walk(function)}
+        for node in ast.walk(tree):
+            npz = (isinstance(node, ast.Attribute) and node.attr in NPZ_FUNCTIONS
+                   and _name(node.value) in ("np", "numpy") and id(node) not in inside)
+            names_errors = file != "numerics.py" and "ARCHIVE_ERRORS" in (
+                _name(node), getattr(node, "name", None))  # a Name, Attribute or import alias
+            if npz or names_errors:
+                found.append("%s:%d" % (file, getattr(node, "lineno", 0)))
+    assert pair_names == ARCHIVE_PAIR
+    assert found == []
 
 
 def readme_commands() -> list[str]:
