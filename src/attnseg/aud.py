@@ -307,12 +307,14 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray,
     """k-means from `centroids`, which it updates in place; returns them and
     the last assignment of the rows of X. A centroid that no row chooses stays.
     The squared distances leave out |x|^2, which is the same for every centroid."""
+    D = X.shape[1]
     for _ in range(iterations):
         d2 = (centroids * centroids).sum(axis=1) - 2.0 * (X @ centroids.T)
         assign = d2.argmin(axis=1)
         counts = np.bincount(assign, minlength=len(centroids))
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, X)
+        # each centroid's row sum, added in row order as np.add.at would
+        sums = np.bincount((assign[:, None] * D + np.arange(D)).ravel(), weights=X.ravel(),
+                           minlength=centroids.size).reshape(centroids.shape)
         filled = counts > 0
         centroids[filled] = sums[filled] / counts[filled, None]
     return centroids, assign
@@ -505,14 +507,29 @@ def _estep_utterance(model: AudModel, feats: np.ndarray, stats: _Stats) -> None:
 # c_t, and the backward pass reuses the same c_t, so a multiply and an add
 # replace every log-add. Utterances are sorted by length and left-aligned in
 # (frame, utterance, state, unit) arrays, so one numpy call per frame covers a
-# group of them; a group's two such arrays hold at most _STATE_FRAME_BUDGET
-# values each, unless one utterance alone is longer. The per-component
-# densities are recomputed per utterance for the counts rather than held for
-# the group, to keep memory down. An utterance whose normalisers underflow (a
-# c_t or its final exit mass at or below _SCALE_FLOOR) or whose counts come out
-# non-finite takes its counts from the log-domain `_estep_utterance` instead.
+# group of them (`_length_groups`); a group's two such arrays hold at most
+# _STATE_FRAME_BUDGET values each, unless one utterance alone is longer. Each
+# utterance's scaled component densities are computed once and kept for its
+# counts. An utterance whose normalisers underflow (a c_t or its final exit
+# mass at or below _SCALE_FLOOR) or whose counts come out non-finite takes its
+# counts from the log-domain `_estep_utterance` instead.
 _STATE_FRAME_BUDGET = 1 << 17
 _SCALE_FLOOR = 1e-250
+
+
+def _length_groups(lengths: list[int], states: int) -> list[list[int]]:
+    """The indices of `lengths` by non-increasing length, cut into groups whose
+    (longest length, group size, states) arrays hold at most _STATE_FRAME_BUDGET
+    values, unless one item alone is longer. The longest item left sets how
+    many fit, and the groups it sets come out even."""
+    order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
+    groups = []
+    while order:
+        fit = max(1, _STATE_FRAME_BUDGET // (lengths[order[0]] * states))
+        G = -(-len(order) // -(-len(order) // fit))
+        groups.append(order[:G])
+        order = order[G:]
+    return groups
 
 
 def _estep_corpus(model: AudModel, feats_list: list[np.ndarray], stats: _Stats) -> None:
@@ -525,16 +542,10 @@ def _estep_corpus(model: AudModel, feats_list: list[np.ndarray], stats: _Stats) 
     with np.errstate(divide="ignore"):
         pi = np.exp(model.log_pi)
     stay = model.stay.T.copy()
-    order = sorted(range(len(feats_list)), key=lambda i: -feats_list[i].shape[0])
     fallback = []
-    while order:
-        # the longest utterance left sets how many fit; the groups come out even
-        fit = max(1, _STATE_FRAME_BUDGET // (feats_list[order[0]].shape[0] * S * U))
-        groups = -(-len(order) // fit)
-        G = -(-len(order) // groups)
-        fallback += _estep_group([feats_list[i] for i in order[:G]], consts,
+    for group in _length_groups([len(x) for x in feats_list], S * U):
+        fallback += _estep_group([feats_list[i] for i in group], consts,
                                  pi, stay, 1.0 - stay, stats)
-        order = order[G:]
     for feats in fallback:
         _estep_utterance(model, feats, stats)
 
@@ -555,7 +566,7 @@ def _estep_group(group: list[np.ndarray], consts: tuple, pi: np.ndarray, stay: n
     given the (U,) unit weights and (S, U) stay and move probabilities. Adds
     the counts of those that did not underflow to `stats` and returns the others."""
     lengths = np.array([x.shape[0] for x in group])
-    b, log_scale = _state_densities(group, consts, *stay.shape)
+    b, dens, log_scale = _state_densities(group, consts, *stay.shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         alpha, c, exits = _scaled_forward(b, pi, stay, move)
         c_end = exits[lengths - 1, np.arange(len(group))]
@@ -567,7 +578,7 @@ def _estep_group(group: list[np.ndarray], consts: tuple, pi: np.ndarray, stay: n
         for g, x in enumerate(group):
             F = len(x)
             if bad[g] or not _add_counts(
-                    stats, x, consts, alpha[:F, g], b[:F, g], stay_num[g],
+                    stats, x, dens[g], alpha[:F, g], b[:F, g], stay_num[g],
                     np.log(c[:F, g]).sum() + log_scale[g] + math.log(c_end[g])):
                 fallback.append(x)
     return fallback
@@ -584,18 +595,20 @@ def _scaled_forward(b: np.ndarray, pi: np.ndarray, stay: np.ndarray,
     exits = np.empty((T, G))
     pre = np.zeros((G, S, U))
     pre[:, 0] = pi
+    advance = np.empty((G, S - 1, U))
+    entry = np.empty((G, U))
     ones = np.ones(S * U)
     for t in range(T):
         a = alpha[t]
         if t:
             prev = alpha[t - 1]
             np.multiply(prev, stay, out=pre)
-            pre[:, 1:] += prev[:, :-1] * move[:-1]
-            pre[:, 0] += exits[t - 1][:, None] * pi
+            pre[:, 1:] += np.multiply(prev[:, :-1], move[:-1], out=advance)
+            pre[:, 0] += np.multiply(exits[t - 1][:, None], pi, out=entry)
         np.multiply(pre, b[t], out=a)
-        c[t] = a.reshape(G, -1) @ ones
+        np.matmul(a.reshape(G, -1), ones, out=c[t])
         a /= c[t][:, None, None]
-        exits[t] = a[:, -1] @ move[-1]
+        np.matmul(a[:, -1], move[-1], out=exits[t])
     return alpha, c, exits
 
 
@@ -611,14 +624,20 @@ def _scaled_backward(alpha: np.ndarray, b: np.ndarray, c: np.ndarray, lengths: n
     inv_c = (1.0 / c)[:, :, None, None]
     beta = np.zeros((G, S, U))
     stay_num = np.zeros((G, S, U))
+    nxt = np.empty((G, S, U))
+    loops = np.empty((G, S, U))
+    advance = np.empty((G, S - 1, U))
+    entry = np.empty(G)
+    exit_ = np.empty((G, U))
     for t in range(T - 1, -1, -1):
         if t < T - 1:
-            nxt = b[t + 1] * beta
+            np.multiply(b[t + 1], beta, out=nxt)
             nxt *= inv_c[t + 1]
-            stay_num += alpha[t] * nxt
+            stay_num += np.multiply(alpha[t], nxt, out=loops)
             np.multiply(nxt, stay, out=beta)
-            beta[:, :-1] += nxt[:, 1:] * move[:-1]
-            beta[:, -1] += (nxt[:, 0] @ pi)[:, None] * move[-1]
+            beta[:, :-1] += np.multiply(nxt[:, 1:], move[:-1], out=advance)
+            np.matmul(nxt[:, 0], pi, out=entry)
+            beta[:, -1] += np.multiply(entry[:, None], move[-1], out=exit_)
         if t in ends:
             beta[ends[t]] = 0.0
             beta[ends[t], -1] = move[-1] / c_end[ends[t], None]
@@ -630,11 +649,13 @@ def _scaled_backward(alpha: np.ndarray, b: np.ndarray, c: np.ndarray, lengths: n
 
 
 def _state_densities(group: list[np.ndarray], consts: tuple, S: int,
-                     U: int) -> tuple[np.ndarray, np.ndarray]:
+                     U: int) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """(T, G, S, U) state densities of the left-aligned feature matrices, each
-    frame's scaled by its largest component density, and the (G,) sums of the
-    log scales. Past an utterance's end b = 1, which keeps its forward pass finite."""
+    frame's scaled by its largest component density; each matrix's (F, M, S, U)
+    scaled component densities they sum; and the (G,) sums of the log scales.
+    Past an utterance's end b = 1, which keeps its forward pass finite."""
     b = np.ones((group[0].shape[0], len(group), S, U))
+    dens = []
     log_scale = np.empty(len(group))
     for g, x in enumerate(group):
         e, m = _scaled_densities(x, consts)
@@ -643,23 +664,23 @@ def _state_densities(group: list[np.ndarray], consts: tuple, S: int,
         np.copyto(bg, e[:, 0])
         for j in range(1, e.shape[1]):   # summed in slices, not along the short axis
             bg += e[:, j]
+        dens.append(e)
         log_scale[g] = m.sum()
-    return b, log_scale
+    return b, dens, log_scale
 
 
-def _add_counts(stats: _Stats, feats: np.ndarray, consts: tuple, gamma: np.ndarray,
+def _add_counts(stats: _Stats, feats: np.ndarray, resp: np.ndarray, gamma: np.ndarray,
                 b: np.ndarray, stay_num: np.ndarray, loglik: float) -> bool:
-    """Add one utterance's counts to `stats`, given its (F, S, U) state
-    occupancies and scaled state densities and its (S, U) self-loop counts; if
-    they are not finite, add nothing and return False."""
+    """Add one utterance's counts to `stats`, given its (F, M, S, U) scaled
+    component densities, which it overwrites, its (F, S, U) state occupancies
+    and the scaled state densities, and its (S, U) self-loop counts; if they are
+    not finite, add nothing and return False."""
     F, S, U = gamma.shape
     occupancy = gamma.sum(axis=0)
     # each component's share of its state's occupancy; where a state's scaled
     # density underflowed to 0, so did its occupancy
     share = np.zeros_like(gamma)
     np.divide(gamma, b, out=share, where=b > 0)
-    resp, _ = _scaled_densities(feats, consts)
-    resp = resp.reshape(F, -1, S, U)
     resp *= share[:, None]
     occ = resp.sum(axis=0)
     if not (np.all(np.isfinite(occ)) and np.all(np.isfinite(occupancy))):
@@ -768,60 +789,98 @@ class TimedUnitSequence:
 
 
 def decode_units(model: AudModel, feats: FeatureSequence) -> TimedUnitSequence:
-    """Viterbi decoding to a time-marked pseudo-phone sequence.
+    """`decode_corpus` of one feature sequence."""
+    return decode_corpus(model, [feats])[0]
+
+
+def decode_corpus(model: AudModel, feats_list: list[FeatureSequence]) -> list[TimedUnitSequence]:
+    """Viterbi decoding of each feature sequence to a time-marked pseudo-phone
+    sequence, over the length-sorted groups of `_length_groups`.
 
     Maximal runs of the same unit merge into one interval; intervals
     tile [0, F * step] with no gaps.
     """
-    x = feats.features
-    if x.shape[1] != model.dim:
-        raise DataError(
-            "feature dim %d does not match model dim %d" % (x.shape[1], model.dim)
-        )
+    for f in feats_list:
+        if f.features.shape[1] != model.dim:
+            raise DataError("%s: feature dim %d does not match model dim %d"
+                            % (f.utt_id, f.features.shape[1], model.dim))
     U, S = model.stay.shape
-    F = x.shape[0]
-    log_b = model.emission_loglik(x).reshape(F, U, S)
+    out = [None] * len(feats_list)
+    for group in _length_groups([len(f.features) for f in feats_list], U * S):
+        paths = _viterbi_group(model, [feats_list[i].features for i in group])
+        for i, units in zip(group, paths):
+            out[i] = _timed_units(feats_list[i].utt_id, units)
+    return out
+
+
+def _viterbi_group(model: AudModel, group: list[np.ndarray]) -> list[list[int] | None]:
+    """Per-frame units of the best path of each feature matrix, in non-increasing
+    length order, or None where no path reaches the final exit. Every row keeps
+    its own emission product; frame t updates the rows still running, a prefix."""
+    U, S = model.stay.shape
+    lengths = [len(x) for x in group]
+    T, G = lengths[0], len(group)
+    log_b = np.empty((T, G, U, S))
+    for g, x in enumerate(group):
+        log_b[: len(x), g] = model.emission_loglik(x).reshape(len(x), U, S)
     log_stay, log_move = _arcs(model)
     self_arc = _self_arc(model, log_stay, log_move)
     # Ties go to the lowest predecessor index u * S + s, as an argmax over
     # the dense transition matrix would: the advance from (u, s - 1) beats
     # the self-loop of (u, s), and the exit of unit v beats the self-loop
     # of (u, 0) only when v < u.
-    delta_ = np.full((U, S), -np.inf)
-    delta_[:, 0] = model.log_pi + log_b[0, :, 0]
-    moved = np.zeros((F, U, S), dtype=bool)  # best predecessor is not (u, s)
-    exit_from = np.zeros(F, dtype=np.int64)  # best exiting unit at frame t - 1
-    move = np.empty((U, S))
-    for t in range(1, F):
-        stay = delta_ + self_arc
-        exits = delta_[:, -1] + log_move[:, -1]
-        v = int(exits.argmax())
-        exit_from[t] = v
-        move[:, 0] = exits[v] + model.log_pi
-        move[:, 1:] = delta_[:, :-1] + log_move[:, :-1]
-        tie = move == stay
-        tie[: v + 1, 0] = False
-        np.logical_or(move > stay, tie, out=moved[t])
-        delta_ = np.maximum(stay, move) + log_b[t]
-    delta_[:, :-1] = -np.inf
-    delta_[:, -1] += log_move[:, -1]
-    u, s = divmod(int(delta_.argmax()), S)
-    if not math.isfinite(delta_[u, s]):
-        raise DataError("no valid Viterbi path")
-    units = [u] * F
-    for t in range(F - 1, 0, -1):
-        if moved[t, u, s]:
-            u, s = (u, s - 1) if s > 0 else (int(exit_from[t]), S - 1)
-        units[t - 1] = u
+    delta_ = np.full((G, U, S), -np.inf)
+    delta_[:, :, 0] = model.log_pi + log_b[0, :, :, 0]
+    moved = np.zeros((T, G, U, S), dtype=bool)  # best predecessor is not (u, s)
+    exit_from = np.zeros((T, G), dtype=np.int64)  # best exiting unit at frame t - 1
+    stay, move = np.empty((G, U, S)), np.empty((G, U, S))
+    tie = np.empty((G, U, S), dtype=bool)
+    later = np.arange(U)[None, :]
+    live = G
+    for t in range(1, T):
+        while lengths[live - 1] <= t:
+            live -= 1
+        d, st, mv, eq = delta_[:live], stay[:live], move[:live], tie[:live]
+        np.add(d, self_arc, out=st)
+        exits = d[:, :, -1] + log_move[:, -1]
+        v = exits.argmax(axis=1)
+        exit_from[t, :live] = v
+        np.add(exits[np.arange(live), v][:, None], model.log_pi, out=mv[:, :, 0])
+        np.add(d[:, :, :-1], log_move[:, :-1], out=mv[:, :, 1:])
+        np.equal(mv, st, out=eq)
+        eq[:, :, 0] &= later > v[:, None]
+        np.logical_or(mv > st, eq, out=moved[t, :live])
+        np.maximum(st, mv, out=d)
+        d += log_b[t, :live]
+    final = delta_[:, :, -1] + log_move[:, -1]
+    paths = []
+    for g, F in enumerate(lengths):
+        u, s = int(final[g].argmax()), S - 1
+        if not math.isfinite(final[g, u]):
+            paths.append(None)
+            continue
+        units = [u] * F
+        for t in range(F - 1, 0, -1):
+            if moved[t, g, u, s]:
+                u, s = (u, s - 1) if s > 0 else (int(exit_from[t, g]), S - 1)
+            units[t - 1] = u
+        paths.append(units)
+    return paths
+
+
+def _timed_units(utt_id: str, units: list[int] | None) -> TimedUnitSequence:
+    """Merge maximal runs of per-frame units into intervals of FRAME_STEP_S frames."""
+    if units is None:
+        raise DataError("%s: no valid Viterbi path" % utt_id)
     intervals = []
     run_start = 0
-    for t in range(1, F + 1):
-        if t == F or units[t] != units[run_start]:
+    for t in range(1, len(units) + 1):
+        if t == len(units) or units[t] != units[run_start]:
             intervals.append(
                 ("a%d" % units[run_start], run_start * FRAME_STEP_S, t * FRAME_STEP_S)
             )
             run_start = t
-    return TimedUnitSequence(feats.utt_id, tuple(intervals))
+    return TimedUnitSequence(utt_id, tuple(intervals))
 
 
 def viterbi_score(model: AudModel, feats: np.ndarray, state_path: list[int]) -> float:

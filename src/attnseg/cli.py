@@ -191,9 +191,17 @@ def _write_json(path: str, obj, sort_keys: bool = False) -> None:
         f.write("\n")
 
 
+# The BLAS thread settings: a float64 sum that BLAS splits over threads can
+# round differently with their number, so `aud.npz` is reproduced bit for bit
+# only under the same settings.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def write_manifest(artifact: str, stage: str, inputs: list[str], config: dict,
                    outputs: list[str], input_hashes: dict[str, str] | None = None) -> None:
-    """`input_hashes`: the sha256 of further inputs, hashed as the stage read them."""
+    """`input_hashes`: the sha256 of further inputs, hashed as the stage read them.
+    `threads` records the BLAS thread variables (null where unset) and the CPUs the
+    process may run on; `config_hash` covers the config alone."""
     cfg_json = json.dumps(config, sort_keys=True)
     _write_json(artifact + ".manifest.json", {
         "stage": stage,
@@ -201,6 +209,8 @@ def write_manifest(artifact: str, stage: str, inputs: list[str], config: dict,
         "config": config,
         "config_hash": hashlib.sha256(cfg_json.encode()).hexdigest(),
         "outputs": {p: _sha256(p) for p in outputs},
+        "threads": {**{v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+                    "cpus": len(os.sched_getaffinity(0))},
     }, sort_keys=True)
 
 
@@ -387,7 +397,7 @@ def cmd_aud_train(args) -> int:
 def cmd_aud_decode(args) -> int:
     model = aud_mod.load_aud_model(args.model)
     feats = aud_mod.load_features(args.features)
-    sequences = [aud_mod.decode_units(model, f) for f in feats]
+    sequences = aud_mod.decode_corpus(model, feats)
     aud_mod.write_timed_units(args.out, sequences)
     write_manifest(args.out, "aud-decode", [args.model, args.features], {}, [args.out])
     print("decoded %d utterances" % len(sequences))
@@ -507,8 +517,11 @@ def cmd_plot(args) -> int:
         raise DataError("utterance %r not in %s" % (args.utt, args.matrices))
     utt, inputs = None, [args.matrices]
     if args.ul is not None:
-        corpus = cp.load_parallel_corpus(args.ul, args.wrl)
-        utt = corpus.by_id(args.utt)
+        utts = {u.id: u for u in cp.load_parallel_corpus(args.ul, args.wrl)}
+        if args.utt not in utts:
+            raise DataError("utterance %r is in %s but not in %s and %s"
+                            % (args.utt, args.matrices, args.ul, args.wrl))
+        utt = utts[args.utt]
         _check_fit(args.matrices, matrices[args.utt], utt, args.ul, args.wrl)
         inputs += [args.ul, args.wrl]
     plot_attention(matrices[args.utt], utt, args.out)

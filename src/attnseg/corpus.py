@@ -135,12 +135,6 @@ class ParallelCorpus:
     def __iter__(self):
         return iter(self.utterances)
 
-    def by_id(self, utt_id: str) -> ParallelUtterance:
-        for u in self.utterances:
-            if u.id == utt_id:
-                return u
-        raise DataError("no utterance with id %r" % utt_id)
-
 
 def build_vocabularies(utterances: Sequence[ParallelUtterance]) -> tuple[Vocabulary, Vocabulary]:
     return (Vocabulary(s for u in utterances for s in u.ul_symbols),

@@ -597,8 +597,9 @@ class TestForcedDecodeBatches:
         mates = {}
         for u in sub:
             mates[len(u.wrl_words)] = mates.get(len(u.wrl_words), 0) + 1
+        utts = {u.id: u for u in sub}
         for u_id, m in forced_decode_corpus(model, sub).items():
-            u = sub.by_id(u_id)
+            u = utts[u_id]
             if mates[len(u.wrl_words)] >= 2:
                 np.testing.assert_array_equal(m.weights, full[u_id].weights, err_msg=u_id)
 

@@ -13,6 +13,7 @@ from attnseg.aud import (
     AudModel,
     FeatureSequence,
     dct_basis,
+    decode_corpus,
     decode_units,
     delta,
     extract_mfcc,
@@ -357,6 +358,19 @@ def reference_kmeans(X, centroids, iterations):
     return centroids, assign
 
 
+def reference_lloyd(X, centroids, iterations):
+    """`_lloyd` as it summed each centroid's rows with np.add.at."""
+    for _ in range(iterations):
+        d2 = (centroids * centroids).sum(axis=1) - 2.0 * (X @ centroids.T)
+        assign = d2.argmin(axis=1)
+        counts = np.bincount(assign, minlength=len(centroids))
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, X)
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
+    return centroids, assign
+
+
 def reference_logsumexp_last(a):
     """`_logsumexp_last` before its exp skipped the ratios below e^-700."""
     m = a[..., 0].copy()
@@ -461,6 +475,16 @@ class TestDensityOracle:
         assert 1 not in got_assign and np.all(got[1] == 1e3)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("k", [37, 100])
+    def test_kmeans_sums_rows_as_add_at_did(self, k):
+        rng = np.random.default_rng(k)
+        X = rng.standard_normal((496, 39)) * rng.uniform(0.1, 30.0, 39)
+        start = X[rng.choice(496, k, replace=False)]
+        got, got_assign = _lloyd(X, start.copy(), 5)
+        want, want_assign = reference_lloyd(X, start.copy(), 5)
+        np.testing.assert_array_equal(got_assign, want_assign)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestPhoneLoopStructure:
     def test_config_validation(self):
@@ -552,29 +576,91 @@ class TestStructuredRecursions:
             f = FeatureSequence("u", x)
             assert frame_units(decode_units(m, f)) == dense_viterbi_units(m, x)
 
+    @staticmethod
+    def tie_model(states, rng):
+        """Features and means on a 2**30 grid with unit variances make every
+        emission an exact multiple of 2**59, which absorbs every arc weight
+        in rounding; paths with the same emission sum then tie exactly and
+        only the tie-breaking picks the path. Units 0 and 2 are identical."""
+        means = rng.integers(1, 3, (3, states, 1, 1)) * 2.0 ** 30
+        means[2] = means[0]
+        return AudModel(
+            config=AudConfig(num_units=3, states_per_unit=states, mix_components=1),
+            log_pi=np.log(np.array([0.3, 0.3, 0.4])),
+            stay=rng.uniform(0.2, 0.8, (3, states)),
+            mix_weights=np.ones((3, states, 1)),
+            means=means,
+            variances=np.ones((3, states, 1, 1)),
+        )
+
+    @staticmethod
+    def tie_features(frames, rng):
+        return rng.integers(0, 2, (frames, 1)) * 3 * 2.0 ** 30
+
     @pytest.mark.parametrize("states", [1, 2, 3])
     def test_viterbi_ties_take_lowest_predecessor(self, states):
-        # Features and means on a 2**30 grid with unit variances make every
-        # emission an exact multiple of 2**59, which absorbs every arc weight
-        # in rounding; paths with the same emission sum then tie exactly and
-        # only the tie-breaking picks the path. Units 0 and 2 are identical.
         for seed in range(30):
             rng = np.random.default_rng(seed)
-            means = rng.integers(1, 3, (3, states, 1, 1)) * 2.0 ** 30
-            means[2] = means[0]
-            m = AudModel(
-                config=AudConfig(num_units=3, states_per_unit=states, mix_components=1),
-                log_pi=np.log(np.array([0.3, 0.3, 0.4])),
-                stay=rng.uniform(0.2, 0.8, (3, states)),
-                mix_weights=np.ones((3, states, 1)),
-                means=means,
-                variances=np.ones((3, states, 1, 1)),
-            )
-            x = rng.integers(0, 2, (10, 1)) * 3 * 2.0 ** 30
+            m = self.tie_model(states, rng)
+            x = self.tie_features(10, rng)
             assert np.all(m.emission_loglik(x) % 2.0 ** 59 == 0)
             units = frame_units(decode_units(m, FeatureSequence("u", x)))
             assert units == dense_viterbi_units(m, x), seed
             assert 2 not in units
+
+
+class TestGroupedDecoding:
+    """`decode_corpus` over several length-sorted groups against the dense
+    Viterbi oracle, one utterance at a time."""
+
+    @staticmethod
+    def decode_in_groups(monkeypatch, model, feats, frames_per_group):
+        """`decode_corpus` under a budget of `frames_per_group` frames of all
+        states; returns its output and the size of each group it decoded."""
+        sizes = []
+        group = aud_mod._viterbi_group
+        monkeypatch.setattr(aud_mod, "_viterbi_group",
+                            lambda m, g: sizes.append(len(g)) or group(m, g))
+        monkeypatch.setattr(aud_mod, "_STATE_FRAME_BUDGET", frames_per_group * model.stay.size)
+        return decode_corpus(model, feats), sizes
+
+    @pytest.mark.parametrize("states,mix", TestStructuredRecursions.CASES)
+    def test_matches_dense_over_unequal_lengths(self, monkeypatch, states, mix):
+        m = random_model(4, states, mix, seed=40 * states + mix, dead_unit=2)
+        rng = np.random.default_rng(states + 20 * mix)
+        # a path needs at least one frame per state to reach the exit
+        lengths = [F for F in (1, 2, 3, 5, 5, 8, 12, 12, 17, 30) if F >= states]
+        rng.shuffle(lengths)
+        feats = [FeatureSequence("u%d" % i, rng.standard_normal((F, 2)) * 2.0)
+                 for i, F in enumerate(lengths)]
+        got, sizes = self.decode_in_groups(monkeypatch, m, feats, 40)
+        assert len(sizes) >= 3 and sum(sizes) == len(feats)
+        assert [seq.utt_id for seq in got] == [f.utt_id for f in feats]
+        for f, seq in zip(feats, got):
+            assert frame_units(seq) == dense_viterbi_units(m, f.features), f.utt_id
+
+    @pytest.mark.parametrize("states", [1, 2, 3])
+    def test_ties_take_lowest_predecessor_in_groups(self, monkeypatch, states):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            m = TestStructuredRecursions.tie_model(states, rng)
+            # the 1-frame utterance has a path only with one state per unit
+            lengths = [F for F in (10, 10, 7, 4, 3, 1) if F >= states]
+            feats = [FeatureSequence("u%d" % F, TestStructuredRecursions.tie_features(F, rng))
+                     for F in lengths]
+            got, sizes = self.decode_in_groups(monkeypatch, m, feats, 20)
+            assert len(sizes) >= 3
+            for f, seq in zip(feats, got):
+                assert frame_units(seq) == dense_viterbi_units(m, f.features), (seed, f.utt_id)
+                assert frame_units(seq) == frame_units(decode_units(m, f))
+
+    def test_utterance_with_no_path_is_named(self):
+        m = random_model(4, 3, 1, seed=6)
+        rng = np.random.default_rng(6)
+        feats = [FeatureSequence("long", rng.standard_normal((9, 2))),
+                 FeatureSequence("short", rng.standard_normal((2, 2)))]
+        with pytest.raises(DataError, match="short: no valid Viterbi path"):
+            decode_corpus(m, feats)
 
 
 class TestScaledEstep:

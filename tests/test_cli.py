@@ -174,6 +174,24 @@ class TestManifest:
         hb = json.loads((tmp_path / "b.manifest.json").read_text())["config_hash"]
         assert ha == hb
 
+    def test_records_blas_threads_outside_the_config_hash(self, tmp_path, monkeypatch):
+        art = str(tmp_path / "a")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        write_manifest(art, "s", [], {"p": 1}, [])
+        one = json.loads(open(art + ".manifest.json").read())
+        assert one["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                                  "MKL_NUM_THREADS": None,
+                                  "cpus": len(os.sched_getaffinity(0))}
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        write_manifest(art, "s", [], {"p": 1}, [])
+        two = json.loads(open(art + ".manifest.json").read())
+        assert two["threads"]["OPENBLAS_NUM_THREADS"] == "4"
+        assert two["threads"]["MKL_NUM_THREADS"] == "3"
+        assert two["config_hash"] == one["config_hash"]
+
 
 CONFIG_FIELDS = sorted({f.name for cls in (SynthConfig, AlignerConfig, bl.DpsegConfig)
                         for f in dataclasses.fields(cls)} | {"runs", "out_dir"})
@@ -566,6 +584,20 @@ class TestBadInputs:
                      "--wrl", corpus_dir + "/wrl.txt", "--out", str(out)]) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: utterance %r is in " % odd) and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["attn.txt", "corpus"]  # nothing written
+
+    def test_plot_of_an_utterance_the_corpus_lacks_is_data_error(self, corpus_dir, tmp_path,
+                                                                  capsys):
+        """An --utt in the matrices file but not in --ul/--wrl: the message names the
+        matrices file, the utterance and both corpus files."""
+        ul, wrl = corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt"
+        mats = str(tmp_path / "attn.txt")
+        al.write_attention_matrices(mats, {"utt00009": AttentionMatrix(
+            "utt00009", np.full((2, 2), 0.5))})
+        assert main(["plot", "--matrices", mats, "--utt", "utt00009", "--ul", ul, "--wrl", wrl,
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: utterance 'utt00009' is in %s but not in %s and %s\n" % (mats, ul, wrl))
         assert sorted(os.listdir(tmp_path)) == ["attn.txt", "corpus"]  # nothing written
 
     @pytest.mark.parametrize("command, cut_run, side", [

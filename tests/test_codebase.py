@@ -28,6 +28,10 @@ TEST_HELPERS = {
     # dense and brute-force references check, and that saved models must keep;
     # tests/test_acceptance.py imports it from here
     "aud.forward_loglik",
+    # Viterbi decoding of one utterance, as a group of one of `decode_corpus`,
+    # which `aud-decode` calls: the benchmark tracer wraps it by name, and the
+    # tests check it against the dense Viterbi oracle
+    "aud.decode_units",
     # the score of one explicit state path on the dense `log_transitions`: the
     # exhaustive search that Viterbi decoding is checked against; it stays next to
     # `log_transitions`, which the benchmark tracer wraps by name
