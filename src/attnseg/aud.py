@@ -312,7 +312,8 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray,
         d2 = (centroids * centroids).sum(axis=1) - 2.0 * (X @ centroids.T)
         assign = d2.argmin(axis=1)
         counts = np.bincount(assign, minlength=len(centroids))
-        # each centroid's row sum, added in row order as np.add.at would
+        # one bincount over (centroid, dimension) cells: each centroid's rows are
+        # added in row order, so the sums are those of a loop over the rows
         sums = np.bincount((assign[:, None] * D + np.arange(D)).ravel(), weights=X.ravel(),
                            minlength=centroids.size).reshape(centroids.shape)
         filled = counts > 0
@@ -807,22 +808,22 @@ def decode_corpus(model: AudModel, feats_list: list[FeatureSequence]) -> list[Ti
     U, S = model.stay.shape
     out = [None] * len(feats_list)
     for group in _length_groups([len(f.features) for f in feats_list], U * S):
-        paths = _viterbi_group(model, [feats_list[i].features for i in group])
+        paths = _viterbi_group(model, [feats_list[i] for i in group])
         for i, units in zip(group, paths):
             out[i] = _timed_units(feats_list[i].utt_id, units)
     return out
 
 
-def _viterbi_group(model: AudModel, group: list[np.ndarray]) -> list[list[int] | None]:
-    """Per-frame units of the best path of each feature matrix, in non-increasing
-    length order, or None where no path reaches the final exit. Every row keeps
-    its own emission product; frame t updates the rows still running, a prefix."""
+def _viterbi_group(model: AudModel, group: list[FeatureSequence]) -> list[list[int]]:
+    """Per-frame units of the best path of each feature sequence, given in
+    non-increasing length order. Every row keeps its own emission product;
+    frame t updates the rows still running, a prefix."""
     U, S = model.stay.shape
-    lengths = [len(x) for x in group]
+    lengths = [len(f.features) for f in group]
     T, G = lengths[0], len(group)
     log_b = np.empty((T, G, U, S))
-    for g, x in enumerate(group):
-        log_b[: len(x), g] = model.emission_loglik(x).reshape(len(x), U, S)
+    for g, f in enumerate(group):
+        log_b[: lengths[g], g] = model.emission_loglik(f.features).reshape(-1, U, S)
     log_stay, log_move = _arcs(model)
     self_arc = _self_arc(model, log_stay, log_move)
     # Ties go to the lowest predecessor index u * S + s, as an argmax over
@@ -857,8 +858,7 @@ def _viterbi_group(model: AudModel, group: list[np.ndarray]) -> list[list[int] |
     for g, F in enumerate(lengths):
         u, s = int(final[g].argmax()), S - 1
         if not math.isfinite(final[g, u]):
-            paths.append(None)
-            continue
+            raise DataError("%s: no valid Viterbi path" % group[g].utt_id)
         units = [u] * F
         for t in range(F - 1, 0, -1):
             if moved[t, g, u, s]:
@@ -868,10 +868,8 @@ def _viterbi_group(model: AudModel, group: list[np.ndarray]) -> list[list[int] |
     return paths
 
 
-def _timed_units(utt_id: str, units: list[int] | None) -> TimedUnitSequence:
+def _timed_units(utt_id: str, units: list[int]) -> TimedUnitSequence:
     """Merge maximal runs of per-frame units into intervals of FRAME_STEP_S frames."""
-    if units is None:
-        raise DataError("%s: no valid Viterbi path" % utt_id)
     intervals = []
     run_start = 0
     for t in range(1, len(units) + 1):
