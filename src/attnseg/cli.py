@@ -3,9 +3,8 @@
 Subcommands cover every stage: synthetic corpus generation, MFCC
 extraction, AUD training/decoding, aligner training, forced decoding,
 segmentation, baselines, evaluation, heatmap export, and `pipeline`, which
-runs the text stages in turn. Every artifact gets a sidecar manifest
-(inputs, effective config, seed) sufficient to re-run its producing stage
-bit-identically.
+runs the text stages in turn. `_run` runs each stage, then writes its log and its
+manifest (inputs, effective config, seed), enough to re-run it bit-identically.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 `main` maps each of the three classes in `attnseg.errors` to its code once:
@@ -24,7 +23,9 @@ import hashlib
 import json
 import os
 import random
+import resource
 import sys
+import time
 from dataclasses import dataclass
 
 from . import aligner as al
@@ -138,35 +139,22 @@ def synth_corpus(cfg: SynthConfig,
     return cp.ParallelCorpus(tuple(utterances), ul_vocab, wrl_vocab)
 
 
-def write_synth_corpus(corpus: cp.ParallelCorpus, gold: dict[str, cp.Segmentation],
-                       out_dir: str) -> dict[str, str]:
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "ul": os.path.join(out_dir, "ul.txt"),
-        "wrl": os.path.join(out_dir, "wrl.txt"),
-        "gold": os.path.join(out_dir, "gold.txt"),
-    }
-    cp.write_corpus(corpus, paths["ul"], paths["wrl"])
-    cp.write_segmentations(corpus, gold, paths["gold"])
-    return paths
-
-
 # ---------------------------------------------------------------------------
 # Heatmap export
 
 def plot_attention(matrix: al.AttentionMatrix, utt: cp.ParallelUtterance | None,
-                   out_path: str) -> None:
+                   pgm_path: str, txt_path: str) -> None:
     """Textual PGM heatmap, one pixel per cell, darker = higher weight.
 
-    Pixel intensity is the affine map 255 - round(255 * alpha). A
-    sidecar .txt holds the exact weights with token labels.
+    Pixel intensity is the affine map 255 - round(255 * alpha). The
+    text file holds the exact weights with token labels.
     """
     w = matrix.weights
-    with open(out_path, "w", encoding="utf-8") as f:
+    with open(pgm_path, "w", encoding="utf-8") as f:
         f.write("P2\n%d %d\n255\n" % (w.shape[1], w.shape[0]))
         for row in w:
             f.write(" ".join(str(255 - int(round(255 * v))) for v in row) + "\n")
-    with open(out_path + ".txt", "w", encoding="utf-8") as f:
+    with open(txt_path, "w", encoding="utf-8") as f:
         if utt is not None:
             f.write("# rows: %s\n" % " ".join(utt.ul_symbols))
             f.write("# cols: %s\n" % " ".join(utt.wrl_words))
@@ -201,7 +189,7 @@ def write_manifest(artifact: str, stage: str, inputs: list[str], config: dict,
                    outputs: list[str], input_hashes: dict[str, str] | None = None) -> None:
     """`input_hashes`: the sha256 of further inputs, hashed as the stage read them.
     `threads` records the BLAS thread variables (null where unset) and the CPUs the
-    process may run on; `config_hash` covers the config alone."""
+    process may run on (all, where `os` cannot say which); `config_hash` covers the config."""
     cfg_json = json.dumps(config, sort_keys=True)
     _write_json(artifact + ".manifest.json", {
         "stage": stage,
@@ -210,21 +198,23 @@ def write_manifest(artifact: str, stage: str, inputs: list[str], config: dict,
         "config_hash": hashlib.sha256(cfg_json.encode()).hexdigest(),
         "outputs": {p: _sha256(p) for p in outputs},
         "threads": {**{v: os.environ.get(v) for v in BLAS_THREAD_VARS},
-                    "cpus": len(os.sched_getaffinity(0))},
+                    "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count()},
     }, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
 # Aligner checkpoint sidecar (config echo + vocabularies)
 
-def save_aligner_bundle(ckpt_path: str, model: al.AlignerModel) -> None:
+def save_aligner_bundle(ckpt_path: str, sidecar_path: str, model: al.AlignerModel) -> None:
+    """`load_aligner_bundle` reads the sidecar as `ckpt_path` + ".json"."""
     al.save_model(ckpt_path, model)
     sidecar = {
         "config": dataclasses.asdict(model.config),
         "wrl_tokens": model.wrl_vocab.tokens(),
         "ul_tokens": model.ul_vocab.tokens(),
     }
-    _write_json(ckpt_path + ".json", sidecar)
+    _write_json(sidecar_path, sidecar)
 
 
 def load_aligner_bundle(ckpt_path: str) -> al.AlignerModel:
@@ -345,20 +335,36 @@ def pipeline_configs(path: str, flags: dict[str, str]):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations
+# Subcommand implementations, each run by `_run`
 
-def cmd_synth(args) -> int:
+@dataclass
+class Stage:
+    """What a stage command hands `_run`: each file it writes, through `out`, the first
+    naming the manifest and log; its config; hashes of inputs no path flag names; its log."""
+    outputs: list[str] = dataclasses.field(default_factory=list)
+    config: dict = dataclasses.field(default_factory=dict)
+    input_hashes: dict[str, str] = dataclasses.field(default_factory=dict)
+    log: dict = dataclasses.field(default_factory=dict)
+
+    def out(self, path: str) -> str:
+        self.outputs.append(path)
+        return path
+
+
+def cmd_synth(args, stage: Stage) -> None:
     cfg = _coerce(SynthConfig, _flag_values(args))
     gold: dict[str, cp.Segmentation] = {}
     corpus = synth_corpus(cfg, gold)
-    paths = write_synth_corpus(corpus, gold, args.out_dir)
-    write_manifest(paths["ul"], "synth", [], dataclasses.asdict(cfg), list(paths.values()))
+    os.makedirs(args.out_dir, exist_ok=True)
+    out = functools.partial(os.path.join, args.out_dir)
+    cp.write_corpus(corpus, stage.out(out("ul.txt")), stage.out(out("wrl.txt")))
+    cp.write_segmentations(corpus, gold, stage.out(out("gold.txt")))
+    stage.config = dataclasses.asdict(cfg)
     print("wrote %d utterances to %s" % (len(corpus), args.out_dir))
-    return EXIT_OK
 
 
-def cmd_mfcc(args) -> int:
-    feats, id_lines, wav_hashes = [], {}, {}
+def cmd_mfcc(args, stage: Stage) -> None:
+    feats, id_lines = [], {}
     with cp.open_text(args.wav_list) as f:
         entries = [(k, line.split()) for k, line in enumerate(f, 1) if line.strip()]
     if not entries:
@@ -372,66 +378,55 @@ def cmd_mfcc(args) -> int:
         id_lines[fields[0]] = k
         digest = hashlib.sha256()  # of the bytes decoded, so each file is read once
         signal, rate = aud_mod.read_wav(fields[1], digest)
-        wav_hashes[fields[1]] = digest.hexdigest()
+        stage.input_hashes[fields[1]] = digest.hexdigest()
         feats.append(aud_mod.extract_mfcc(signal, rate, utt_id=fields[0]))
-    aud_mod.save_features(args.out, feats)
-    write_manifest(args.out, "mfcc", [args.wav_list], {}, [args.out], wav_hashes)
+    aud_mod.save_features(stage.out(args.out), feats)
     print("extracted features for %d utterances" % len(feats))
-    return EXIT_OK
 
 
-def cmd_aud_train(args) -> int:
+def cmd_aud_train(args, stage: Stage) -> None:
     cfg = _coerce(aud_mod.AudConfig, _flag_values(args))
     feats = aud_mod.load_features(args.features)
     model, log = aud_mod.train_phone_loop(feats, cfg)
-    aud_mod.save_aud_model(args.out, model)
-    _write_json(args.out + ".log.json", {"active_units": model.num_units, "iterations": log})
-    write_manifest(args.out, "aud-train", [args.features],
-                   dataclasses.asdict(cfg), [args.out])
+    aud_mod.save_aud_model(stage.out(args.out), model)
+    stage.config = dataclasses.asdict(cfg)
+    stage.log = {"active_units": model.num_units, "iterations": log}
     if not args.quiet:
         print("trained phone loop: %d active units, final objective %.4f"
               % (model.num_units, log[-1]["objective"]))
-    return EXIT_OK
 
 
-def cmd_aud_decode(args) -> int:
+def cmd_aud_decode(args, stage: Stage) -> None:
     model = aud_mod.load_aud_model(args.model)
     feats = aud_mod.load_features(args.features)
     sequences = aud_mod.decode_corpus(model, feats)
-    aud_mod.write_timed_units(args.out, sequences)
-    write_manifest(args.out, "aud-decode", [args.model, args.features], {}, [args.out])
+    aud_mod.write_timed_units(stage.out(args.out), sequences)
     print("decoded %d utterances" % len(sequences))
-    return EXIT_OK
 
 
-def cmd_train_aligner(args) -> int:
+def cmd_train_aligner(args, stage: Stage) -> None:
     config = _coerce(al.AlignerConfig, _flag_values(args))
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
     train, dev = cp.split_train_dev(corpus, DEV_FRACTION, args.split_seed)
     model, log = al.train(train, dev, config)
-    save_aligner_bundle(args.out, model)
-    _write_json(args.out + ".log.json", {"best_epoch": log.best_epoch,
-                                         "best_dev_loss": log.best_dev_loss,
-                                         "epochs": log.epochs})
-    write_manifest(args.out, "train-aligner", [args.ul, args.wrl],
-                   {**dataclasses.asdict(config), "split_seed": args.split_seed},
-                   [args.out, args.out + ".json"])
+    save_aligner_bundle(stage.out(args.out), stage.out(args.out + ".json"), model)
+    stage.config = {**dataclasses.asdict(config), "split_seed": args.split_seed}
+    stage.log = {"best_epoch": log.best_epoch, "best_dev_loss": log.best_dev_loss,
+                 "epochs": log.epochs}
     if not args.quiet:
         print("best dev loss %.4f at epoch %d" % (log.best_dev_loss, log.best_epoch))
-    return EXIT_OK
 
 
-def cmd_force_align(args) -> int:
+def cmd_force_align(args, stage: Stage) -> None:
     model = load_aligner_bundle(args.model)
+    stage.input_hashes[args.model + ".json"] = _sha256(args.model + ".json")  # its sidecar
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
     try:
         matrices = al.forced_decode_corpus(model, corpus)
     except DataError as e:  # a UL symbol the model never saw, on the line it names
         raise DataError("%s: %s" % (args.ul, e)) from None
-    al.write_attention_matrices(args.out, matrices)
-    write_manifest(args.out, "force-align", [args.model, args.ul, args.wrl], {}, [args.out])
+    al.write_attention_matrices(stage.out(args.out), matrices)
     print("extracted %d attention matrices" % len(matrices))
-    return EXIT_OK
 
 
 def _check_fit(path: str, m: al.AttentionMatrix, utt: cp.ParallelUtterance,
@@ -461,7 +456,7 @@ def _checked_run(path: str, run: dict[str, al.AttentionMatrix],
     return run
 
 
-def cmd_segment(args) -> int:
+def cmd_segment(args, stage: Stage) -> None:
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
     utts = {u.id: u for u in corpus}
     # each run is checked, then added into the mean as it is read: before anything is
@@ -469,53 +464,44 @@ def cmd_segment(args) -> int:
     mean = sg.average_runs(_checked_run(p, al.read_attention_matrices(p), utts, args.ul,
                                         args.wrl) for p in args.matrices)
     segs = sg.segment_corpus([mean], smooth=not args.no_smooth)
-    cp.write_segmentations(corpus, segs, args.out)
-    write_manifest(args.out, "segment", list(args.matrices) + [args.ul, args.wrl],
-                   {"smooth": not args.no_smooth, "runs": len(args.matrices)}, [args.out])
+    cp.write_segmentations(corpus, segs, stage.out(args.out))
+    stage.config = {"smooth": not args.no_smooth, "runs": len(args.matrices)}
     print("segmented %d utterances" % len(segs))
-    return EXIT_OK
 
 
-def cmd_baseline_proportional(args) -> int:
+def cmd_baseline_proportional(args, stage: Stage) -> None:
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
     segs = bl.proportional_segment_corpus(corpus)
-    cp.write_segmentations(corpus, segs, args.out)
-    write_manifest(args.out, "baseline-proportional", [args.ul, args.wrl], {}, [args.out])
-    return EXIT_OK
+    cp.write_segmentations(corpus, segs, stage.out(args.out))
 
 
-def cmd_baseline_dpseg(args) -> int:
+def cmd_baseline_dpseg(args, stage: Stage) -> None:
     cfg = _coerce(bl.DpsegConfig, _flag_values(args))
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
-    log: list[dict] = []
-    segs = bl.dpseg_segment_corpus(corpus, cfg, log)
-    cp.write_segmentations(corpus, segs, args.out)
-    _write_json(args.out + ".log.json", {"sweeps": log})
-    write_manifest(args.out, "baseline-dpseg", [args.ul, args.wrl],
-                   dataclasses.asdict(cfg), [args.out])
-    return EXIT_OK
+    stage.log = {"sweeps": []}
+    segs = bl.dpseg_segment_corpus(corpus, cfg, stage.log["sweeps"])
+    cp.write_segmentations(corpus, segs, stage.out(args.out))
+    stage.config = dataclasses.asdict(cfg)
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, stage: Stage) -> None:
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
     gold = cp.load_gold_segmentation(corpus, args.gold)
     hyp = cp.load_gold_segmentation(corpus, args.hyp)
     report = mt.evaluate(hyp, gold, corpus)
-    mt.write_report(report, args.out, args.out + ".json")
-    write_manifest(args.out, "evaluate", [args.ul, args.wrl, args.gold, args.hyp],
-                   {}, [args.out, args.out + ".json"])
+    mt.write_report(report, stage.out(args.out))
+    _write_json(stage.out(args.out + ".json"), report.to_dict(), sort_keys=True)
     print("boundary F %.4f  token F %.4f  type F %.4f"
           % (report.boundary.fscore, report.token.fscore, report.type.fscore))
-    return EXIT_OK
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args, stage: Stage) -> None:
     if (args.ul is None) != (args.wrl is None):  # the labels need both sides of the corpus
         raise ConfigError("--ul and --wrl go together: give both, or neither")
     matrices = al.read_attention_matrices(args.matrices)
     if args.utt not in matrices:
         raise DataError("utterance %r not in %s" % (args.utt, args.matrices))
-    utt, inputs = None, [args.matrices]
+    utt = None
     if args.ul is not None:
         utts = {u.id: u for u in cp.load_parallel_corpus(args.ul, args.wrl)}
         if args.utt not in utts:
@@ -523,10 +509,25 @@ def cmd_plot(args) -> int:
                             % (args.utt, args.matrices, args.ul, args.wrl))
         utt = utts[args.utt]
         _check_fit(args.matrices, matrices[args.utt], utt, args.ul, args.wrl)
-        inputs += [args.ul, args.wrl]
-    plot_attention(matrices[args.utt], utt, args.out)
-    write_manifest(args.out, "plot", inputs, {"utt": args.utt}, [args.out, args.out + ".txt"])
-    return EXIT_OK
+    plot_attention(matrices[args.utt], utt, stage.out(args.out), stage.out(args.out + ".txt"))
+    stage.config = {"utt": args.utt}
+
+
+def _run(args) -> None:
+    """Run stage command `args.func`, then write the log and the manifest of the first
+    file it wrote; `pipeline`, which writes nothing of its own, gets neither."""
+    stage, start = Stage(), time.perf_counter()
+    args.func(args, stage)
+    if not stage.outputs:
+        return
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
+        2 ** 20 if sys.platform == "darwin" else 2 ** 10)  # ru_maxrss: KiB, bytes on macOS
+    _write_json(stage.outputs[0] + ".log.json", {
+        **stage.log, "seconds": time.perf_counter() - start, "peak_rss_mb": rss})
+    flagged = [getattr(args, name) for name in getattr(args, "inputs", [])]
+    inputs = [p for v in flagged if v is not None for p in (v if isinstance(v, list) else [v])]
+    write_manifest(stage.outputs[0], args.command, inputs, stage.config, stage.outputs,
+                   stage.input_hashes)
 
 
 def _run_stage(argv: list[str], ini_section: dict[str, str] | None = None) -> None:
@@ -536,10 +537,10 @@ def _run_stage(argv: list[str], ini_section: dict[str, str] | None = None) -> No
     for key, value in (ini_section or {}).items():
         vars(args).setdefault("config." + key, value)
     with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
-        args.func(args)
+        _run(args)
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args, stage: Stage) -> None:
     """Full toy pipeline from an INI config, run as the stage commands: synth ->
     per run, train-aligner and force-align -> segment -> baselines -> evaluate."""
     pipe_cfg, synth_cfg, aligner_cfg, _, sections = pipeline_configs(
@@ -566,16 +567,18 @@ def cmd_pipeline(args) -> int:
         _run_stage(["evaluate", *corpus, "--gold", out("gold.txt"), "--hyp", hyp, "--out", report])
         with open(report + ".json", encoding="utf-8") as f:
             print("%s: boundary F %.4f" % (name, json.load(f)["boundary_fscore"]))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 
-def _path_flags(parser: argparse.ArgumentParser, flags: str) -> None:
-    """One required flag per name, each taking a file path."""
-    for flag in flags.split():
-        parser.add_argument(flag, required=True)
+def _path_flags(parser: argparse.ArgumentParser, flags: str, **kwargs) -> None:
+    """One flag per name, each a file path, required unless `kwargs` say otherwise;
+    `_run` hashes each but `--out` into the stage's manifest as an input."""
+    names = [parser.add_argument(flag, **{"required": True, **kwargs}).dest
+             for flag in flags.split()]
+    parser.set_defaults(inputs=(parser.get_default("inputs") or [])
+                        + [name for name in names if name != "out"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -590,8 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_synth)
 
     s = sub.add_parser("mfcc", help="extract MFCC+delta+delta-delta features")
-    s.add_argument("--wav-list", required=True, help="file with `id wav-path` lines")
-    s.add_argument("--out", required=True)
+    _path_flags(s, "--wav-list", help="file with `id wav-path` lines")
+    _path_flags(s, "--out")
     s.set_defaults(func=cmd_mfcc)
 
     s = sub.add_parser("aud-train", help="train the phone-loop AUD model")
@@ -617,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_force_align)
 
     s = sub.add_parser("segment", help="attention matrices to segmentation")
-    s.add_argument("--matrices", nargs="+", required=True)
+    _path_flags(s, "--matrices", nargs="+")
     _path_flags(s, "--ul --wrl --out")
     s.add_argument("--no-smooth", action="store_true")
     s.set_defaults(func=cmd_segment)
@@ -637,9 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("plot", help="export an attention heatmap (textual PGM)")
     _path_flags(s, "--matrices --out")
+    _path_flags(s, "--ul --wrl", required=False)
     s.add_argument("--utt", required=True)
-    s.add_argument("--ul")
-    s.add_argument("--wrl")
     s.set_defaults(func=cmd_plot)
 
     s = sub.add_parser("pipeline", help="run the full toy pipeline from a config file")
@@ -651,13 +653,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        _run(args)
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
@@ -667,6 +668,7 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print("numerical failure: %s" % e, file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ explicit flag rather than NaN.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .corpus import ParallelCorpus, Segmentation
@@ -126,8 +125,8 @@ def evaluate(
     return EvalReport(boundary=boundary, token=token, type=type_, type_retrieval=retrieval)
 
 
-def write_report(report: EvalReport, txt_path: str, json_path: str) -> None:
-    """Flat key-value text report plus a JSON copy of the same keys."""
+def write_report(report: EvalReport, txt_path: str) -> None:
+    """Flat key-value text report, one `key value` line per key of `to_dict`."""
     d = report.to_dict()
     with open(txt_path, "w", encoding="utf-8") as f:
         for k in sorted(d):
@@ -136,6 +135,3 @@ def write_report(report: EvalReport, txt_path: str, json_path: str) -> None:
                 f.write("%s %.6f\n" % (k, v))
             else:
                 f.write("%s %s\n" % (k, v))
-    with open(json_path, "w", encoding="utf-8") as f:
-        json.dump(d, f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -608,6 +608,31 @@ class TestStructuredRecursions:
             assert units == dense_viterbi_units(m, x), seed
             assert 2 not in units
 
+    def test_viterbi_self_loop_beats_reentry_into_the_same_unit(self):
+        """At frame 3 the best paths into state (0, 0) tie: one takes its self-loop,
+        the other leaves unit 0 through (0, 1) and re-enters it, so the best exit
+        is unit 0's own. The dense argmax takes the self-loop, predecessor index
+        0 against 1. One-hot means and features on a 2**30 grid with unit
+        variances make every emission a multiple of 2**59, which absorbs the
+        dyadic weights (stay and unit weights of 1/2) in rounding: the sums are
+        exact, and the two paths differ in their units at frames 0-2."""
+        m = AudModel(
+            config=AudConfig(num_units=2, states_per_unit=2, mix_components=1),
+            log_pi=np.log(np.full(2, 0.5)),
+            stay=np.full((2, 2), 0.5),
+            mix_weights=np.ones((2, 2, 1)),
+            means=np.eye(4).reshape(2, 2, 1, 4) * 2.0 ** 30,  # state u * 2 + s at e_(u*2+s)
+            variances=np.ones((2, 2, 1, 4)),
+        )
+        x = np.array([[0, 0, 0, 0], [0, 1, 0, 2], [3, 4, 0, 0], [4, 0, 0, 0],
+                      [0, 4, 0, 0]]) * 2.0 ** 30
+        assert np.all(m.emission_loglik(x) % 2.0 ** 59 == 0)
+        stays, reenters = [2, 3, 0, 0, 1], [0, 1, 1, 0, 1]  # state indices u * 2 + s
+        best = max(viterbi_score(m, x, list(p)) for p in itertools.product(range(4), repeat=5))
+        assert viterbi_score(m, x, stays) == viterbi_score(m, x, reenters) == best
+        units = frame_units(decode_units(m, FeatureSequence("u", x)))
+        assert units == dense_viterbi_units(m, x) == [s // 2 for s in stays]
+
 
 class TestGroupedDecoding:
     """`decode_corpus` over several length-sorted groups against the dense

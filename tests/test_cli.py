@@ -18,7 +18,6 @@ from attnseg.cli import (
     plot_attention,
     synth_corpus,
     write_manifest,
-    write_synth_corpus,
 )
 from attnseg.corpus import load_parallel_corpus
 from attnseg.errors import ConfigError
@@ -102,11 +101,11 @@ class TestSynth:
 
     def test_write_and_reload(self, tmp_path):
         c, gold = synth_with_gold(SynthConfig(corpus_size=10, seed=3))
-        paths = write_synth_corpus(c, gold, str(tmp_path))
-        back = load_parallel_corpus(paths["ul"], paths["wrl"])
+        assert main(["synth", "--out-dir", str(tmp_path), "--size", "10", "--seed", "3"]) == 0
+        back = load_parallel_corpus(str(tmp_path / "ul.txt"), str(tmp_path / "wrl.txt"))
         assert len(back) == 10
         assert back.utterances[0].ul_symbols == c.utterances[0].ul_symbols
-        assert cp.load_gold_segmentation(back, paths["gold"]) == gold
+        assert cp.load_gold_segmentation(back, str(tmp_path / "gold.txt")) == gold
 
 
 class TestPlot:
@@ -114,14 +113,14 @@ class TestPlot:
         w = np.array([[1.0, 0.0], [0.25, 0.75]])
         m = AttentionMatrix("u", w)
         out = str(tmp_path / "h.pgm")
-        plot_attention(m, None, out)
+        plot_attention(m, None, out, out + ".txt")
         img = read_pgm(out)
         np.testing.assert_array_equal(img, 255 - np.round(255 * w))
 
     def test_diagonal_is_darkest(self, tmp_path):
         w = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
         out = str(tmp_path / "h.pgm")
-        plot_attention(AttentionMatrix("u", w), None, out)
+        plot_attention(AttentionMatrix("u", w), None, out, out + ".txt")
         img = read_pgm(out)
         for i in range(3):
             assert img[i, i] == img[i].min()
@@ -131,7 +130,7 @@ class TestPlot:
 
         u = ParallelUtterance("u", ("a", "b"), ("mot",))
         out = str(tmp_path / "h.pgm")
-        plot_attention(AttentionMatrix("u", np.array([[1.0], [1.0]])), u, out)
+        plot_attention(AttentionMatrix("u", np.array([[1.0], [1.0]])), u, out, out + ".txt")
         text = open(out + ".txt").read()
         assert "# rows: a b" in text
         assert "# cols: mot" in text
@@ -191,6 +190,22 @@ class TestManifest:
         assert two["threads"]["OPENBLAS_NUM_THREADS"] == "4"
         assert two["threads"]["MKL_NUM_THREADS"] == "3"
         assert two["config_hash"] == one["config_hash"]
+
+    def test_cpus_where_os_cannot_tell_which(self, tmp_path, monkeypatch, capsys):
+        """macOS and Windows have no `os.sched_getaffinity`: count every CPU."""
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert main(["synth", "--out-dir", str(tmp_path), "--size", "3"]) == cli.EXIT_OK
+        manifest = json.loads((tmp_path / "ul.txt.manifest.json").read_text())
+        assert manifest["threads"]["cpus"] == os.cpu_count()
+
+    @pytest.mark.parametrize("platform, mib", [("linux", 2048.0), ("darwin", 2.0)])
+    def test_log_peak_rss_in_mib(self, tmp_path, monkeypatch, capsys, platform, mib):
+        """`ru_maxrss` counts KiB on Linux and bytes on macOS."""
+        monkeypatch.setattr(cli.resource, "getrusage",
+                            lambda who: argparse.Namespace(ru_maxrss=2 ** 21))
+        monkeypatch.setattr(cli.sys, "platform", platform)
+        assert main(["synth", "--out-dir", str(tmp_path), "--size", "3"]) == cli.EXIT_OK
+        assert json.loads((tmp_path / "ul.txt.log.json").read_text())["peak_rss_mb"] == mib
 
 
 CONFIG_FIELDS = sorted({f.name for cls in (SynthConfig, AlignerConfig, bl.DpsegConfig)
@@ -376,7 +391,7 @@ class TestConfigFlags:
     def test_stage_replaced_on_the_module_is_the_one_run(self, tmp_path, monkeypatch):
         """The benchmark tracer wraps `cli.cmd_*` in place; `main` must run the wrapper."""
         seen = []
-        monkeypatch.setattr(cli, "cmd_synth", lambda args: seen.append(args) or cli.EXIT_OK)
+        monkeypatch.setattr(cli, "cmd_synth", lambda args, stage: seen.append(args))
         assert main(["synth", "--out-dir", str(tmp_path / "b")]) == cli.EXIT_OK
         assert [a.out_dir for a in seen] == [str(tmp_path / "b")]
         assert not os.path.exists(tmp_path / "b")
@@ -385,7 +400,7 @@ class TestConfigFlags:
     def built_config(self, tmp_path, monkeypatch):
         """Run a subcommand up to its stage; return the config handed to the stage."""
         d = str(tmp_path / "corpus")
-        write_synth_corpus(*synth_with_gold(SynthConfig(corpus_size=10, seed=1)), d)
+        assert main(["synth", "--out-dir", d, "--size", "10", "--seed", "1"]) == cli.EXIT_OK
 
         def stage(*args, **kwargs):
             raise _Built(args)
@@ -549,7 +564,7 @@ class TestBadInputs:
     @pytest.fixture()
     def corpus_dir(self, tmp_path):
         d = str(tmp_path / "corpus")
-        write_synth_corpus(*synth_with_gold(SynthConfig(corpus_size=3, seed=1)), d)
+        assert main(["synth", "--out-dir", d, "--size", "3", "--seed", "1"]) == cli.EXIT_OK
         return d
 
     @pytest.mark.parametrize("command", ["segment", "plot"])
@@ -636,8 +651,8 @@ class TestBadInputs:
         ul, wrl = corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt"
         corpus = load_parallel_corpus(ul, wrl)
         ckpt = str(tmp_path / "model.npz")
-        cli.save_aligner_bundle(ckpt, AlignerModel(AlignerConfig(cell_size=4),
-                                                   corpus.wrl_vocab, corpus.ul_vocab))
+        cli.save_aligner_bundle(ckpt, ckpt + ".json", AlignerModel(
+            AlignerConfig(cell_size=4), corpus.wrl_vocab, corpus.ul_vocab))
         lines = open(ul).read().splitlines()
         lines[1] = "z z"  # synth's 12-symbol alphabet stops at l
         bad = str(tmp_path / "ul.txt")
@@ -658,8 +673,8 @@ class TestBadInputs:
     def test_bad_aligner_sidecar_is_data_error(self, corpus_dir, tmp_path, capsys, edit):
         corpus = load_parallel_corpus(corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt")
         ckpt = str(tmp_path / "model.npz")
-        cli.save_aligner_bundle(ckpt, AlignerModel(AlignerConfig(cell_size=4),
-                                                   corpus.wrl_vocab, corpus.ul_vocab))
+        cli.save_aligner_bundle(ckpt, ckpt + ".json", AlignerModel(
+            AlignerConfig(cell_size=4), corpus.wrl_vocab, corpus.ul_vocab))
         sidecar = json.loads(open(ckpt + ".json").read())
         with np.load(ckpt) as z:
             arrays = {k: z[k] for k in z.files}
@@ -720,8 +735,9 @@ class TestBadInputs:
         bad = str(tmp_path / "bad.txt")
         if reader == "sidecar":
             corpus = load_parallel_corpus(ul, wrl)
-            cli.save_aligner_bundle(str(tmp_path / "m.npz"), AlignerModel(
-                AlignerConfig(cell_size=4), corpus.wrl_vocab, corpus.ul_vocab))
+            cli.save_aligner_bundle(str(tmp_path / "m.npz"), str(tmp_path / "m.npz.json"),
+                                    AlignerModel(AlignerConfig(cell_size=4), corpus.wrl_vocab,
+                                                 corpus.ul_vocab))
             bad = str(tmp_path / "m.npz.json")
         with open(bad, "ab") as f:
             f.write(b"utt00001 1 2\n0.5 \xff0.5\n")
@@ -758,6 +774,7 @@ class TestCommandRoundtrips:
                      "--hyp", hyp, "--out", rep]) == cli.EXIT_OK
         d = json.loads(open(rep + ".json").read())
         assert 0.0 <= d["boundary_fscore"] <= 1.0
+        assert open(rep + ".json").read() == json.dumps(d, indent=2, sort_keys=True) + "\n"
         assert "boundary F" in capsys.readouterr().out
 
     def test_gold_scores_perfectly(self, corpus_dir, tmp_path, capsys):
@@ -867,6 +884,28 @@ class TestCommandRoundtrips:
             assert err.startswith("data error: %s %s" % (d / "bad.txt", message))
             assert err.count("\n") == 1
 
+    def test_force_align_manifest_hashes_the_model_sidecar(self, corpus_dir, tmp_path, capsys):
+        """The sidecar's config changes the matrices, so the manifest must tell it apart."""
+        ckpt = str(tmp_path / "model.npz")
+        corpus = ["--ul", corpus_dir + "/ul.txt", "--wrl", corpus_dir + "/wrl.txt"]
+        assert main(["train-aligner", *corpus, "--out", ckpt, "--cell-size", "4",
+                     "--max-epochs", "1", "--quiet"]) == cli.EXIT_OK
+
+        def force_align(out):
+            assert main(["force-align", "--model", ckpt, *corpus, "--out", out]) == cli.EXIT_OK
+            return open(out, "rb").read(), json.loads(open(out + ".manifest.json").read())
+
+        matrices, manifest = force_align(str(tmp_path / "a.txt"))
+        assert manifest["inputs"] == {p: cli._sha256(p) for p in [
+            ckpt, ckpt + ".json", corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt"]}
+        sidecar = json.loads(open(ckpt + ".json").read())
+        sidecar["config"]["temperature"] = 1.0
+        open(ckpt + ".json", "w").write(json.dumps(sidecar))
+        other_matrices, other = force_align(str(tmp_path / "b.txt"))
+        assert other_matrices != matrices
+        assert [p for p in manifest["inputs"]
+                if manifest["inputs"][p] != other["inputs"][p]] == [ckpt + ".json"]
+
     def test_force_align_bit_identical(self, corpus_dir, tmp_path, capsys):
         ckpt = str(tmp_path / "model.npz")
         assert main(["train-aligner", "--ul", corpus_dir + "/ul.txt",
@@ -931,6 +970,11 @@ class TestAudCli:
         lines = open(units).read().splitlines()
         assert lines
         assert all(len(l.split()) == 4 for l in lines)
+        for artifact, keys in [(feats, set()), (model, {"active_units", "iterations"}),
+                               (units, set())]:
+            log = json.loads(open(artifact + ".log.json").read())
+            assert set(log) == keys | {"seconds", "peak_rss_mb"}
+            assert log["seconds"] > 0 and log["peak_rss_mb"] > 0
 
     def test_mfcc_manifest_hashes_every_wav(self, tmp_path, capsys):
         wavs = [str(tmp_path / ("w%d.wav" % i)) for i in range(2)]
@@ -1169,6 +1213,17 @@ class TestPipelineCommand:
         assert json.loads((out / "model_run1.npz.json").read_text())["config"]["dtype"] == "float64"
         force_align = json.loads((out / "attention_run1.txt.manifest.json").read_text())
         assert str(out / "model_run1.npz") in force_align["inputs"]
+        # each manifest has a log beside it, and each log a manifest
+        logs = sorted(n[:-len(".log.json")] for n in os.listdir(out) if n.endswith(".log.json"))
+        assert logs == sorted(n[:-len(".manifest.json")] for n in os.listdir(out)
+                              if n.endswith(".manifest.json"))
+        for name in logs:
+            log = json.loads((out / (name + ".log.json")).read_text())
+            assert log["seconds"] > 0 and log["peak_rss_mb"] > 0, name
+        assert set(json.loads((out / "model_run0.npz.log.json").read_text())) == {
+            "best_epoch", "best_dev_loss", "epochs", "seconds", "peak_rss_mb"}
+        assert set(json.loads((out / "dpseg.txt.log.json").read_text())) == {
+            "sweeps", "seconds", "peak_rss_mb"}
 
     def test_small_end_to_end(self, tmp_path, capsys):
         ini = tmp_path / "p.ini"

@@ -1,6 +1,7 @@
 """Checks on the sources and docs themselves: no unreachable code, no setting that
-nothing sets, one error class per exit code, one .npz reader and writer, no stale
-commands, and no run-time dependency beyond numpy and the standard library."""
+nothing sets, one error class per exit code, one .npz reader and writer, one writer
+of manifests and logs, no stale commands, and no run-time dependency beyond numpy
+and the standard library."""
 
 import argparse
 import ast
@@ -139,7 +140,7 @@ def test_errors_are_the_three_exit_classes():
     main = next(node for node in trees["cli.py"].body
                 if isinstance(node, ast.FunctionDef) and node.name == "main")
     run = next(node for node in ast.walk(main) if isinstance(node, ast.Try)
-               and any(_name(getattr(n, "func", None)) == "func" for n in ast.walk(node)))
+               and any(_name(getattr(n, "func", None)) == "_run" for n in ast.walk(node)))
     mapped = {}
     for handler in run.handlers:
         types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
@@ -172,6 +173,25 @@ def test_npz_files_go_through_the_numerics_archive_pair():
                 found.append("%s:%d" % (file, getattr(node, "lineno", 0)))
     assert pair_names == ARCHIVE_PAIR
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# One stage runner, `cli._run`, writes every manifest and every log.
+
+def test_manifests_and_logs_are_written_by_the_stage_runner_alone():
+    found, in_runner = [], []
+    for file, tree in package_trees():
+        runner = [node for node in tree.body if file == "cli.py"
+                  and isinstance(node, ast.FunctionDef) and node.name == "_run"]
+        inside = {id(n) for function in runner for n in ast.walk(function)}
+        for node in ast.walk(tree):
+            manifest = isinstance(node, ast.Call) and _name(node.func) == "write_manifest"
+            log = isinstance(node, ast.Constant) and ".log.json" in str(node.value)
+            if manifest or log:
+                (in_runner if id(node) in inside else found).append(
+                    "%s:%d %s" % (file, node.lineno, "write_manifest" if manifest else "log"))
+    assert found == []
+    assert sorted(entry.split()[1] for entry in in_runner) == ["log", "write_manifest"]
 
 
 def readme_commands() -> list[str]:
