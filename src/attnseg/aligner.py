@@ -179,8 +179,8 @@ class AlignerModel:
         x = self.src_embed.data[src_ids.T]  # (A, B, n)
         mask = None
         if train and cfg.dropout > 0:  # A draws of (B, n), one per position
-            mask = nm.dropout_mask(rng, x.shape, cfg.dropout, dt)
-            x *= mask
+            mask = nm.dropout_mask(rng, x.shape, cfg.dropout)
+            nm.apply_dropout(x, mask, cfg.dropout)
         fwd = _lstm_forward(self.enc_fwd, x)
         bwd = _lstm_forward(self.enc_bwd, x[::-1])
         h = np.empty((B, A, 2 * n), dtype=dt)
@@ -207,7 +207,7 @@ class AlignerModel:
         dx = _lstm_backward(self.enc_fwd, x, cache["fwd"], dh_fwd)
         dx += _lstm_backward(self.enc_bwd, x[::-1], cache["bwd"], dh_bwd)[::-1]
         if cache["mask"] is not None:
-            dx *= cache["mask"]
+            nm.apply_dropout(dx, cache["mask"], self.config.dropout)
         _accumulate_rows(self.src_embed, cache["src_ids"].T, dx)
 
     def attend(self, h: np.ndarray, s_prev: np.ndarray,
@@ -234,12 +234,12 @@ class AlignerModel:
         Reads the attention at state s_prev, then advances the decoder
         cell on [E(w_cur), context], where E(w_cur) is the embedding of
         the ground-truth current symbol (after dropout). Returns (alpha,
-        context, attention activations, cell input, gates, c, s).
+        context, gates, c, s).
         """
-        alpha, ctx, act = self.attend(h, s_prev, h_proj)
+        alpha, ctx, _ = self.attend(h, s_prev, h_proj)
         x = np.concatenate([e_cur, ctx], axis=-1)
         gates, c, _, s = nm.lstm_step(self.dec, x, s_prev, c_prev)
-        return alpha, ctx, act, x, gates, c, s
+        return alpha, ctx, gates, c, s
 
     def decode(self, h: np.ndarray, h_proj: np.ndarray, s0: np.ndarray, tgt_ids: np.ndarray,
                rng=None, train: bool = False, cache: Optional[dict] = None):
@@ -250,58 +250,79 @@ class AlignerModel:
         by step. The readout never feeds back into the state, so
         linear -> maxout -> linear -> cross-entropy runs once over all
         T*B rows. Returns (nll (T, B), alphas (T, B, A)). A dict passed
-        as `cache` receives what `_decode_backward` needs.
+        as `cache` receives what `_decode_backward` cannot rebuild; it
+        rebuilds the attention activations, the cell inputs and the
+        readout inputs from it, bit for bit.
         """
         cfg = self.config
         B, T = tgt_ids.shape
-        n, dt = cfg.cell_size, cfg.np_dtype
-        drop = train and cfg.dropout > 0
+        n, dt, rate = cfg.cell_size, cfg.np_dtype, cfg.dropout
+        drop = train and rate > 0
         cur_ids = tgt_ids.T  # (T, B)
         prev_ids = np.vstack([np.full((1, B), self.ul_vocab.bos_id), cur_ids[:-1]])
-        table = self.tgt_embed.data
-        e_prev, e_cur = table[prev_ids], table[cur_ids]
-        masks = [np.empty((T, B, k), dtype=dt) for k in (n, 4 * n, n)] if drop else None
+        e_cur = self.tgt_embed.data[cur_ids]
+        masks = [np.empty((T, B, k), dtype=bool) for k in (n, 4 * n, n)] if drop else None
         S = np.empty((T + 1, B, n), dtype=dt)  # S[t] is the state step t reads
         C = np.zeros((T + 1, B, n), dtype=dt)
         S[0] = s0
         alphas = np.empty((T, B, h.shape[1]), dtype=dt)
         ctxs = np.empty((T, B, 2 * n), dtype=dt)
-        if cache is not None:  # what `_decode_backward` reads of each step
-            acts = np.empty((T, B, h.shape[1], n), dtype=dt)
-            xs = np.empty((T, B, 3 * n), dtype=dt)
+        if cache is not None:
             gates = np.empty((T, B, 4 * n), dtype=dt)
         for t in range(T):
             if drop:  # e_prev, mix, e_cur: the order of the per-step graph
                 for m in masks:
-                    m[t] = nm.dropout_mask(rng, (B, m.shape[-1]), cfg.dropout, dt)
-                e_cur[t] *= masks[2][t]
-            alphas[t], ctxs[t], act, x, g, C[t + 1], S[t + 1] = self.decode_step(
+                    m[t] = nm.dropout_mask(rng, (B, m.shape[-1]), rate)
+                nm.apply_dropout(e_cur[t], masks[2][t], rate)
+            alphas[t], ctxs[t], g, C[t + 1], S[t + 1] = self.decode_step(
                 S[t], C[t], e_cur[t], h, h_proj)
             if cache is not None:
-                acts[t], xs[t], gates[t] = act, x, g
-        if drop:
-            e_prev *= masks[0]
+                gates[t] = g
+        del e_cur
         # (T, B, k) @ (k, m): numpy calls BLAS once per step, so each row is
         # bit for bit what a step-by-step readout gives
-        mix = np.concatenate([S[:T], e_prev, ctxs], axis=-1)
-        if drop:
-            mix *= masks[1]
-        blocks = nm.check_finite(mix @ self.out_W1.data + self.out_b1.data, "readout")
-        blocks = blocks.reshape(T * B, MAXOUT_POOL, n)
+        mix = self._readout_input(S, ctxs, prev_ids, masks)
+        blocks = mix @ self.out_W1.data
+        del mix
+        blocks += self.out_b1.data
+        blocks = nm.check_finite(blocks, "readout").reshape(T * B, MAXOUT_POOL, n)
         hidden = blocks.max(axis=1)
-        logits = hidden.reshape(T, B, n) @ self.out_W2.data + self.out_b2.data
+        winner = _first_max(blocks, hidden) if cache is not None else None
+        del blocks
+        logits = hidden.reshape(T, B, n) @ self.out_W2.data
+        logits += self.out_b2.data
         logits = nm.check_finite(logits.reshape(T * B, -1), "logits")
         top = logits.max(axis=-1, keepdims=True)
-        ex = np.exp(logits - top)
-        nll = np.log(ex.sum(axis=-1)) + top[:, 0] - logits[np.arange(T * B), cur_ids.reshape(-1)]
+        gold = logits[np.arange(T * B), cur_ids.reshape(-1)]
+        logits -= top
+        ex = np.exp(logits, out=logits)
+        nll = np.log(ex.sum(axis=-1)) + top[:, 0] - gold
         nm.check_finite(nll, "nll")
         if cache is not None:
-            cache.update(
-                h=h, cur_ids=cur_ids, prev_ids=prev_ids, masks=masks, S=S, C=C, alphas=alphas,
-                acts=acts, xs=xs, gates=gates,
-                mix=mix.reshape(T * B, 4 * n),
-                winner=_first_max(blocks, hidden), hidden=hidden, ex=ex)
+            cache.update(h=h, h_proj=h_proj, cur_ids=cur_ids, prev_ids=prev_ids, masks=masks,
+                         S=S, C=C, alphas=alphas, ctxs=ctxs, gates=gates, winner=winner,
+                         hidden=hidden, ex=ex)
         return nll.reshape(T, B), alphas
+
+    def _readout_input(self, S: np.ndarray, ctxs: np.ndarray, prev_ids: np.ndarray,
+                       masks: Optional[list]) -> np.ndarray:
+        """The readout's input (T, B, 4n): [s_prev, E(w_prev), context] after dropout."""
+        e_prev = self.tgt_embed.data[prev_ids]
+        if masks is not None:
+            nm.apply_dropout(e_prev, masks[0], self.config.dropout)
+        mix = np.concatenate([S[: len(ctxs)], e_prev, ctxs], axis=-1)
+        if masks is not None:
+            nm.apply_dropout(mix, masks[1], self.config.dropout)
+        return mix
+
+    def _attention_acts(self, h_proj: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """The tanh activations (T, B, A, n) that `attend` computes from the
+        states (T, B, n), bit for bit: numpy multiplies the stack by W2 with one
+        BLAS call of B rows per step, as `attend` does."""
+        sp = states @ self.attn_W2.data
+        sp += self.attn_b2.data
+        acts = h_proj + sp[:, :, None, :]
+        return np.tanh(acts, out=acts)
 
     def _decode_backward(self, cache: dict, dnll: np.ndarray):
         """Reverse pass of `decode` from dL/dnll (T, B).
@@ -313,12 +334,12 @@ class AlignerModel:
         """
         cfg = self.config
         T, B = dnll.shape
-        n = cfg.cell_size
-        S, C, alphas, acts, gates = (cache[k] for k in ("S", "C", "alphas", "acts", "gates"))
-        masks = cache["masks"]
+        n, rate = cfg.cell_size, cfg.dropout
+        S, C, alphas, ctxs, gates = (cache[k] for k in ("S", "C", "alphas", "ctxs", "gates"))
+        masks, cur_ids = cache["masks"], cache["cur_ids"]
         # readout over all T*B rows
         dlogits = cache["ex"] / cache["ex"].sum(axis=-1, keepdims=True)
-        dlogits[np.arange(T * B), cache["cur_ids"].reshape(-1)] -= 1.0
+        dlogits[np.arange(T * B), cur_ids.reshape(-1)] -= 1.0
         dlogits *= dnll.reshape(-1, 1)
         self.out_W2.grad += cache["hidden"].T @ dlogits
         self.out_b2.grad += dlogits.sum(axis=0)
@@ -326,15 +347,21 @@ class AlignerModel:
         # gradients are sums over A that nearly cancel, so they would amplify
         # a change in the last bit of dL/dcontext
         dhidden = (dlogits.reshape(T, B, -1) @ self.out_W2.data.T).reshape(T * B, 1, n)
+        del dlogits
         dblocks = (cache["winner"] * dhidden).reshape(T * B, -1)
-        self.out_W1.grad += cache["mix"].T @ dblocks
+        del dhidden
+        mix = self._readout_input(S, ctxs, cache["prev_ids"], masks).reshape(T * B, 4 * n)
+        self.out_W1.grad += mix.T @ dblocks
+        del mix
         self.out_b1.grad += dblocks.sum(axis=0)
         dmix = dblocks.reshape(T, B, -1) @ self.out_W1.data.T
+        del dblocks
         if masks is not None:
-            dmix *= masks[1]
+            nm.apply_dropout(dmix, masks[1], rate)
         de_prev, dctx_read = dmix[..., n: 2 * n], dmix[..., 2 * n:]
         # back-propagation through time: cell, then attention, per step
         h, W2, v = cache["h"], self.attn_W2.data, self.attn_v.data
+        acts = self._attention_acts(cache["h_proj"], S[:T])
         tc = np.tanh(C[1:])
         dpre = np.zeros_like(gates)
         de_cur = np.zeros_like(de_prev)
@@ -360,17 +387,28 @@ class AlignerModel:
             dh_proj += dpre_attn
             dsp[t] = dpre_attn.sum(axis=1)
             ds = ds_t + dsp[t] @ W2.T
+        del tc, dpre_attn
         self.attn_v.grad += acts.reshape(-1, n).T @ dscore.reshape(-1, 1)
+        del acts, dscore
         self.attn_W2.grad += S[:T].reshape(-1, n).T @ dsp.reshape(-1, n)
         self.attn_b2.grad += dsp.reshape(-1, n).sum(axis=0)
+        del dsp
         if T > 1:
-            dpre, xs = dpre[:-1].reshape(-1, 4 * n), cache["xs"][:-1]
-            self.dec.W.grad += xs.reshape(-1, xs.shape[-1]).T @ dpre
+            dpre = dpre[:-1].reshape(-1, 4 * n)
+            e_cur = self.tgt_embed.data[cur_ids[:-1]]
+            if masks is not None:
+                nm.apply_dropout(e_cur, masks[2][:-1], rate)
+            xs = np.concatenate([e_cur, ctxs[:-1]], axis=-1).reshape(-1, 3 * n)
+            del e_cur
+            self.dec.W.grad += xs.T @ dpre
+            del xs
             self.dec.U.grad += S[: T - 1].reshape(-1, n).T @ dpre
             self.dec.b.grad += dpre.sum(axis=0)
+        del dpre
         if masks is not None:
-            de_prev, de_cur = de_prev * masks[0], de_cur * masks[2]
-        ids = np.concatenate([cache["prev_ids"], cache["cur_ids"]])
+            nm.apply_dropout(de_prev, masks[0], rate)
+            nm.apply_dropout(de_cur, masks[2], rate)
+        ids = np.concatenate([cache["prev_ids"], cur_ids])
         _accumulate_rows(self.tgt_embed, ids, np.concatenate([de_prev, de_cur]))
         return alphas.transpose(1, 2, 0) @ dctx.transpose(1, 0, 2), dh_proj, ds
 
@@ -681,7 +719,7 @@ def forced_decode_corpus(model: AlignerModel, corpus: ParallelCorpus) -> dict[st
         live = np.maximum((lengths[:, None] > np.arange(T)).sum(axis=0), min(2, len(utts)))
         alphas = np.empty((T, len(utts), src.shape[1]), dtype=h.dtype)
         for t, b in enumerate(live.tolist()):
-            alphas[t, :b], _, _, _, _, c[:b], s[:b] = model.decode_step(
+            alphas[t, :b], _, _, c[:b], s[:b] = model.decode_step(
                 s[:b], c[:b], table[tgt[:b, t]], h[:b], h_proj[:b])
         for b, (u, n) in enumerate(zip(utts, lengths.tolist())):
             m = AttentionMatrix(u.id, alphas[:n, b].astype(np.float64))

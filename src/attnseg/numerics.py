@@ -47,9 +47,21 @@ class Tensor:
         self._backward = backward
 
 
-def dropout_mask(rng: np.random.Generator, shape, rate: float, dtype) -> np.ndarray:
-    """Inverted-dropout multipliers: 0 with probability `rate`, else 1/(1-rate)."""
-    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
+def dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
+    """Inverted-dropout keep-mask: False with probability `rate`."""
+    return rng.random(shape) >= rate
+
+
+def apply_dropout(x: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
+    """Scale x in place by keep / (1 - rate) and return it.
+
+    Bit for bit the product with the float multipliers, signs of zeros
+    included: x * 1 is x, x * 0 is a zero of x's sign, and the scale is
+    the same float of x's dtype.
+    """
+    x *= keep
+    x *= np.asarray(1, x.dtype) / (1 - rate)
+    return x
 
 
 def backward(loss: Tensor) -> dict[str, np.ndarray]:

@@ -241,11 +241,11 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool = True
         raise NumericalError("dropout rate must be in [0, 1), got %r" % rate)
     if not train or rate == 0.0:
         return a
-    keep = nm.dropout_mask(rng, a.data.shape, rate, a.data.dtype)
-    out_data = a.data * keep
+    keep = nm.dropout_mask(rng, a.data.shape, rate)
+    out_data = nm.apply_dropout(a.data.copy(), keep, rate)
 
     def bwd(g):
-        a.accumulate(g * keep)
+        a.accumulate(nm.apply_dropout(np.array(g, dtype=a.data.dtype), keep, rate))
 
     return Tensor(out_data, parents=(a,), backward=bwd)
 

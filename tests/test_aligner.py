@@ -341,6 +341,50 @@ class TestFlatBuffers:
             assert g.any() != k.startswith("dec."), k
 
 
+class TestDecoderCache:
+    """The backward rebuilds the attention activations, the cell inputs and the readout
+    inputs instead of reading them from the cache; every output keeps its bits."""
+
+    @pytest.mark.parametrize("T", [1, 7])
+    @pytest.mark.parametrize("B", [1, 2, 32])
+    def test_rebuilt_activations_equal_attends_byte_for_byte(self, B, T):
+        A, n = 6, 64
+        wrl = Vocabulary(["w%d" % i for i in range(6)])
+        ul = Vocabulary(["s%d" % i for i in range(7)])
+        model = AlignerModel(AlignerConfig(cell_size=n, seed=B + T), wrl, ul)
+        model.attn_b2.data[:] = 0.1 * np.arange(n)
+        rng = np.random.default_rng(B + T)
+        h = rng.standard_normal((B, A, 2 * n)).astype(np.float32)
+        S = rng.standard_normal((T + 1, B, n)).astype(np.float32)
+        h_proj = h @ model.attn_W1.data
+        acts = model._attention_acts(h_proj, S[:T])
+        assert acts.dtype == np.float32 and acts.shape == (T, B, A, n)
+        for t in range(T):
+            assert acts[t].tobytes() == model.attend(h, S[t], h_proj)[2].tobytes(), t
+
+    def test_train_cache_holds_no_float_mask_and_nothing_the_backward_rebuilds(self):
+        B, A, T, n = 3, 4, 7, 16
+        wrl = Vocabulary(["w%d" % i for i in range(9)])
+        ul = Vocabulary(["s%d" % i for i in range(11)])
+        model = AlignerModel(AlignerConfig(cell_size=n, dropout=0.5), wrl, ul)
+        V = len(ul)
+        rng = np.random.default_rng(0)
+        src = rng.integers(4, len(wrl), size=(B, A))
+        tgt = rng.integers(4, V, size=(B, T))
+        h, s0 = model.encode(src)
+        cache = {}
+        model.decode(h, h @ model.attn_W1.data, s0, tgt, rng=rng, train=True, cache=cache)
+        assert not {"acts", "xs", "mix"} & cache.keys()
+        assert len(cache["masks"]) == 3 and all(m.dtype == bool for m in cache["masks"])
+        arrays = [a for v in cache.values() for a in (v if isinstance(v, list) else [v])]
+        # per-step arrays lead with T (T + 1 for the states and cells) or T*B rows
+        per_row = sum(a.nbytes / (a.shape[0] if a.shape[0] == T * B else a.shape[0] * B)
+                      for a in arrays if a.shape[0] in (T, T + 1, T * B))
+        assert per_row <= 4 * (9 * n + A + V) + 8 * n + 16
+        # the parent cached 4 * (20n + An + A + V) + 2n + 16 bytes a row
+        assert per_row < 4 * (20 * n + A * n + A + V) + 2 * n + 16
+
+
 def maxout_reference(x, pool, g):
     """Blockwise max and its gradient; a tie goes to the earliest block."""
     blocks = np.split(x, pool, axis=-1)

@@ -494,6 +494,30 @@ class TestDropout:
         with pytest.raises(NumericalError):
             dropout(tensor([1.0]), 1.0, np.random.default_rng(0))
 
+    @settings(max_examples=200, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           rate=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           data=st.data())
+    def test_keep_mask_gives_the_float_mask_product_bit_for_bit(self, dtype, rate, data):
+        info = np.finfo(dtype)
+        special = [0.0, -0.0, float(info.smallest_subnormal), -float(info.smallest_subnormal),
+                   float(info.smallest_normal) / 3, -float(info.smallest_normal) / 7,
+                   -1.0, float(info.max), -float(info.max)]
+        width = 32 if dtype == np.float32 else 64
+        values = data.draw(st.lists(st.one_of(st.sampled_from(special),
+                                              st.floats(width=width, allow_nan=False,
+                                                        allow_infinity=False)),
+                                    min_size=1, max_size=40))
+        x = np.array(values, dtype=dtype)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(x), max_size=len(x)))
+        keep = np.array(keep)
+        with np.errstate(over="ignore"):  # a large value times 1/(1-rate) may overflow
+            want = x * (keep.astype(dtype) / (1.0 - rate))  # the float multipliers
+            got = nm.apply_dropout(x.copy(), keep, rate)
+        assert got.dtype == dtype
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert got.tobytes() == want.tobytes()
+
 
 class TestFiniteness:
     def test_overflow_detected(self):
