@@ -14,10 +14,12 @@ and extraction so the two distributions match.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +33,7 @@ from .numerics import Tensor
 CLIP_NORM = 5.0  # gradients are rescaled to at most this global L2 norm
 MAXOUT_POOL = 2  # readout units per maxout unit
 FORCED_DECODE_ROWS = 128  # the most utterances `forced_decode_corpus` decodes as one batch
+WEIGHT_TOL = 1e-6  # how far an attention weight or row sum may stray from [0, 1] and 1
 
 
 @dataclass
@@ -79,14 +82,14 @@ class AttentionMatrix:
     def num_words(self) -> int:
         return self.weights.shape[1]
 
-    def validate(self, tol: float = 1e-6) -> None:
+    def validate(self) -> None:
         w = self.weights
         if not np.all(np.isfinite(w)):
             raise NumericalError("%s: non-finite attention weight" % self.utt_id)
-        if np.any(w < -tol) or np.any(w > 1 + tol):
+        if np.any(w < -WEIGHT_TOL) or np.any(w > 1 + WEIGHT_TOL):
             raise NumericalError("%s: attention weights outside [0, 1]" % self.utt_id)
         sums = w.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > tol):
+        if np.any(np.abs(sums - 1.0) > WEIGHT_TOL):
             raise NumericalError("%s: attention row sums deviate from 1" % self.utt_id)
 
 
@@ -784,19 +787,76 @@ def read_attention_matrices(path: str) -> dict[str, AttentionMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints
+# Checkpoints: the parameters in a .npz, the config and vocabularies in a JSON sidecar
+
+CHECKPOINT_VERSION = 1
+
+
+def sidecar_path(path: str) -> str:
+    """The file beside checkpoint `path` that holds its config and vocabularies."""
+    return path + ".json"
+
 
 def save_model(path: str, model: AlignerModel) -> None:
-    """The parameters only: the config and vocabularies are the caller's to keep."""
-    nm.save_checkpoint(path, model.parameters())
+    """`param/<name>` arrays and the format's `__version__` at `path`; the config and
+    both token lists, in id order, at `sidecar_path(path)`."""
+    arrays = {"param/" + k: v.data for k, v in model.parameters().items()}
+    arrays["__version__"] = np.asarray(CHECKPOINT_VERSION)
+    nm.save_archive(path, arrays)
+    with open(sidecar_path(path), "w", encoding="utf-8") as f:
+        json.dump({"config": asdict(model.config),
+                   "wrl_tokens": model.wrl_vocab.tokens(),
+                   "ul_tokens": model.ul_vocab.tokens()}, f, indent=2)
+        f.write("\n")
 
 
-def load_model(path: str, config: AlignerConfig,
-               wrl_vocab: Vocabulary, ul_vocab: Vocabulary) -> AlignerModel:
-    """A `save_model` file under `config`. DataError, naming the file, if it is not a
-    checkpoint; ConfigError if a parameter is missing, unknown or of another shape
-    than `config` gives it."""
-    values = nm.load_checkpoint(path)
-    model = AlignerModel(config, wrl_vocab, ul_vocab)
-    model.set_parameters(values)
+def _sidecar_vocabulary(name: str, tokens) -> Vocabulary:
+    """The vocabulary of sidecar list `name`: strings, none reserved, none twice."""
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise TypeError("%s is not a list of strings" % name)
+    vocab = Vocabulary(tokens)  # DataError on a reserved token
+    if len(vocab.tokens()) < len(tokens):  # Vocabulary keeps a repeated token once
+        twice = next(t for t, n in Counter(tokens).items() if n > 1)
+        raise ValueError("%s holds token %r twice" % (name, twice))
+    return vocab
+
+
+def _sidecar_config(values: dict) -> AlignerConfig:
+    """The config of the sidecar's JSON values, each of its field's type: an integer
+    may stand for a float, but a boolean is no number. ConfigError if one is not."""
+    kinds = {f.name: type(f.default) for f in fields(AlignerConfig)}
+    for key, raw in values.items():
+        if key not in kinds:
+            raise ConfigError("unknown config key %r for AlignerConfig" % key)
+        if not (type(raw) is kinds[key] or (kinds[key] is float and type(raw) is int)):
+            raise ConfigError("%s = %s is not of type %s"
+                              % (key, json.dumps(raw), kinds[key].__name__))
+    return AlignerConfig(**{k: kinds[k](v) for k, v in values.items()})
+
+
+def load_model(path: str) -> AlignerModel:
+    """The model that `save_model` wrote at `path`. DataError, naming the file at
+    fault, if either file is not of this format or the parameters in the .npz do not
+    fit the config in the sidecar."""
+    sidecar = sidecar_path(path)
+    with open(sidecar, encoding="utf-8") as f:
+        try:
+            values = json.load(f)
+            if not isinstance(values["config"], dict):
+                raise TypeError("config is not an object")
+            vocabs = [_sidecar_vocabulary(k, values[k]) for k in ("wrl_tokens", "ul_tokens")]
+        except (ValueError, KeyError, TypeError) as e:
+            raise DataError("%s: not an aligner sidecar (%s: %s)"
+                            % (sidecar, type(e).__name__, e)) from None
+    try:  # a bad setting, or one the parameters in the .npz do not fit
+        config = _sidecar_config(values["config"])
+        version, params = nm.load_archive(path, "a checkpoint", lambda arrays: (
+            int(arrays["__version__"]),
+            {k[len("param/"):]: v for k, v in arrays.items() if k.startswith("param/")}))
+        if version != CHECKPOINT_VERSION:
+            raise DataError("%s: unsupported checkpoint version %d" % (path, version))
+        model = AlignerModel(config, *vocabs)
+        model.set_parameters(params)
+    except ConfigError as e:
+        raise DataError("%s: %s" % (sidecar, e)) from None
     return model

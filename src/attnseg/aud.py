@@ -926,10 +926,16 @@ def save_features(path: str, feats_list: list) -> None:
 
 
 def load_features(path: str) -> list:
-    """Read a `save_features` file; DataError, naming the path, if it is not one or is empty."""
+    """Read a `save_features` file; DataError, naming the path, if it is not one, is
+    empty or holds matrices of different widths."""
     feats = load_archive(path, "a feature archive", lambda arrays: [
         FeatureSequence(name[len("feat/"):], arrays[name])
         for name in sorted(arrays) if name.startswith("feat/")])
     if not feats:
         raise DataError("%s: no feature matrices" % path)
+    width = feats[0].features.shape[1]
+    odd = next((f for f in feats if f.features.shape[1] != width), None)
+    if odd is not None:
+        raise DataError("%s: %s has %d feature columns, but %s has %d"
+                        % (path, odd.utt_id, odd.features.shape[1], feats[0].utt_id, width))
     return feats

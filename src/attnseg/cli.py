@@ -204,80 +204,32 @@ def write_manifest(artifact: str, stage: str, inputs: list[str], config: dict,
 
 
 # ---------------------------------------------------------------------------
-# Aligner checkpoint sidecar (config echo + vocabularies)
-
-def save_aligner_bundle(ckpt_path: str, sidecar_path: str, model: al.AlignerModel) -> None:
-    """`load_aligner_bundle` reads the sidecar as `ckpt_path` + ".json"."""
-    al.save_model(ckpt_path, model)
-    sidecar = {
-        "config": dataclasses.asdict(model.config),
-        "wrl_tokens": model.wrl_vocab.tokens(),
-        "ul_tokens": model.ul_vocab.tokens(),
-    }
-    _write_json(sidecar_path, sidecar)
-
-
-def load_aligner_bundle(ckpt_path: str) -> al.AlignerModel:
-    sidecar_path = ckpt_path + ".json"
-    with open(sidecar_path, encoding="utf-8") as f:
-        try:
-            sidecar = json.load(f)
-            config, wrl_tokens, ul_tokens = (
-                sidecar[k] for k in ("config", "wrl_tokens", "ul_tokens"))
-            if not isinstance(config, dict):
-                raise TypeError("config is not an object")
-            for name, tokens in (("wrl_tokens", wrl_tokens), ("ul_tokens", ul_tokens)):
-                if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
-                    raise TypeError("%s is not a list of strings" % name)
-        except (ValueError, KeyError, TypeError) as e:
-            raise DataError("%s: not an aligner sidecar (%s: %s)"
-                            % (sidecar_path, type(e).__name__, e)) from None
-    try:  # a bad setting, or one the parameters in the .npz do not fit
-        config = _coerce(al.AlignerConfig, config, strings=False)
-        return al.load_model(ckpt_path, config,
-                             cp.Vocabulary(wrl_tokens), cp.Vocabulary(ul_tokens))
-    except ConfigError as e:
-        raise DataError("%s: %s" % (sidecar_path, e)) from None
-
-
-# ---------------------------------------------------------------------------
-# Configs from outside: INI sections, command-line flags and checkpoint sidecars.
-# Each config value is declared once, as a dataclass field; the INI key is the
-# field name and so, with `-` for `_`, is the flag (bar FLAG_SPELLINGS).
+# Configs from outside: INI sections and command-line flags. Each config value is
+# declared once, as a dataclass field; the INI key is the field name and so, with
+# `-` for `_`, is the flag (bar FLAG_SPELLINGS).
 
 FLAG_SPELLINGS = {"corpus_size": "--size", "num_units": "--units",
                   "states_per_unit": "--states", "mix_components": "--mix"}
 _TYPES = {"int": int, "float": float, "str": str}
 
 
-def _field_value(key: str, annotation: str, raw, strings: bool):
-    """`raw` as the type its field is annotated with (`int`, `float` or `str`); a
-    value that does not fit is a config error."""
-    kind = _TYPES[annotation]
-    if not strings:  # JSON: an integer may stand for a float, but a boolean is no number
-        if type(raw) is kind:
-            return raw
-        if kind is float and type(raw) is int:
-            return float(raw)
-        raise ConfigError("%s = %s is not of type %s" % (key, json.dumps(raw), annotation))
+def _field_value(key: str, annotation: str, raw: str):
+    """Text `raw` as the type its field is annotated with (`int`, `float` or `str`); a
+    value that does not parse is a config error."""
     try:
-        return kind(raw)
+        return _TYPES[annotation](raw)
     except ValueError:
         raise ConfigError("%s = %r is not a number" % (key, raw)) from None
 
 
-def _coerce(cls, values: dict, strings: bool = True):
-    """Build config dataclass `cls` from outside values, checked by field annotation.
-
-    `strings`: INI or argv text, parsed; otherwise JSON values, which must
-    already have the field's type.
-    """
+def _coerce(cls, values: dict[str, str]):
+    """Build config dataclass `cls` from INI or argv text, parsed by field annotation."""
     fields = {f.name: f.type for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, raw in values.items():
         if key not in fields:
             raise ConfigError("unknown config key %r for %s" % (key, cls.__name__))
-        kwargs[key] = _field_value(key, fields[key], raw, strings)
+        kwargs[key] = _field_value(key, fields[key], raw)
     return cls(**kwargs)
 
 
@@ -409,7 +361,8 @@ def cmd_train_aligner(args, stage: Stage) -> None:
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
     train, dev = cp.split_train_dev(corpus, DEV_FRACTION, args.split_seed)
     model, log = al.train(train, dev, config)
-    save_aligner_bundle(stage.out(args.out), stage.out(args.out + ".json"), model)
+    al.save_model(stage.out(args.out), model)
+    stage.out(al.sidecar_path(args.out))
     stage.config = {**dataclasses.asdict(config), "split_seed": args.split_seed}
     stage.log = {"best_epoch": log.best_epoch, "best_dev_loss": log.best_dev_loss,
                  "epochs": log.epochs}
@@ -418,8 +371,9 @@ def cmd_train_aligner(args, stage: Stage) -> None:
 
 
 def cmd_force_align(args, stage: Stage) -> None:
-    model = load_aligner_bundle(args.model)
-    stage.input_hashes[args.model + ".json"] = _sha256(args.model + ".json")  # its sidecar
+    model = al.load_model(args.model)
+    sidecar = al.sidecar_path(args.model)
+    stage.input_hashes[sidecar] = _sha256(sidecar)
     corpus = cp.load_parallel_corpus(args.ul, args.wrl)
     try:
         matrices = al.forced_decode_corpus(model, corpus)

@@ -154,8 +154,14 @@ def lstm_cell_grad(gates: np.ndarray, c: np.ndarray, dc: np.ndarray, d_o) -> np.
 # ---------------------------------------------------------------------------
 # Parameter initialization and optimization
 
-def uniform_init(rng: np.random.Generator, shape, scale_: float = 0.1, dtype=np.float32) -> np.ndarray:
-    return rng.uniform(-scale_, scale_, size=shape).astype(dtype)
+INIT_SCALE = 0.1  # uniform weights are drawn from [-INIT_SCALE, INIT_SCALE]
+FORGET_BIAS = 1.0  # an LSTM's forget-gate bias at initialization
+ADAM_BETAS = (0.9, 0.999)  # Adam's decay rates of the first and second moments
+ADAM_EPS = 1e-8  # added to Adam's root second moment
+
+
+def uniform_init(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
+    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype)
 
 
 def orthogonal_init(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
@@ -168,12 +174,11 @@ def orthogonal_init(rng: np.random.Generator, shape, dtype=np.float32) -> np.nda
     return q[: shape[0], : shape[1]].astype(dtype)
 
 
-def lstm_init(rng: np.random.Generator, in_dim: int, n: int, dtype=np.float32,
-              forget_bias: float = 1.0) -> LSTMParams:
+def lstm_init(rng: np.random.Generator, in_dim: int, n: int, dtype=np.float32) -> LSTMParams:
     """Uniform input weights, orthogonal recurrent blocks, forget bias 1."""
     U = np.concatenate([orthogonal_init(rng, (n, n), dtype) for _ in range(4)], axis=1)
     b = np.zeros(4 * n, dtype=dtype)
-    b[n: 2 * n] = forget_bias
+    b[n: 2 * n] = FORGET_BIAS
     return LSTMParams(W=Tensor(uniform_init(rng, (in_dim, 4 * n), dtype=dtype)),
                       U=Tensor(U), b=Tensor(b))
 
@@ -204,21 +209,15 @@ class AdamState:
     vhat: Optional[np.ndarray] = None
 
 
-def adam_update(
-    params: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float = 0.001,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-) -> AdamState:
+def adam_update(params: np.ndarray, grad: np.ndarray, state: AdamState,
+                lr: float = 0.001) -> AdamState:
     """In-place Adam step with bias correction, on flat parameter and gradient buffers."""
     if not np.all(np.isfinite(grad)):
         raise NumericalError("NaN/Inf gradient")
     if state.m is None:
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
         state.step, state.vhat = np.empty_like(params), np.empty_like(params)
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.t += 1
     m, v, t, step, vhat = state.m, state.v, state.t, state.step, state.vhat
     # p -= lr * mhat / (sqrt(vhat) + eps) with mhat = m / (1 - b1^t) and
@@ -233,16 +232,14 @@ def adam_update(
     step *= lr
     np.divide(v, 1 - b2 ** t, out=vhat)
     np.sqrt(vhat, out=vhat)
-    vhat += eps
+    vhat += ADAM_EPS
     step /= vhat
     params -= step
     return state
 
 
 # ---------------------------------------------------------------------------
-# Archives and checkpoints
-
-CHECKPOINT_VERSION = 1
+# Archives
 
 # what np.load and reading its arrays raise on a file that is not the archive expected
 ARCHIVE_ERRORS = (ValueError, TypeError, KeyError, IndexError, EOFError, zipfile.BadZipFile)
@@ -263,21 +260,3 @@ def load_archive(path: str, kind: str, build: Callable[[dict[str, np.ndarray]], 
             return build({name: z[name] for name in z.files})
     except ARCHIVE_ERRORS as e:
         raise DataError("%s: not %s (%s: %s)" % (path, kind, type(e).__name__, e)) from None
-
-
-def save_checkpoint(path: str, params: dict[str, Tensor]) -> None:
-    """`param/<name>` -> array, plus the format's `__version__`."""
-    arrays = {"param/" + k: v.data for k, v in params.items()}
-    arrays["__version__"] = np.asarray(CHECKPOINT_VERSION)
-    save_archive(path, arrays)
-
-
-def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """The parameters of a save_checkpoint file by name; DataError if it is not one
-    of this version."""
-    version, params = load_archive(path, "a checkpoint", lambda arrays: (
-        int(arrays["__version__"]),
-        {k[len("param/"):]: v for k, v in arrays.items() if k.startswith("param/")}))
-    if version != CHECKPOINT_VERSION:
-        raise DataError("%s: unsupported checkpoint version %d" % (path, version))
-    return params

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import os
 import tracemalloc
@@ -306,7 +308,7 @@ class TestFlatBuffers:
         assert m.flat.tobytes() == (model.flat + 1.0).tobytes()
         path = str(tmp_path / "model.npz")
         save_model(path, m)
-        loaded = load_model(path, m.config, corpus.wrl_vocab, corpus.ul_vocab)
+        loaded = load_model(path)
         assert_views_of_flat(loaded)
         assert loaded.flat.tobytes() == m.flat.tobytes()
         before = {k: p.data.copy() for k, p in loaded.parameters().items()}
@@ -546,26 +548,49 @@ class TestForcedDecode:
     def test_checkpoint_preserves_decode(self, trained, corpus, tmp_path):
         path = str(tmp_path / "model.npz")
         save_model(path, trained)
-        loaded = load_model(path, trained.config, corpus.wrl_vocab, corpus.ul_vocab)
+        loaded = load_model(path)
         a = forced_decode_corpus(trained, corpus)
         b = forced_decode_corpus(loaded, corpus)
         for utt_id in a:
             np.testing.assert_array_equal(a[utt_id].weights, b[utt_id].weights)
 
-    def test_checkpoint_cell_mismatch(self, trained, corpus, tmp_path):
+    def test_checkpoint_cell_mismatch(self, trained, tmp_path):
         path = str(tmp_path / "model.npz")
         save_model(path, trained)
-        with pytest.raises(ConfigError, match="shape mismatch"):
-            load_model(path, small_config(cell_size=20), corpus.wrl_vocab,
-                       corpus.ul_vocab)
+        with open(path + ".json") as f:
+            sidecar = json.load(f)
+        sidecar["config"]["cell_size"] = 20
+        with open(path + ".json", "w") as f:
+            json.dump(sidecar, f)
+        with pytest.raises(DataError, match="shape mismatch") as e:
+            load_model(path)
+        assert str(e.value).startswith(path + ".json: ")
 
     def test_checkpoint_holds_only_the_parameters(self, trained, tmp_path):
-        """The config lives in the CLI's sidecar alone."""
+        """The config lives in the sidecar alone."""
         path = str(tmp_path / "model.npz")
         save_model(path, trained)
         with np.load(path) as z:
             names = set(z.files)
         assert names == {"__version__"} | {"param/" + k for k in trained.parameters()}
+
+
+class TestCheckpoint:
+    def test_roundtrip(self, model, tmp_path):
+        """The parameters, config and vocabularies come back; the sidecar is JSON
+        indented by two, its keys in this order, with a final newline."""
+        path = str(tmp_path / "ckpt.npz")
+        save_model(path, model)
+        loaded = load_model(path)
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+        assert loaded.config == model.config
+        for vocab in ("wrl_vocab", "ul_vocab"):
+            assert getattr(loaded, vocab).tokens() == getattr(model, vocab).tokens()
+        with open(al.sidecar_path(path)) as f:
+            assert f.read() == json.dumps({
+                "config": dataclasses.asdict(model.config),
+                "wrl_tokens": model.wrl_vocab.tokens(),
+                "ul_tokens": model.ul_vocab.tokens()}, indent=2) + "\n"
 
 
 def bucketed_corpus(sizes: dict[int, int], seed: int = 5) -> ParallelCorpus:

@@ -535,12 +535,15 @@ BAD_MATRIX_FILES = {
 }
 
 
-# sidecar vocabularies that are not lists of strings: (key, value)
+# sidecar vocabularies that are not lists of strings, or that hold a reserved or a
+# repeated token, which the message must name: (key, value)
 SIDECAR_TOKENS = {
     "wrl_tokens_number": ("wrl_tokens", 5),
     "wrl_tokens_string": ("wrl_tokens", "abc"),
     "ul_tokens_numbers": ("ul_tokens", [1, 2]),
     "ul_tokens_object": ("ul_tokens", {"a": 1}),
+    "ul_tokens_reserved": ("ul_tokens", ["<PAD>", "b", "c"]),
+    "ul_tokens_repeated": ("ul_tokens", ["b", "c", "b"]),
 }
 
 
@@ -651,7 +654,7 @@ class TestBadInputs:
         ul, wrl = corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt"
         corpus = load_parallel_corpus(ul, wrl)
         ckpt = str(tmp_path / "model.npz")
-        cli.save_aligner_bundle(ckpt, ckpt + ".json", AlignerModel(
+        al.save_model(ckpt, AlignerModel(
             AlignerConfig(cell_size=4), corpus.wrl_vocab, corpus.ul_vocab))
         lines = open(ul).read().splitlines()
         lines[1] = "z z"  # synth's 12-symbol alphabet stops at l
@@ -673,7 +676,7 @@ class TestBadInputs:
     def test_bad_aligner_sidecar_is_data_error(self, corpus_dir, tmp_path, capsys, edit):
         corpus = load_parallel_corpus(corpus_dir + "/ul.txt", corpus_dir + "/wrl.txt")
         ckpt = str(tmp_path / "model.npz")
-        cli.save_aligner_bundle(ckpt, ckpt + ".json", AlignerModel(
+        al.save_model(ckpt, AlignerModel(
             AlignerConfig(cell_size=4), corpus.wrl_vocab, corpus.ul_vocab))
         sidecar = json.loads(open(ckpt + ".json").read())
         with np.load(ckpt) as z:
@@ -727,6 +730,9 @@ class TestBadInputs:
             assert err.startswith("data error: ") and err.count("\n") == 1
         if edit == "old_layout":
             assert err.startswith("data error: %s.json: unknown config key" % ckpt)
+        if edit in ("ul_tokens_reserved", "ul_tokens_repeated"):
+            assert err.startswith("data error: %s.json: " % ckpt)
+            assert repr(SIDECAR_TOKENS[edit][1][0]) in err
 
     @pytest.mark.parametrize("reader", ["matrices", "corpus", "segmentation", "wav_list",
                                         "sidecar"])
@@ -735,9 +741,8 @@ class TestBadInputs:
         bad = str(tmp_path / "bad.txt")
         if reader == "sidecar":
             corpus = load_parallel_corpus(ul, wrl)
-            cli.save_aligner_bundle(str(tmp_path / "m.npz"), str(tmp_path / "m.npz.json"),
-                                    AlignerModel(AlignerConfig(cell_size=4), corpus.wrl_vocab,
-                                                 corpus.ul_vocab))
+            al.save_model(str(tmp_path / "m.npz"), AlignerModel(
+                AlignerConfig(cell_size=4), corpus.wrl_vocab, corpus.ul_vocab))
             bad = str(tmp_path / "m.npz.json")
         with open(bad, "ab") as f:
             f.write(b"utt00001 1 2\n0.5 \xff0.5\n")
@@ -1052,6 +1057,18 @@ class TestAudBadInputs:
         assert bad in err or aud_files["feats"] in err  # the message names the file
         if case == "features_empty_matrix":
             assert "u1: feature matrix has shape (0, 39)" in err
+
+    def test_features_of_different_widths_are_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        feats = str(tmp_path / "feats.npz")
+        aud_mod.save_features(feats, [aud_mod.FeatureSequence(u, rng.standard_normal((9, d)))
+                                      for u, d in (("u0", 39), ("u1", 13))])
+        model = tmp_path / "aud.npz"
+        assert main(["aud-train", "--features", feats, "--out", str(model),
+                     "--quiet"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "data error: %s: u1 has 13 feature columns, but u0 has 39\n" % feats
+        assert sorted(os.listdir(tmp_path)) == ["feats.npz"]  # no aud.npz
 
     @pytest.mark.parametrize("field, index, value", [
         ("stay", (0, 0), 1.5), ("stay", (1, 0), -0.25), ("stay", (0, 0), np.nan),

@@ -13,9 +13,7 @@ from attnseg.numerics import (
     AdamState,
     adam_update,
     clip_global_norm,
-    load_checkpoint,
     lstm_init,
-    save_checkpoint,
     share_buffers,
 )
 from reference_ops import (
@@ -554,14 +552,3 @@ class TestClipGlobalNorm:
         grads = {k: ts[k].grad for k in reversed(values)}
         want = math.sqrt(sum(float((v * v).sum()) for v in reversed(values.values())))
         assert clip_global_norm(grads, flat_grad, math.inf) == want
-
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        params = {"w": tensor(np.arange(6.0).reshape(2, 3)),
-                  "b": tensor(np.zeros(3))}
-        path = str(tmp_path / "ckpt.npz")
-        save_checkpoint(path, params)
-        values = load_checkpoint(path)
-        assert set(values) == {"w", "b"}
-        np.testing.assert_array_equal(values["w"], params["w"].data)
